@@ -7,8 +7,11 @@ parse them. All outputs are deterministic for identical inputs and seeds;
 CSV rendering is delegated to the render module, which the report
 subcommand shares with the standalone subcommands.
 
-LOSSDIAG_THREADS caps the worker threads used when summarizing several
-checkpoints (default: one thread per checkpoint, at most 8).
+Each run reads every dump it needs once: one scan per checkpoint yields
+its summary over every percentile the run uses and, where bands are
+wanted, its band table, and all tables are built from those results.
+LOSSDIAG_THREADS caps the worker threads that scan checkpoints (default:
+one thread per checkpoint, at most 8).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import render
-from .concordance import ConcordanceReport, concordance
+from .concordance import concordance
 from .correlate import MetricSeries, crossing_step, default_rules, percentile_sweep, select
 from .distill import (
     LabConfig,
@@ -45,6 +49,7 @@ from .quantiles import (
 from .shape import (
     DEFAULT_BAND_BOUNDS,
     PROFILE_GRID,
+    BandCounter,
     band_masses,
     standardize_profile,
 )
@@ -101,30 +106,47 @@ def _thread_count(n_tasks: int) -> int:
     return max(1, min(limit, n_tasks))
 
 
-def _summarize_dump(
-    path: Path,
-    checkpoint_id: str,
-    ks,
-    mode: str = "auto",
-    epsilon: float = 1e-3,
-) -> SummarySet:
-    """Summary of one dump; switches to the sketch past EXACT_PATH_MAX."""
+def _scan(path, checkpoint_id, ks, bounds=None, mode="auto", epsilon=1e-3):
+    """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
+
+    The dump is read once. Past EXACT_PATH_MAX it is streamed through the
+    sketch and the band counter instead, never held whole.
+    """
     count = peek_dump_count(path)
-    exact = mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX)
-    if exact:
-        return summarize_exact(read_loss_dump(path, checkpoint_id), ks)
-    return summarize_chunks(checkpoint_id, iter_loss_chunks(path), ks, epsilon)
+    if mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX):
+        losses = read_loss_dump(path, checkpoint_id)
+        summary = summarize_exact(losses, ks)
+        return summary, None if bounds is None else band_masses(losses, bounds)
+    counter = None if bounds is None else BandCounter(checkpoint_id, bounds)
+
+    def chunks():
+        for chunk in iter_loss_chunks(path):
+            if counter is not None:
+                counter.extend(chunk)
+            yield chunk
+
+    summary = summarize_chunks(checkpoint_id, chunks(), ks, epsilon)
+    return summary, None if counter is None else counter.table()
 
 
-def _summarize_many(entries, ks, mode="auto", epsilon=1e-3) -> list[SummarySet]:
-    """Summaries for (path, checkpoint_id) pairs, order-preserving."""
+def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=1e-3):
+    """_scan over (path, checkpoint_id) pairs in one thread pool, order-preserving."""
     entries = list(entries)
-    workers = _thread_count(len(entries))
-    if workers == 1:
-        return [_summarize_dump(p, cid, ks, mode, epsilon) for p, cid in entries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_summarize_dump, p, cid, ks, mode, epsilon) for p, cid in entries]
-        return [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=_thread_count(len(entries))) as pool:
+        return list(pool.map(lambda e: _scan(*e, ks, bounds, mode, epsilon), entries))
+
+
+def _shape_ks(grid) -> tuple[int, ...]:
+    """The profile grid plus p95, which the family tail statistic reads."""
+    return grid if 95 in grid else (*grid, 95)
+
+
+def _entries(checkpoints) -> list[tuple[Path, str]]:
+    return [(c.loss_path, c.checkpoint_id) for c in checkpoints]
+
+
+def _summary_table(checkpoints, ks) -> dict[str, SummarySet]:
+    return {s.checkpoint_id: s for s, _ in _scan_many(_entries(checkpoints), ks)}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -140,11 +162,21 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(Path(out), text)
 
 
-def _manifest_entries(manifest: Manifest, families) -> list[tuple[Path, str]]:
+def _selection(manifest: Manifest, families) -> tuple[CheckpointMeta, ...]:
     selected = manifest.select(families)
     if not selected:
         raise ValidationError("manifest selection is empty")
-    return [(c.loss_path, c.checkpoint_id) for c in selected]
+    return selected
+
+
+def _selection_result(manifest: Manifest, families, table, columns):
+    metric_names = sorted({n for c in manifest.select(families) for n in c.metrics})
+    metrics = {
+        name: _metric_series(manifest, name, None, families)
+        for name in metric_names
+        if name in columns
+    }
+    return select(table, default_rules(columns, metric_names), metrics)
 
 
 def _metric_series(
@@ -169,72 +201,60 @@ def _cmd_summarize(args) -> None:
     entries: list[tuple[Path, str]] = [(Path(p), Path(p).stem) for p in args.paths]
     if args.manifest:
         manifest = load_manifest(args.manifest)
-        entries.extend(_manifest_entries(manifest, args.family))
+        entries.extend(_entries(_selection(manifest, args.family)))
     elif args.family:
         raise UsageError("--family requires --manifest")
     if not entries:
         raise UsageError("give dump paths and/or --manifest")
     mode = "exact" if args.exact else "sketch" if args.sketch else "auto"
-    summaries = _summarize_many(entries, tuple(args.ks), mode, args.epsilon)
-    _emit(render.summary_table(summaries, args.precision), args.out)
+    scans = _scan_many(entries, tuple(args.ks), None, mode, args.epsilon)
+    _emit(render.summary_table([s for s, _ in scans], args.precision), args.out)
 
 
 # --- concord -----------------------------------------------------------
 
 
-def _family_summary_map(
-    manifest: Manifest, family: str, ks
-) -> dict[str, SummarySet]:
-    entries = _manifest_entries(manifest, [family])
-    return {s.checkpoint_id: s for s in _summarize_many(entries, ks)}
-
-
-def _concordance_reports(
-    manifest: Manifest, families, summaries, ks
-) -> list[ConcordanceReport]:
+def _concordance_reports(manifest, families, table, summaries):
     reports = []
     for family in families:
-        table = _family_summary_map(manifest, family, ks)
-        reports.append(concordance(table, summaries, family=family))
+        ids = [c.checkpoint_id for c in manifest.select([family])]
+        reports.append(concordance({i: table[i] for i in ids}, summaries, family))
     return reports
 
 
-def _families_with_pairs(manifest: Manifest) -> list[str]:
-    counts: dict[str, int] = {}
-    for c in manifest.checkpoints:
-        counts[c.family] = counts.get(c.family, 0) + 1
-    return [f for f in manifest.families() if counts[f] >= 2]
+def _families_with_pairs(checkpoints) -> list[str]:
+    counts = Counter(c.family for c in checkpoints)
+    return [f for f, n in counts.items() if n >= 2]
 
 
 def _cmd_concord(args) -> None:
     if len(args.summaries) < 2:
         raise UsageError("--summaries needs at least two names")
     manifest = load_manifest(args.manifest)
-    families = args.family or _families_with_pairs(manifest)
+    families = args.family or _families_with_pairs(manifest.checkpoints)
     if not families:
         raise ValidationError("no family holds two or more checkpoints")
-    reports = _concordance_reports(manifest, families, args.summaries, tuple(args.ks))
+    selected = [c for family in families for c in manifest.select([family])]
+    table = _summary_table(selected, tuple(args.ks))
+    reports = _concordance_reports(manifest, families, table, args.summaries)
     _emit(render.concordance_table(reports, args.precision), args.out)
 
 
 # --- shape -------------------------------------------------------------
 
 
-def _shape_tables(manifest: Manifest, families, grid, bounds, precision):
-    """The four shape CSVs: profiles, distances, bands, per-family stats."""
-    selected = manifest.select(families)
-    if not selected:
-        raise ValidationError("manifest selection is empty")
-    entries = [(c.loss_path, c.checkpoint_id) for c in selected]
-    summaries = _summarize_many(entries, grid)
-    profiles = [standardize_profile(s, grid) for s in summaries]
-    bands = [
-        band_masses(read_loss_dump(c.loss_path, c.checkpoint_id), bounds)
-        for c in selected
-    ]
+def _shape_tables(selected, scans, grid, precision):
+    """The four shape CSVs: profiles, distances, bands, per-family stats.
+
+    ``scans`` pairs each checkpoint's summary over ``_shape_ks(grid)`` with
+    its band table.
+    """
+    profiles = [standardize_profile(s, grid) for s, _ in scans]
+    bands = [b for _, b in scans]
     by_family: dict[str, list[float]] = {}
-    for c, p in zip(selected, profiles):
-        by_family.setdefault(c.family, []).append(p.values[95])
+    for c, (s, _), p in zip(selected, scans, profiles):
+        tail = (s.percentiles[95] - s.percentiles[50]) / p.iqr  # p95 in profile units
+        by_family.setdefault(c.family, []).append(tail)
     stats = []
     for fam in sorted(by_family):
         tails = np.array(by_family[fam])
@@ -261,9 +281,9 @@ def _cmd_shape(args) -> None:
     for needed in (25, 50, 75):
         if needed not in grid:
             raise UsageError(f"--grid must include {needed}")
-    tables = _shape_tables(
-        manifest, args.family, grid, tuple(args.bands), args.precision
-    )
+    selected = _selection(manifest, args.family)
+    scans = _scan_many(_entries(selected), _shape_ks(grid), tuple(args.bands))
+    tables = _shape_tables(selected, scans, grid, args.precision)
     if args.out_dir is None:
         for name, text in tables.items():
             sys.stdout.write(render.markdown_section(_SHAPE_TITLES[name], text))
@@ -282,50 +302,32 @@ def _cmd_correlate(args) -> None:
     if sum(modes) != 1:
         raise UsageError("pick exactly one of --sweep, --select, --crossing")
     manifest = load_manifest(args.manifest)
+    if args.sweep and not args.metric:
+        raise UsageError("--sweep requires --metric")
+    if args.select is not None and not args.select:
+        raise UsageError("--select needs at least one column")
+    if args.crossing and args.reference is None:
+        raise UsageError("--crossing requires --reference")
 
+    if args.crossing:
+        groups = [(f, manifest.select([f])) for f in args.family or manifest.families()]
+        table = _summary_table([c for _, cs in groups for c in cs], tuple(args.ks))
+        rows = []
+        for family, cs in groups:
+            series = [(c.step, table[c.checkpoint_id].value(args.summary)) for c in cs]
+            step = crossing_step(series, args.reference)
+            rows.append((family, args.summary, args.reference, step))
+        _emit(render.crossing_table(rows, args.precision), args.out)
+        return
+
+    table = _summary_table(_selection(manifest, args.family), tuple(args.ks))
     if args.sweep:
-        if not args.metric:
-            raise UsageError("--sweep requires --metric")
-        entries = _manifest_entries(manifest, args.family)
-        table = {s.checkpoint_id: s for s in _summarize_many(entries, tuple(args.ks))}
         metric = _metric_series(manifest, args.metric, args.metric_file, args.family)
         rows = percentile_sweep(table, metric)
         _emit(render.sweep_table(rows, args.precision), args.out)
-        return
-
-    if args.select is not None:
-        if not args.select:
-            raise UsageError("--select needs at least one column")
-        entries = _manifest_entries(manifest, args.family)
-        table = {s.checkpoint_id: s for s in _summarize_many(entries, tuple(args.ks))}
-        metric_names = sorted(
-            {name for c in manifest.select(args.family) for name in c.metrics}
-        )
-        metrics = {
-            name: _metric_series(manifest, name, None, args.family)
-            for name in metric_names
-            if name in args.select
-        }
-        rules = default_rules(args.select, metric_names)
-        result = select(table, rules, metrics)
+    else:
+        result = _selection_result(manifest, args.family, table, args.select)
         _emit(render.selection_table(result, args.precision), args.out)
-        return
-
-    if args.reference is None:
-        raise UsageError("--crossing requires --reference")
-    families = args.family or manifest.families()
-    entries_rows = []
-    for family in families:
-        selected = manifest.select([family])
-        summaries = _summarize_many(
-            [(c.loss_path, c.checkpoint_id) for c in selected], tuple(args.ks)
-        )
-        series = [
-            (c.step, s.value(args.summary)) for c, s in zip(selected, summaries)
-        ]
-        step = crossing_step(series, args.reference)
-        entries_rows.append((family, args.summary, args.reference, step))
-    _emit(render.crossing_table(entries_rows, args.precision), args.out)
 
 
 # --- distill-demo ------------------------------------------------------
@@ -441,61 +443,51 @@ class ReportConfig:
                 raise UsageError(f"profile grid must include {needed}")
 
 
-def _report_sections(config: ReportConfig) -> dict[str, str]:
-    """All report CSVs, keyed by file name.
+def _report_sections(config: ReportConfig) -> tuple[dict[str, str], dict[str, str]]:
+    """All report CSVs, in report order, and SVG charts, keyed by file name.
 
-    Each value comes from the same module calls and render functions the
-    standalone subcommands use, so the bytes match exactly.
+    One scan per checkpoint feeds every table. Each table gets the summaries
+    restricted to the percentiles its standalone subcommand computes and the
+    same module calls and render functions, so the bytes match exactly.
     """
     manifest = load_manifest(config.manifest_path)
-    selected = manifest.select(config.families)
-    if not selected:
-        raise ValidationError("manifest selection is empty")
-    entries = [(c.loss_path, c.checkpoint_id) for c in selected]
+    selected = _selection(manifest, config.families)
+    # Grid values outside 1..99 stay out of the scan; restrict() rejects them
+    # where the shape tables are built.
+    ks = sorted(set(DEFAULT_KS).union(k for k in config.grid if 1 <= k <= 99))
+    scans = _scan_many(_entries(selected), ks, config.band_bounds)
 
-    sections: dict[str, str] = {}
-    summaries = _summarize_many(entries, DEFAULT_KS)
-    sections["summary.csv"] = render.summary_table(summaries, config.precision)
+    summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
+    sections = {"summary.csv": render.summary_table(summaries, config.precision)}
+    table = {s.checkpoint_id: s for s in summaries}
 
-    families = [
-        f
-        for f in _families_with_pairs(manifest)
-        if config.families is None or f in config.families
-    ]
+    families = _families_with_pairs(selected)
     if families:
-        reports = _concordance_reports(
-            manifest, families, config.summaries, DEFAULT_KS
-        )
+        reports = _concordance_reports(manifest, families, table, config.summaries)
         sections["concordance.csv"] = render.concordance_table(
             reports, config.precision
         )
 
-    table = {s.checkpoint_id: s for s in summaries}
-    metric_names = sorted({name for c in selected for name in c.metrics})
     columns = list(config.summaries)
     if config.metric is not None:
         columns.append(config.metric)
-    metrics = {
-        name: _metric_series(manifest, name, None, config.families)
-        for name in metric_names
-        if name in columns
-    }
-    rules = default_rules(columns, metric_names)
     sections["selection.csv"] = render.selection_table(
-        select(table, rules, metrics), config.precision
+        _selection_result(manifest, config.families, table, columns), config.precision
     )
 
+    sweep_rows = []
     if config.metric is not None and len(table) >= 3:
         metric = _metric_series(manifest, config.metric, None, config.families)
         sweep_rows = percentile_sweep(table, metric)
         sections["sweep.csv"] = render.sweep_table(sweep_rows, config.precision)
 
+    grid_scans = [(s.restrict(_shape_ks(config.grid)), b) for s, b in scans]
     sections.update(
-        _shape_tables(
-            manifest, config.families, config.grid, config.band_bounds, config.precision
-        )
+        _shape_tables(selected, grid_scans, config.grid, config.precision)
     )
-    return sections
+    svg = "svg" in config.formats
+    charts = _report_charts(summaries, sweep_rows, config.precision) if svg else {}
+    return sections, charts
 
 
 _REPORT_TITLES = {
@@ -506,50 +498,31 @@ _REPORT_TITLES = {
     **_SHAPE_TITLES,
 }
 
-_REPORT_ORDER = (
-    "summary.csv",
-    "concordance.csv",
-    "selection.csv",
-    "sweep.csv",
-    "profiles.csv",
-    "distances.csv",
-    "bands.csv",
-    "family_stats.csv",
-)
 
+def _report_charts(summaries, sweep_rows, precision: int) -> dict[str, str]:
+    """Sweep and scatter charts of the values as their CSV cells show them."""
 
-def _report_charts(sections: dict[str, str]) -> dict[str, str]:
+    def shown(value: float) -> float:
+        return float(render.fmt(value, precision))
+
     charts: dict[str, str] = {}
-    if "sweep.csv" in sections:
-        lines = sections["sweep.csv"].splitlines()[1:]
-        ks, rs, rhos = [], [], []
-        for line in lines:
-            name, r, rho = line.split(",")
-            if name == "mean":
-                continue
-            ks.append(float(name[1:]))
-            rs.append(float(r))
-            rhos.append(float(rho))
-        if ks:
-            charts["sweep.svg"] = render.svg_chart(
-                [("pearson_r", ks, rs), ("spearman_rho", ks, rhos)],
-                x_label="percentile",
-                y_label="correlation with metric",
-                kind="line",
-            )
-    lines = sections["summary.csv"].splitlines()
-    header = lines[0].split(",")
-    mean_i, med_i = header.index("mean"), header.index("p50")
-    meds, means = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        x, y = float(cells[med_i]), float(cells[mean_i])
-        if np.isfinite(x) and np.isfinite(y):
-            meds.append(x)
-            means.append(y)
-    if len(meds) >= 2:
+    rows = [r for r in sweep_rows if r.summary != "mean"]
+    if rows:
+        ks = [float(r.summary[1:]) for r in rows]
+        charts["sweep.svg"] = render.svg_chart(
+            [
+                ("pearson_r", ks, [shown(r.pearson_r) for r in rows]),
+                ("spearman_rho", ks, [shown(r.spearman_rho) for r in rows]),
+            ],
+            x_label="percentile",
+            y_label="correlation with metric",
+            kind="line",
+        )
+    points = [(shown(s.percentiles[50]), shown(s.mean)) for s in summaries]
+    points = [(x, y) for x, y in points if np.isfinite(x) and np.isfinite(y)]
+    if len(points) >= 2:
         charts["scatter.svg"] = render.svg_chart(
-            [("checkpoints", meds, means)],
+            [("checkpoints", [x for x, _ in points], [y for _, y in points])],
             x_label="median CE",
             y_label="mean CE",
             kind="scatter",
@@ -569,31 +542,19 @@ def _cmd_report(args) -> None:
         metric=args.metric,
         precision=args.precision,
     )
-    sections = _report_sections(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in config.formats:
-        for name in _REPORT_ORDER:
-            if name in sections:
-                _write_text(config.out_dir / name, sections[name])
-                written.append(config.out_dir / name)
+    sections, charts = _report_sections(config)
+    outputs = dict(sections) if "csv" in config.formats else {}
     if "md" in config.formats:
-        doc = render.markdown_report(
+        outputs["report.md"] = render.markdown_report(
             "Loss diagnostics report",
-            [
-                (_REPORT_TITLES[name], sections[name])
-                for name in _REPORT_ORDER
-                if name in sections
-            ],
+            [(_REPORT_TITLES[name], text) for name, text in sections.items()],
         )
-        _write_text(config.out_dir / "report.md", doc)
-        written.append(config.out_dir / "report.md")
-    if "svg" in config.formats:
-        for name, svg in sorted(_report_charts(sections).items()):
-            _write_text(config.out_dir / name, svg)
-            written.append(config.out_dir / name)
-    for path in written:
-        print(path)
+    outputs.update(sorted(charts.items()))
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        _write_text(config.out_dir / name, text)
+    for name in outputs:
+        print(config.out_dir / name)
 
 
 # --- parser ------------------------------------------------------------

@@ -86,6 +86,11 @@ class SummarySet:
     def ks(self) -> tuple[int, ...]:
         return tuple(self.percentiles)
 
+    def restrict(self, ks: Sequence[int]) -> "SummarySet":
+        """The same summary over ``ks``, which must all be among its percentiles."""
+        pct = {k: self.percentiles[k] for k in _check_ks(ks)}
+        return SummarySet(self.checkpoint_id, self.mean, pct, self.count)
+
     def value(self, name: str) -> float:
         """Resolve a summary by name: "mean", "median", or "pK" (e.g. "p95")."""
         if name == "mean":
@@ -178,17 +183,12 @@ class StreamingSummary:
         ks = _check_ks(ks)
         if self._count == 0:
             raise ValidationError(f"{self.checkpoint_id}: no values streamed")
-        pct = {k: self._sketch.query(k) for k in ks}
-        # The sketch can report locally non-monotone values within its rank
-        # tolerance; clamp so the SummarySet invariant holds.
-        running = -np.inf
-        for k in sorted(pct):
-            running = max(running, pct[k])
-            pct[k] = running
+        # query() is monotone in k, so the percentiles are non-decreasing and
+        # each one is the same whichever others are requested with it.
         return SummarySet(
             checkpoint_id=self.checkpoint_id,
             mean=self._sum / self._count,
-            percentiles=pct,
+            percentiles={k: self._sketch.query(k) for k in ks},
             count=self._count,
         )
 

@@ -106,6 +106,27 @@ def _check_bounds(bounds: Sequence[float]) -> tuple[float, ...]:
     return out
 
 
+class BandCounter:
+    """Band counts accumulated chunk by chunk; exact, so chunking never
+    changes the table. band_masses counts a whole vector as one chunk."""
+
+    def __init__(self, checkpoint_id: str, bounds: Sequence[float]):
+        self.checkpoint_id = checkpoint_id
+        self.bounds = _check_bounds(bounds)
+        self._edges = np.array((0.0,) + self.bounds + (math.inf,))
+        self._counts = np.zeros(len(self.bounds) + 1, dtype=np.int64)
+
+    def extend(self, chunk: np.ndarray) -> None:
+        counts, _ = np.histogram(np.asarray(chunk, dtype=np.float64), bins=self._edges)
+        self._counts += counts
+
+    def table(self) -> BandTable:
+        # Every loss is >= 0 (NaN rejected), so each lands in exactly one band.
+        n = self._counts.sum()
+        mass = tuple(100.0 * c / n for c in self._counts)
+        return BandTable(self.checkpoint_id, self.bounds, mass)
+
+
 def band_masses(
     losses: LossVector, bounds: Sequence[float] = DEFAULT_BAND_BOUNDS
 ) -> BandTable:
@@ -114,12 +135,9 @@ def band_masses(
     Each band is closed below and open above; +inf losses land in the last
     band. Masses sum to 100 up to float rounding.
     """
-    bounds = _check_bounds(bounds)
-    arr = np.asarray(losses.losses, dtype=np.float64)
-    edges = np.array((0.0,) + bounds + (math.inf,))
-    counts, _ = np.histogram(arr, bins=edges)
-    mass = tuple(100.0 * c / arr.size for c in counts)
-    return BandTable(checkpoint_id=losses.checkpoint_id, bounds=bounds, mass=mass)
+    counter = BandCounter(losses.checkpoint_id, bounds)
+    counter.extend(losses.losses)
+    return counter.table()
 
 
 def band_delta(a: BandTable, b: BandTable) -> tuple[float, ...]:

@@ -276,8 +276,9 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
               judge: 2.01
 
     Loss paths are resolved relative to the manifest's directory. With
-    ``check_dumps`` each dump's header is verified against its payload size
-    (binary) or its first line is parsed (text) without reading everything.
+    ``check_dumps`` each dump is checked by ``peek_dump_count``: a binary
+    header against its payload size, a text dump by counting all its lines.
+    NaN metric values are rejected.
     """
     path = Path(path)
     try:
@@ -318,6 +319,10 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
             if not isinstance(name, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ManifestError(f"{where}: metric {name!r} must map a string to a number")
             metrics[name] = float(value)
+            if np.isnan(metrics[name]):
+                raise ManifestError(
+                    f"{where}: metric {name!r} of checkpoint {cid!r} is NaN"
+                )
         if check_dumps:
             if not loss_path.exists():
                 raise ManifestError(f"{where}: loss dump not found: {loss_path}")
@@ -366,6 +371,7 @@ def read_metric_file(path: str | Path) -> dict[str, float]:
     """Parse a two-column ``checkpoint_id,value`` file into a mapping.
 
     A first row whose second column is not numeric is treated as a header.
+    NaN values are rejected.
     """
     path = Path(path)
     out: dict[str, float] = {}
@@ -384,6 +390,8 @@ def read_metric_file(path: str | Path) -> dict[str, float]:
             if lineno == 1:
                 continue
             raise ValidationError(f"{path}:{lineno}: not a number: {raw!r}")
+        if np.isnan(value):
+            raise ValidationError(f"{path}:{lineno}: metric of {cid!r} is NaN")
         if cid in out:
             raise ValidationError(f"{path}:{lineno}: duplicate checkpoint id {cid!r}")
         out[cid] = value

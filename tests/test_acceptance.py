@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from lossdiag import (
     LossVector,
@@ -268,17 +269,52 @@ def test_criterion_8_crossing_examples():
         assert crossing_step(series, 2.46) == 379_000
 
 
-def test_criterion_9_report_matches_standalone_subcommands(demo_dir, tmp_path, capsys):
+def _charts_from_csv(summary_csv, sweep_csv):
+    """Reference SVGs drawn from the rendered CSV text, cell by cell."""
+    charts = {}
+    ks, rs, rhos = [], [], []
+    for line in sweep_csv.splitlines()[1:]:
+        name, r, rho = line.split(",")
+        if name != "mean":
+            ks.append(float(name[1:]))
+            rs.append(float(r))
+            rhos.append(float(rho))
+    charts["sweep.svg"] = render.svg_chart(
+        [("pearson_r", ks, rs), ("spearman_rho", ks, rhos)],
+        x_label="percentile", y_label="correlation with metric", kind="line")
+    lines = summary_csv.splitlines()
+    header = lines[0].split(",")
+    mean_i, med_i = header.index("mean"), header.index("p50")
+    rows = [line.split(",") for line in lines[1:]]
+    points = [(float(row[med_i]), float(row[mean_i])) for row in rows]
+    points = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
+    charts["scatter.svg"] = render.svg_chart(
+        [("checkpoints", [x for x, _ in points], [y for _, y in points])],
+        x_label="median CE", y_label="mean CE", kind="scatter")
+    return charts
+
+
+@pytest.mark.parametrize(
+    "grid, bands, precision",
+    [
+        ((), (), ()),
+        (("--grid", "10,25,50,75,90"), ("--bands", "0.5,2"), ("--precision", "3")),
+    ],
+    ids=["default-flags", "grid-bands-precision"],
+)
+def test_criterion_9_report_matches_standalone_subcommands(
+    demo_dir, tmp_path, capsys, grid, bands, precision
+):
     with Budget(30):
         manifest = str(demo_dir / "manifest.yaml")
         report_dir = tmp_path / "report"
-        rc = main(["report", "--manifest", manifest,
-                   "--out-dir", str(report_dir), "--metric", "fidelity"])
+        rc = main(["report", "--manifest", manifest, "--out-dir", str(report_dir),
+                   "--metric", "fidelity", *grid, *bands, *precision])
         capsys.readouterr()
         assert rc == 0
 
         def stdout_of(*argv):
-            rc = main(list(argv))
+            rc = main([*argv, *precision])
             out = capsys.readouterr().out
             assert rc == 0
             return out
@@ -294,7 +330,8 @@ def test_criterion_9_report_matches_standalone_subcommands(demo_dir, tmp_path, c
                 "--sweep", "--metric", "fidelity"),
         }
         shape_dir = tmp_path / "shape"
-        rc = main(["shape", "--manifest", manifest, "--out-dir", str(shape_dir)])
+        rc = main(["shape", "--manifest", manifest, "--out-dir", str(shape_dir),
+                   *grid, *bands, *precision])
         capsys.readouterr()
         assert rc == 0
         for name in ("profiles.csv", "distances.csv", "bands.csv", "family_stats.csv"):
@@ -303,3 +340,8 @@ def test_criterion_9_report_matches_standalone_subcommands(demo_dir, tmp_path, c
         for name, expected in standalone.items():
             produced = (report_dir / name).read_text(encoding="utf-8")
             assert produced == expected, f"{name} differs between report and subcommand"
+
+        reference = _charts_from_csv(standalone["summary.csv"], standalone["sweep.csv"])
+        for name, expected in reference.items():
+            produced = (report_dir / name).read_text(encoding="utf-8")
+            assert produced == expected, f"{name} differs from the CSV-drawn chart"

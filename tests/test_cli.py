@@ -1,6 +1,8 @@
 """End-to-end CLI behavior on a shared tiny distill-demo workspace."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from lossdiag import (
     summarize_exact,
     write_loss_dump,
 )
-from lossdiag import render
+from lossdiag import cli, render
 from lossdiag.cli import main
 
 
@@ -299,12 +301,53 @@ class TestCorrelate:
         assert lines[0] == "family,summary,reference,crossing_step"
         assert lines[1] == "run,median,0.6,300"
 
+    def test_nan_manifest_metric_is_data_error(self, capsys, tmp_path):
+        # A NaN judge score would win every comparison in --select; it must
+        # be refused when the manifest loads, naming where it came from.
+        manifest_path = _judged_workspace(tmp_path, (2.0, float("nan"), 1.0))
+        rc, _, err = run(
+            capsys, "correlate", "--manifest", str(manifest_path), "--select", "judge",
+        )
+        assert rc == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ManifestError"
+        assert "metric 'judge' of checkpoint 'run-1' is NaN" in payload["message"]
+
+    def test_nan_metric_file_value_is_data_error(self, capsys, tmp_path):
+        manifest_path = _judged_workspace(tmp_path, (2.0, 1.5, 1.0))
+        metric_file = tmp_path / "judge.csv"
+        metric_file.write_text("run-0,2.0\nrun-1,nan\nrun-2,1.0\n", encoding="utf-8")
+        rc, _, err = run(
+            capsys, "correlate", "--manifest", str(manifest_path),
+            "--sweep", "--metric", "judge", "--metric-file", str(metric_file),
+        )
+        assert rc == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValidationError"
+        assert f"{metric_file}:2: metric of 'run-1' is NaN" in payload["message"]
+
     def test_crossing_needs_reference(self, capsys, demo_dir):
         rc, _, _ = run(
             capsys, "correlate", "--manifest", str(demo_dir / "manifest.yaml"),
             "--crossing",
         )
         assert rc == 1
+
+
+def _judged_workspace(tmp_path, judge_scores):
+    """One family of small dumps whose manifest carries the given judge scores."""
+    rng = np.random.default_rng(7)
+    checkpoints = []
+    for i, score in enumerate(judge_scores):
+        cid = f"run-{i}"
+        path = tmp_path / f"{cid}.bin"
+        write_loss_dump(LossVector(cid, rng.uniform(0.1, 2.0 + i, 1001)), path)
+        checkpoints.append(CheckpointMeta(
+            checkpoint_id=cid, family="run", step=100 * i, objective="token-ce",
+            loss_path=path, metrics={"judge": score}))
+    manifest_path = tmp_path / "manifest.yaml"
+    dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), manifest_path)
+    return manifest_path
 
 
 REPORT_FILES = (
@@ -365,3 +408,62 @@ class TestReport:
         assert rc == 0
         assert (out_dir / "summary.csv").is_file()
         assert not (out_dir / "concordance.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--grid", "10,10,25,50,75"), "duplicate percentiles requested"),
+            (("--grid", "0,25,50,75"), "percentile 0 outside 1..99"),
+            (("--bands", "0,1"), "band bounds must be positive"),
+        ],
+        ids=["duplicate-grid", "out-of-range-grid", "bad-bands"],
+    )
+    def test_bad_grid_or_bands_is_data_error(self, capsys, demo_dir, tmp_path, flags, message):
+        rc, _, err = run(
+            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
+            "--out-dir", str(tmp_path / "bad"), *flags,
+        )
+        assert rc == 2
+        assert message in stderr_payload(err)["message"]
+
+    def test_reads_each_dump_once(self, capsys, demo_dir, tmp_path, monkeypatch):
+        reads, summaries = [], []
+
+        def counted(fn, calls, key):
+            def wrapper(*args, **kwargs):
+                calls.append(key(args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "read_loss_dump", counted(cli.read_loss_dump, reads, Path))
+        monkeypatch.setattr(cli, "iter_loss_chunks", counted(cli.iter_loss_chunks, reads, Path))
+        monkeypatch.setattr(cli, "summarize_exact", counted(
+            cli.summarize_exact, summaries, lambda losses: losses.checkpoint_id))
+        rc, _, _ = run(
+            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
+            "--out-dir", str(tmp_path / "report"), "--metric", "fidelity",
+        )
+        assert rc == 0
+        checkpoints = load_manifest(demo_dir / "manifest.yaml").checkpoints
+        assert Counter(reads) == Counter(c.loss_path for c in checkpoints)
+        assert Counter(summaries) == Counter(c.checkpoint_id for c in checkpoints)
+
+    def test_sketch_path_streams_and_keeps_exact_bands(
+        self, capsys, demo_dir, tmp_path, monkeypatch
+    ):
+        argv = ("report", "--manifest", str(demo_dir / "manifest.yaml"), "--formats", "csv")
+        rc, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "exact"))
+        assert rc == 0
+        whole_reads = []
+
+        def no_whole_read(*args, **kwargs):
+            whole_reads.append(args[0])
+            return read_loss_dump(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_loss_dump", no_whole_read)
+        monkeypatch.setattr(cli, "EXACT_PATH_MAX", 100)
+        rc, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "sketch"))
+        assert rc == 0
+        assert whole_reads == []
+        exact_bands = (tmp_path / "exact" / "bands.csv").read_text(encoding="utf-8")
+        assert (tmp_path / "sketch" / "bands.csv").read_text(encoding="utf-8") == exact_bands

@@ -286,6 +286,19 @@ class TestManifest:
         with pytest.raises(ManifestError, match="metric"):
             load_manifest(path, check_dumps=False)
 
+    def test_nan_metric_names_checkpoint_and_metric(self, tmp_path):
+        path = _write_manifest(
+            tmp_path,
+            """\
+            version: 1
+            checkpoints:
+              - {id: a, family: f, step: 0, objective: o, loss: dumps/a.bin,
+                 metrics: {judge: .nan}}
+            """,
+        )
+        with pytest.raises(ManifestError, match="metric 'judge' of checkpoint 'a' is NaN"):
+            load_manifest(path, check_dumps=False)
+
     def test_missing_dump_checked(self, tmp_path):
         path = _write_manifest(
             tmp_path,
@@ -363,6 +376,12 @@ class TestMetricFiles:
         path = tmp_path / "bad.csv"
         path.write_text("a,1.0\nb,oops\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="oops"):
+            read_metric_file(path)
+
+    def test_nan_value_names_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("checkpoint_id,judge\na,1.0\nb,nan\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"nan\.csv:3: metric of 'b' is NaN"):
             read_metric_file(path)
 
     def test_wrong_column_count(self, tmp_path):
