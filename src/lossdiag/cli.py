@@ -11,7 +11,7 @@ Each run reads every dump it needs once: one scan per checkpoint yields
 its summary over every percentile the run uses and, where bands are
 wanted, its band table, and all tables are built from those results.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints (default:
-one thread per checkpoint, at most 8).
+one thread per checkpoint, at most 8 and at most the usable CPUs).
 """
 
 from __future__ import annotations
@@ -101,8 +101,10 @@ def _thread_count(n_tasks: int) -> int:
             raise UsageError(f"LOSSDIAG_THREADS must be an integer, got {raw!r}") from exc
         if limit < 1:
             raise UsageError("LOSSDIAG_THREADS must be >= 1")
+    elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
+        limit = min(8, len(os.sched_getaffinity(0)))
     else:
-        limit = 8
+        limit = min(8, os.cpu_count() or 1)
     return max(1, min(limit, n_tasks))
 
 

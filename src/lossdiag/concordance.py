@@ -32,8 +32,10 @@ class ConcordanceReport:
 
 
 def _sign_matrix(values: np.ndarray) -> np.ndarray:
-    # (m, m) matrix of sign(v_i - v_j) for one summary column.
-    return np.sign(values[:, None] - values[None, :])
+    # (m, m) matrix of sign(v_i - v_j) for one summary column, by comparison:
+    # the difference of two +inf values is NaN, not a tie.
+    col, row = values[:, None], values[None, :]
+    return (col > row).astype(np.int8) - (col < row)
 
 
 def concordance(

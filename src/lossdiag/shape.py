@@ -106,19 +106,38 @@ def _check_bounds(bounds: Sequence[float]) -> tuple[float, ...]:
     return out
 
 
+def _float32_thresholds(bounds: tuple[float, ...]) -> np.ndarray:
+    """Smallest float32 >= each bound (+inf past the float32 maximum).
+
+    For a float32 x, ``x >= t`` then holds exactly when ``float64(x) >= b``,
+    so comparing against t counts as a float64 histogram would.
+    """
+    with np.errstate(over="ignore"):
+        t = np.array(bounds, dtype=np.float32)
+        low = t.astype(np.float64) < np.array(bounds)
+        t[low] = np.nextafter(t[low], np.float32(np.inf))
+    return t
+
+
 class BandCounter:
     """Band counts accumulated chunk by chunk; exact, so chunking never
-    changes the table. band_masses counts a whole vector as one chunk."""
+    changes the table. band_masses counts a whole vector as one chunk.
+
+    Chunks are float32 losses; each band count is the difference of two
+    counts of values at or above a bound, taken at the bound's exact
+    float32 threshold.
+    """
 
     def __init__(self, checkpoint_id: str, bounds: Sequence[float]):
         self.checkpoint_id = checkpoint_id
         self.bounds = _check_bounds(bounds)
-        self._edges = np.array((0.0,) + self.bounds + (math.inf,))
+        self._thresholds = _float32_thresholds(self.bounds)
         self._counts = np.zeros(len(self.bounds) + 1, dtype=np.int64)
 
     def extend(self, chunk: np.ndarray) -> None:
-        counts, _ = np.histogram(np.asarray(chunk, dtype=np.float64), bins=self._edges)
-        self._counts += counts
+        x = np.asarray(chunk, dtype=np.float32)
+        at_or_above = [np.count_nonzero(x >= t) for t in self._thresholds]
+        self._counts -= np.diff([x.size, *at_or_above, 0])
 
     def table(self) -> BandTable:
         # Every loss is >= 0 (NaN rejected), so each lands in exactly one band.

@@ -8,8 +8,8 @@ Binary dump layout (all little-endian):
 
 Loss values are nats, finite and >= 0; +inf is an allowed sentinel (a
 truncated-support student assigns zero mass to some tokens). NaN and
-negative values are rejected on construction, so writes and reads share
-one validation choke point.
+negative values are rejected on construction, as are values too large for
+float32, so writes and reads share one validation choke point.
 
 A text fallback is accepted on read: one decimal loss per line, no header.
 Files that begin with b"CELOSSv" followed by any other version byte are
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,15 +51,33 @@ VALUE_BYTES = 4
 DEFAULT_CHUNK = 1 << 20
 
 
-def _check_values(values: np.ndarray, origin: str) -> None:
-    if values.size == 0:
+def _checked_losses(values, origin: str, offset: int = 0) -> np.ndarray:
+    """``values`` as a contiguous float32 array of valid losses.
+
+    Raises ValidationError naming the first NaN, negative or float32-overflowing
+    value by its index; ``offset`` is the index of values[0].
+    """
+    given = np.asarray(values)
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(given, dtype=np.float32)
+    if arr.size == 0:
         raise ValidationError(f"{origin}: loss vector must hold at least one value")
-    if np.isnan(values).any():
-        bad = int(np.flatnonzero(np.isnan(values))[0])
-        raise ValidationError(f"{origin}: NaN loss at index {bad}")
-    if (values < 0).any():
-        bad = int(np.flatnonzero(values < 0)[0])
+    if not (arr >= 0).all():  # one pass: NaN fails this comparison too
+        if np.isnan(arr).any():
+            bad = offset + int(np.flatnonzero(np.isnan(arr))[0])
+            raise ValidationError(f"{origin}: NaN loss at index {bad}")
+        bad = offset + int(np.flatnonzero(arr < 0)[0])
         raise ValidationError(f"{origin}: negative loss at index {bad}")
+    if given.dtype != np.float32 and np.isposinf(arr).any():
+        # The cast turns values above the float32 maximum into +inf.
+        over = np.flatnonzero(np.isposinf(arr) & ~np.isposinf(given))
+        if over.size:
+            bad = int(over[0])
+            raise ValidationError(
+                f"{origin}: loss {float(given[bad])!r} at index {offset + bad} "
+                "overflows float32"
+            )
+    return arr
 
 
 @dataclass(frozen=True)
@@ -69,8 +88,7 @@ class LossVector:
     losses: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.losses, dtype=np.float32)
-        _check_values(arr, self.checkpoint_id or "loss vector")
+        arr = _checked_losses(self.losses, self.checkpoint_id or "loss vector")
         arr.flags.writeable = False
         object.__setattr__(self, "losses", arr)
 
@@ -105,9 +123,15 @@ def _looks_binary(path: Path) -> bool:
     return head[: len(MAGIC_PREFIX)] == MAGIC_PREFIX
 
 
-def _iter_binary(path: Path, chunk: int) -> Iterator[np.ndarray]:
+def _iter_binary(path: Path, chunk: int | None) -> Iterator[np.ndarray]:
+    """Payload blocks of ``chunk`` values; None reads it as one block."""
     with open(path, "rb") as fh:
         count = _read_header(fh, path)
+        if chunk is None:
+            # Sized by the file, so a corrupt header cannot ask for more
+            # memory than the payload holds.
+            stored = (os.fstat(fh.fileno()).st_size - HEADER_BYTES) // VALUE_BYTES
+            chunk = max(1, min(count, stored))
         seen = 0
         while seen < count:
             want = min(chunk, count - seen)
@@ -116,7 +140,7 @@ def _iter_binary(path: Path, chunk: int) -> Iterator[np.ndarray]:
                 raise TruncatedDumpError(
                     f"{path}: payload ends after {seen + block.size} of {count} values"
                 )
-            _check_values(block, str(path))
+            block = _checked_losses(block, str(path), seen)
             seen += block.size
             yield block
         if fh.read(1):
@@ -128,6 +152,7 @@ def _iter_binary(path: Path, chunk: int) -> Iterator[np.ndarray]:
 def _iter_text(path: Path, chunk: int) -> Iterator[np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         buf: list[float] = []
+        seen = 0
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -137,14 +162,11 @@ def _iter_text(path: Path, chunk: int) -> Iterator[np.ndarray]:
             except ValueError:
                 raise StoreFormatError(f"{path}:{lineno}: not a decimal loss: {line!r}")
             if len(buf) >= chunk:
-                block = np.asarray(buf, dtype=np.float32)
-                _check_values(block, str(path))
-                yield block
+                yield _checked_losses(buf, str(path), seen)
+                seen += len(buf)
                 buf = []
         if buf:
-            block = np.asarray(buf, dtype=np.float32)
-            _check_values(block, str(path))
-            yield block
+            yield _checked_losses(buf, str(path), seen)
 
 
 def iter_loss_chunks(path: str | Path, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
@@ -164,11 +186,10 @@ def iter_loss_chunks(path: str | Path, chunk: int = DEFAULT_CHUNK) -> Iterator[n
 def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVector:
     """Read a whole dump into memory; inverse of write_loss_dump."""
     path = Path(path)
-    chunks = list(iter_loss_chunks(path))
-    if len(chunks) == 1:
-        arr = chunks[0]
+    if _looks_binary(path):
+        (arr,) = _iter_binary(path, None)
     else:
-        arr = np.concatenate(chunks)
+        arr = np.concatenate(list(_iter_text(path, DEFAULT_CHUNK)))
     if checkpoint_id is None:
         checkpoint_id = path.stem
     return LossVector(checkpoint_id=checkpoint_id, losses=arr)

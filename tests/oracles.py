@@ -2,14 +2,16 @@
 
 Everything here deliberately uses different machinery than the package
 (pure-Python sorting and loops, bisect, mpmath bignums, finite
-differences), so a bug shared with the implementation under test cannot
-hide on both sides of an assertion.
+differences, float64 sorts and histograms where the package works in
+float32), so a bug shared with the implementation under test cannot hide
+on both sides of an assertion.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 
 import mpmath
+import numpy as np
 
 
 def percentile_of_sorted_list(data, k):
@@ -35,6 +37,25 @@ def percentile_by_sort(values, k):
     return percentile_of_sorted_list(sorted(float(v) for v in values), k)
 
 
+def summary_by_float64_sort(values, ks):
+    """(mean, {k: percentile}) computed from a float64 copy sorted as float64.
+
+    The mean is numpy's float64 sum over that sorted copy divided by n (the
+    reduction summarize_exact must match bit for bit); the percentiles come
+    from percentile_of_sorted_list.
+    """
+    arr = np.sort(np.asarray(values, dtype=np.float64))
+    data = arr.tolist()
+    return float(arr.mean()), {k: percentile_of_sorted_list(data, k) for k in ks}
+
+
+def band_counts_by_histogram(values, bounds):
+    """Per-band counts from np.histogram over a float64 copy of ``values``."""
+    edges = np.array((0.0, *bounds, math.inf))
+    counts, _ = np.histogram(np.asarray(values, dtype=np.float64), bins=edges)
+    return counts.tolist()
+
+
 def rank_of(sorted_values, value):
     """(count strictly below, count at or below) of value."""
     return bisect_left(sorted_values, value), bisect_right(sorted_values, value)
@@ -53,8 +74,8 @@ def concordance_by_pairs(columns):
         for j in range(i + 1, m):
             signs = []
             for col in columns:
-                d = col[i] - col[j]
-                signs.append(0 if d == 0 else (1 if d > 0 else -1))
+                a, b = float(col[i]), float(col[j])
+                signs.append((a > b) - (a < b))
             total += 1
             if all(s == signs[0] for s in signs):
                 concordant += 1

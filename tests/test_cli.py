@@ -1,11 +1,14 @@
 """End-to-end CLI behavior on a shared tiny distill-demo workspace."""
 
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossdiag import (
     CheckpointMeta,
@@ -21,7 +24,7 @@ from lossdiag import (
     write_loss_dump,
 )
 from lossdiag import cli, render
-from lossdiag.cli import main
+from lossdiag.cli import _thread_count, main
 
 
 def run(capsys, *argv):
@@ -81,6 +84,28 @@ class TestExitCodes:
             rc, _, err = run(capsys, "summarize", dump)
             assert rc == 1
             assert "LOSSDIAG_THREADS" in stderr_payload(err)["message"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cpus=st.integers(min_value=1, max_value=64),
+        n_tasks=st.integers(min_value=1, max_value=100),
+        env=st.none() | st.integers(min_value=1, max_value=16),
+    )
+    def test_default_pool_follows_cpu_affinity(self, cpus, n_tasks, env):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            if env is None:
+                mp.delenv("LOSSDIAG_THREADS", raising=False)
+            else:
+                mp.setenv("LOSSDIAG_THREADS", str(env))
+            limit = min(8, cpus) if env is None else env
+            assert _thread_count(n_tasks) == min(limit, n_tasks)
+
+    def test_default_pool_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delenv("LOSSDIAG_THREADS", raising=False)
+        assert _thread_count(16) == 3
 
     def test_unexpected_exception_is_internal_error(self, capsys, demo_dir, monkeypatch):
         def boom(*args, **kwargs):

@@ -1,5 +1,7 @@
 """Cross-summary ranking agreement: concordance and its tie conventions."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -73,6 +75,15 @@ class TestTieConventions:
         rep = concordance(_table(cols), ("mean", "p50"))
         assert rep.pi == 1.0
         assert rep.tied_pairs == 1
+
+    def test_inf_ties_are_ties(self):
+        # inf - inf is NaN; two +inf means must still compare as a tie.
+        cols = [[np.inf, np.inf, 1.0], [2.0, 2.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = concordance(_table(cols), ("mean", "p50"))
+        assert (rep.total_pairs, rep.concordant_pairs, rep.tied_pairs) == (3, 3, 1)
+        assert oracles.concordance_by_pairs(cols) == (3, 3, 1)
 
     def test_one_sided_tie_is_discordant(self):
         cols = [[1.0, 1.0], [2.0, 3.0]]
@@ -154,6 +165,9 @@ class TestKendallTau:
             b = rng.permutation(n).astype(float)
             ref = scipy.stats.kendalltau(a, b).statistic
             assert abs(kendall_tau(a, b) - ref) <= 1e-12
+
+    def test_tied_inf_pair_in_identical_rankings(self):
+        assert kendall_tau([np.inf, np.inf, 1.0], [2.0, 2.0, 1.0]) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):

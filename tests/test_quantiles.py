@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lossdiag import (
@@ -70,6 +72,37 @@ class TestExactPercentiles:
         s = summarize_exact(_vector([1.0, np.inf]), ks=(50,))
         assert s.percentiles[50] == np.inf
         assert s.mean == np.inf  # documented: +inf mean, not an error
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from((0.0, 0.5, 1.25, np.inf))
+            | st.floats(min_value=0.0, allow_infinity=False, width=32),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @example([np.inf])
+    @example([0.75])
+    @example([2.5] * 17)
+    @example([np.inf] * 9)
+    @example([1.0, np.inf, np.inf, 0.0, 0.0])
+    def test_bit_equal_to_float64_sort(self, values):
+        ks = tuple(range(1, 100))
+        s = summarize_exact(_vector(values), ks=ks)
+        mean, pct = oracles.summary_by_float64_sort(np.float32(values), ks)
+        assert s.mean.hex() == mean.hex()
+        assert [s.percentiles[k].hex() for k in ks] == [pct[k].hex() for k in ks]
+
+    def test_bit_equal_to_float64_sort_at_a_million(self):
+        rng = np.random.default_rng(31)
+        vals = rng.lognormal(0.0, 1.5, 1_000_000).astype(np.float32)
+        vals[::10] = vals[1::10]  # exact ties
+        vals[::997] = np.inf
+        s = summarize_exact(_vector(vals))
+        mean, pct = oracles.summary_by_float64_sort(vals, s.ks)
+        assert s.mean.hex() == mean.hex()
+        assert s.percentiles == pct
 
     def test_percentile_validation(self):
         with pytest.raises(ValidationError):

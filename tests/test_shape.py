@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lossdiag import (
     DEFAULT_BAND_BOUNDS,
     PROFILE_GRID,
@@ -19,6 +22,9 @@ from lossdiag import (
     summarize_exact,
 )
 from lossdiag import render
+from lossdiag.shape import BandCounter
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _summary(checkpoint_id, percentiles, mean=1.0, count=1000):
@@ -148,6 +154,30 @@ class TestBandMasses:
         assert table.mass == tuple(c / 10 for c in counts)
         lines = render.band_table([table]).splitlines()
         assert lines[1] == "teacher,26.3,20.4,21.0,25.8,6.1,0.4"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bounds=st.lists(
+            st.floats(min_value=1e-30, max_value=1e300), min_size=1, max_size=6, unique=True
+        ).map(sorted),
+        extra=st.lists(st.floats(min_value=0.0, width=32), max_size=50),
+        split=st.integers(min_value=0, max_value=200),
+    )
+    @example(bounds=[0.1, 1.5], extra=[], split=0)
+    @example(bounds=[F32_MAX, 3.4028235e38, 1e39], extra=[], split=3)
+    def test_counter_matches_float64_histogram_at_edges(self, bounds, extra, split):
+        # Values at float32(bound) and one float32 step either side of it,
+        # where a float32 comparison against the rounded bound would err.
+        with np.errstate(over="ignore"):
+            at = np.float32(bounds)
+            near = [np.nextafter(at, np.float32(0)), at, np.nextafter(at, np.float32(np.inf))]
+        values = np.concatenate([*near, np.float32(extra), [0.0, np.inf]]).astype(np.float32)
+        counter = BandCounter("c", bounds)
+        counter.extend(values[:split])
+        counter.extend(values[split:])
+        counts = oracles.band_counts_by_histogram(values, bounds)
+        assert counter.table().mass == tuple(100.0 * c / values.size for c in counts)
+        assert band_masses(LossVector("c", values), bounds) == counter.table()
 
     def test_bounds_validation(self):
         losses = LossVector("v", [1.0])

@@ -48,6 +48,17 @@ class TestLossVector:
         with pytest.raises(ValidationError):
             LossVector("c", np.array([]))
 
+    def test_rejects_float64_past_float32_maximum(self):
+        with pytest.raises(ValidationError, match=r"c: loss 1e\+39 at index 2 overflows"):
+            LossVector("c", np.array([0.5, np.inf, 1e39, 1e40]))
+        with pytest.raises(ValidationError, match="index 1 overflows"):
+            LossVector("c", [0.5, 3.5e38])
+
+    def test_float64_that_rounds_to_float32_maximum_is_kept(self):
+        top = float(np.finfo(np.float32).max)
+        v = LossVector("c", np.array([np.nextafter(top, np.inf), np.inf]))
+        assert v.losses.tolist() == [top, np.inf]
+
     def test_allows_inf_and_is_immutable(self):
         v = LossVector("c", np.array([0.0, np.inf]))
         assert v.count == 2
@@ -119,6 +130,12 @@ class TestFormatErrors:
         with pytest.raises(CountMismatchError):
             peek_dump_count(path)
 
+    def test_header_past_payload_is_truncation_not_allocation(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MAGIC + struct.pack("<Q", 1 << 50) + struct.pack("<ff", 1.0, 2.0))
+        with pytest.raises(TruncatedDumpError, match=f"after 2 of {1 << 50} values"):
+            read_loss_dump(path)
+
     def test_nan_payload_rejected_on_read(self, tmp_path):
         path = tmp_path / "nan.bin"
         path.write_bytes(MAGIC + struct.pack("<Q", 2) + struct.pack("<ff", 1.0, float("nan")))
@@ -138,6 +155,12 @@ class TestTextFallback:
         path = tmp_path / "junk.txt"
         path.write_text("0.5\nhello\n", encoding="utf-8")
         with pytest.raises(StoreFormatError, match=r":2:"):
+            read_loss_dump(path)
+
+    def test_value_past_float32_maximum_is_rejected(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("0.5\ninf\n1e39\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="loss 1e\\+39 at index 2 overflows"):
             read_loss_dump(path)
 
     def test_empty_text_dump(self, tmp_path):
@@ -162,6 +185,21 @@ class TestChunkedReads:
         path.write_text("".join(f"{i}.5\n" for i in range(25)), encoding="utf-8")
         chunks = list(iter_loss_chunks(path, chunk=10))
         assert [c.size for c in chunks] == [10, 10, 5]
+
+    def test_errors_name_the_index_in_the_dump(self, tmp_path):
+        # Past the first 1 Mi-value chunk, the index counts from the dump's start.
+        vals = np.ones(3_000_000, dtype=np.float32)
+        vals[2_500_000] = np.nan
+        path = tmp_path / "late-nan.bin"
+        path.write_bytes(MAGIC + struct.pack("<Q", vals.size) + vals.tobytes())
+        with pytest.raises(ValidationError, match="NaN loss at index 2500000$"):
+            read_loss_dump(path)
+        with pytest.raises(ValidationError, match="NaN loss at index 2500000$"):
+            list(iter_loss_chunks(path))
+        text = tmp_path / "late-negative.txt"
+        text.write_text("0.5\n" * 25 + "-1.0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="negative loss at index 25$"):
+            list(iter_loss_chunks(text, chunk=10))
 
     def test_bad_chunk_size(self, tmp_path):
         path = tmp_path / "c.bin"
