@@ -74,7 +74,7 @@ def _checked_losses(values, origin: str, offset: int = 0) -> np.ndarray:
         if over.size:
             bad = int(over[0])
             raise ValidationError(
-                f"{origin}: loss {float(given[bad])!r} at index {offset + bad} "
+                f"{origin}: loss {float(given.flat[bad])!r} at index {offset + bad} "
                 "overflows float32"
             )
     return arr
@@ -187,6 +187,7 @@ def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVe
     """Read a whole dump into memory; inverse of write_loss_dump."""
     path = Path(path)
     if _looks_binary(path):
+        # Unpacking drains the generator, so its trailing-payload check runs.
         (arr,) = _iter_binary(path, None)
     else:
         arr = np.concatenate(list(_iter_text(path, DEFAULT_CHUNK)))

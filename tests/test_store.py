@@ -53,6 +53,8 @@ class TestLossVector:
             LossVector("c", np.array([0.5, np.inf, 1e39, 1e40]))
         with pytest.raises(ValidationError, match="index 1 overflows"):
             LossVector("c", [0.5, 3.5e38])
+        with pytest.raises(ValidationError, match="index 0 overflows"):
+            LossVector("c", 1e39)  # a scalar is read as one value
 
     def test_float64_that_rounds_to_float32_maximum_is_kept(self):
         top = float(np.finfo(np.float32).max)
