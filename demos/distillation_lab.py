@@ -22,45 +22,53 @@ from lossdiag import (
     topk_renormalize,
 )
 
-# Small enough to finish in about a second, big enough to show the effect.
-config = LabConfig(
-    vocab=32, length=60_000, eval_length=40_000, ks=(2, 4, 8, "full"),
-    steps=40_000,
-)
-result = dose_response(config)
 
-teacher = result.teacher_summary
-print(f"teacher held-out CE: mean={teacher.mean:.4f} "
-      f"median={teacher.value('median'):.4f} p95={teacher.value('p95'):.4f}")
-print()
-print(render.dose_table(result.rows))
+def main() -> None:
+    # Small enough to finish in about a second, big enough to show the effect.
+    config = LabConfig(
+        vocab=32, length=60_000, eval_length=40_000, ks=(2, 4, 8, "full"),
+        steps=40_000,
+    )
+    result = dose_response(config)
 
-# The dose-response signature: as K shrinks, the median drops below the
-# teacher's while the mean climbs above it. A selection rule that watches
-# the median would prefer the most truncated student here.
-trained = {row.k: row for row in result.rows if row.source == "trained"}
-for k in config.ks:
-    row = trained[k]
-    marker = "<- median better, mean worse" if (
-        row.median < teacher.value("median") and row.mean > teacher.mean) else ""
-    print(f"K={k!s:>4}: mean {row.mean / teacher.mean:5.2f}x teacher, "
-          f"median {row.median / teacher.value('median'):5.2f}x {marker}")
+    teacher = result.teacher_summary
+    print(f"teacher held-out CE: mean={teacher.mean:.4f} "
+          f"median={teacher.value('median'):.4f} p95={teacher.value('p95'):.4f}")
+    print()
+    print(render.dose_table(result.rows))
 
-# Training is not the bottleneck: the trained student sits on the same
-# floor as the exactly solved one. Compare their rows in KL.
-print()
-for k in (2, "full"):
-    student = result.students[k]
-    oracle = result.oracles[k]
-    gaps = [kl(oracle.row_dist(i), student.row_dist(i)) for i in range(config.vocab)]
-    print(f"K={k}: worst row KL(converged || trained) = {max(gaps):.2e} nats")
+    # The dose-response signature: as K shrinks, the median drops below the
+    # teacher's while the mean climbs above it. A selection rule that watches
+    # the median would prefer the most truncated student here.
+    trained = {row.k: row for row in result.rows if row.source == "trained"}
+    for k in config.ks:
+        row = trained[k]
+        marker = "<- median better, mean worse" if (
+            row.median < teacher.value("median") and row.mean > teacher.mean) else ""
+        print(f"K={k!s:>4}: mean {row.mean / teacher.mean:5.2f}x teacher, "
+              f"median {row.median / teacher.value('median'):5.2f}x {marker}")
 
-# The converged student is just the teacher's rows through
-# topk_renormalize (with a tiny floor epsilon on the zeros), so the whole
-# effect is attributable to the truncation itself.
-oracle2 = converged_student(result.teacher, 2, config.epsilon_q)
-row = result.teacher.row_dist(0)
-print()
-print("teacher row 0, top 5:", np.round(np.sort(row)[::-1][:5], 4))
-print("top-2 renormalized:  ", np.round(np.sort(topk_renormalize(row, 2))[::-1][:5], 4))
-print("converged student:   ", np.round(np.sort(oracle2.row_dist(0))[::-1][:5], 4))
+    # Training is not the bottleneck: the trained student sits on the same
+    # floor as the exactly solved one. Compare their rows in KL.
+    print()
+    for k in (2, "full"):
+        student = result.students[k]
+        oracle = result.oracles[k]
+        gaps = [kl(oracle.row_dist(i), student.row_dist(i)) for i in range(config.vocab)]
+        print(f"K={k}: worst row KL(converged || trained) = {max(gaps):.2e} nats")
+
+    # The converged student is just the teacher's rows through
+    # topk_renormalize (with a tiny floor epsilon on the zeros), so the whole
+    # effect is attributable to the truncation itself.
+    oracle2 = converged_student(result.teacher, 2, config.epsilon_q)
+    row = result.teacher.row_dist(0)
+    print()
+    print("teacher row 0, top 5:", np.round(np.sort(row)[::-1][:5], 4))
+    print("top-2 renormalized:  ", np.round(np.sort(topk_renormalize(row, 2))[::-1][:5], 4))
+    print("converged student:   ", np.round(np.sort(oracle2.row_dist(0))[::-1][:5], 4))
+
+
+# dose_response trains in spawned worker processes, which import this
+# script; the guard keeps them from running the demo again.
+if __name__ == "__main__":
+    main()

@@ -29,10 +29,8 @@ from .distill import (
     DoseResponseRow,
     DoseResult,
     LabConfig,
-    OracleResult,
     TabularLM,
     chain_fidelity,
-    converged_oracle,
     converged_student,
     distill_loss,
     distill_student,
@@ -120,10 +118,10 @@ __all__ = [
     "SelectionRule", "SelectionTable", "select", "default_rules",
     "normalize_series", "crossing_step", "passk_ci",
     # distill
-    "TabularLM", "LabConfig", "DoseResponseRow", "DoseResult", "OracleResult",
+    "TabularLM", "LabConfig", "DoseResponseRow", "DoseResult",
     "synth_corpus", "true_chain", "zipf_weights", "fit_teacher", "softmax",
     "log_softmax", "topk_renormalize", "kl", "kl_grad_logits",
-    "distill_student", "distill_loss", "converged_student", "converged_oracle",
+    "distill_student", "distill_loss", "converged_student",
     "per_token_ce", "next_token_accuracy", "chain_fidelity", "dose_response",
     # errors
     "LossDiagError", "UsageError", "ValidationError", "StoreFormatError",

@@ -10,15 +10,15 @@ subcommand shares with the standalone subcommands.
 Each run reads every dump it needs once: one scan per checkpoint yields
 its summary over every percentile the run uses and, where bands are
 wanted, its band table, and all tables are built from those results.
-LOSSDIAG_THREADS caps the worker threads that scan checkpoints (default:
-one thread per checkpoint, at most 8 and at most the usable CPUs).
+LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
+worker processes that train distill-demo's students (workers.worker_count:
+one per task, at most 8 and at most the usable CPUs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +65,7 @@ from .store import (
     read_metric_file,
     write_loss_dump,
 )
+from .workers import worker_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,22 +91,6 @@ def _float_list(text: str) -> list[float]:
 
 def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _thread_count(n_tasks: int) -> int:
-    raw = os.environ.get("LOSSDIAG_THREADS", "")
-    if raw:
-        try:
-            limit = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"LOSSDIAG_THREADS must be an integer, got {raw!r}") from exc
-        if limit < 1:
-            raise UsageError("LOSSDIAG_THREADS must be >= 1")
-    elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
-        limit = min(8, len(os.sched_getaffinity(0)))
-    else:
-        limit = min(8, os.cpu_count() or 1)
-    return max(1, min(limit, n_tasks))
 
 
 def _scan(path, checkpoint_id, ks, bounds=None, mode="auto", epsilon=1e-3):
@@ -134,7 +119,7 @@ def _scan(path, checkpoint_id, ks, bounds=None, mode="auto", epsilon=1e-3):
 def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=1e-3):
     """_scan over (path, checkpoint_id) pairs in one thread pool, order-preserving."""
     entries = list(entries)
-    with ThreadPoolExecutor(max_workers=_thread_count(len(entries))) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count(len(entries))) as pool:
         return list(pool.map(lambda e: _scan(*e, ks, bounds, mode, epsilon), entries))
 
 

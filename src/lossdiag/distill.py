@@ -17,7 +17,12 @@ Pieces:
 * an add-alpha bigram teacher fitted on the corpus;
 * full-batch gradient-descent distillation of a zero-initialized student
   against top-K renormalized teacher rows, each context row weighted by its
-  empirical frequency in the training stream;
+  empirical frequency in the training stream. Context rows descend
+  independently, so the rows of all students are split into contiguous
+  shards, one per worker process (workers.worker_count), each running
+  every step on its own; the result is bitwise the same for any number of
+  workers. Divergence is checked sparsely and replayed to the exact step
+  (see _descend_rows for why that is sound);
 * the converged-student oracle: top-K renormalized teacher rows with zeros
   replaced by a small floor epsilon_q (a literal zero would make mean CE
   +inf; the floor models the mass a finite training run leaves behind);
@@ -26,14 +31,16 @@ Pieces:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .quantiles import DEFAULT_KS, SummarySet, summarize_exact
+from .quantiles import SummarySet, summarize_exact
 from .store import LossVector
+from .workers import worker_count
 
 DISTRIBUTION_TOL = 1e-9
 
@@ -187,6 +194,9 @@ def true_chain(
     return base, rows
 
 
+_SAMPLE_BLOCK = 4096
+
+
 def synth_corpus(
     seed: int,
     vocab: int,
@@ -215,13 +225,22 @@ def synth_corpus(
     start_cum[-1] = 1.0
 
     sampler = np.random.default_rng([int(seed), 0x51, int(split)])
-    u = sampler.random(length)
     out = np.empty(length, dtype=np.int64)
-    token = int(np.searchsorted(start_cum, u[0], side="right"))
-    out[0] = min(token, vocab - 1)
-    for i in range(1, length):
-        token = int(np.searchsorted(cum[out[i - 1]], u[i], side="right"))
-        out[i] = token if token < vocab else vocab - 1
+    # bisect_right on a Python list runs the same binary search as
+    # np.searchsorted(side="right") on one key, without numpy's per-call
+    # overhead. Uniforms are drawn, and out written, a block at a time to
+    # bound memory; block draws give the same numbers as one whole draw.
+    rows_cum = cum.tolist()
+    token = min(bisect_right(start_cum.tolist(), sampler.random()), vocab - 1)
+    out[0] = token
+    for lo in range(1, length, _SAMPLE_BLOCK):
+        block = []
+        for x in sampler.random(min(_SAMPLE_BLOCK, length - lo)).tolist():
+            token = bisect_right(rows_cum[token], x)
+            if token >= vocab:
+                token = vocab - 1
+            block.append(token)
+        out[lo:lo + len(block)] = block
     return out
 
 
@@ -265,41 +284,123 @@ def _resolve_k(teacher: TabularLM, k) -> int:
     return int(k)
 
 
+# Steps between divergence checks in _descend_rows.
+_CHECK_EVERY = 128
+
+
+def _descend_rows(
+    weighted_targets: np.ndarray, step_w: np.ndarray, steps: int
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Every GD step on a block of independent context rows.
+
+    weighted_targets is (R, V), step_w is (R, 1); logits start at zero.
+    Returns the final logits and None, or, at the first step whose row sum
+    is non-finite, the logits so far and (step, row), row counted within
+    the block. Module level, so spawned worker processes can import it.
+
+    The row sums are checked every _CHECK_EVERY steps and at the last one;
+    a failed check replays its block from a snapshot, checking every step.
+    That finds the step the every-step check would have stopped at, because
+    a row whose sum is non-finite stays so at every later step:
+
+    * NaN spreads: scale and every later logit of the row are NaN.
+    * An inf element of q gives inf * 0 = NaN (scale is w / inf = 0).
+    * An overflowing sum of finite q gives scale 0, so the update is
+      logits += step_w * target >= 0; no logit shrinks and the next
+      sum overflows again.
+    """
+    logits = np.zeros_like(weighted_targets)
+    # KL gradients sum to zero per row, so logits keep zero row sums and sit
+    # tens of nats away from exp overflow: no max-shift needed. Runaway
+    # learning rates overflow exp() to inf, which the row-sum check catches.
+    q = np.empty_like(logits)
+    acc = np.empty_like(step_w)
+    scale = np.empty_like(acc)
+
+    def run(start: int, stop: int, check: bool) -> int | None:
+        for step in range(start, stop):
+            np.exp(logits, out=q)
+            q.sum(axis=1, keepdims=True, out=acc)
+            if check and not np.isfinite(acc).all():
+                return step
+            # logits -= lr * w * (q/acc - target), fused as two passes
+            np.divide(step_w, acc, out=scale)
+            np.multiply(q, scale, out=q)
+            np.subtract(q, weighted_targets, out=q)
+            np.subtract(logits, q, out=logits)
+        return None
+
+    snapshot = np.empty_like(logits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, steps, _CHECK_EVERY):
+            stop = min(start + _CHECK_EVERY, steps)
+            np.copyto(snapshot, logits)
+            run(start, stop, check=False)
+            if not np.isfinite(acc).all():
+                np.copyto(logits, snapshot)
+                step = run(start, stop, check=True)
+                return logits, (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
+    return logits, None
+
+
 def _train_batch(
     targets: np.ndarray, weights: np.ndarray, steps: int, learning_rate: float
 ) -> np.ndarray:
     """Full-batch GD on sum_c w_c * KL(target_c || softmax(logits_c)).
 
-    targets has shape (B, V, V): B students trained in lockstep (identical
-    arithmetic to training them one at a time). Students start at zero
-    logits. Raises DivergenceError at the first non-finite update.
+    targets has shape (B, V, V): B students trained at once, bitwise as if
+    one at a time. Students start at zero logits. Raises DivergenceError at
+    the first non-finite update, with the step and context row the
+    every-step check reports (see _descend_rows).
+
+    Every context row of every student descends on its own, so the B*V rows
+    are cut into contiguous shards, one per worker (workers.worker_count),
+    and each shard runs the whole step loop with no synchronisation. The
+    calling process runs the first shard and a pool of spawned processes
+    the others; one worker means no pool. Spawned workers import the main
+    module, so a script that trains at import time needs the usual
+    ``if __name__ == "__main__":`` guard.
+
+    Sharding cannot change a bit: each row's exp, pairwise sum, divide,
+    multiply and subtract read only that row, and every shard starts on a
+    row boundary. Threads would not help: the loop is per-call overhead on
+    small arrays, which holds the GIL.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if not learning_rate > 0 or not np.isfinite(learning_rate):
         raise ValidationError("learning_rate must be positive and finite")
     b, v, _ = targets.shape
-    logits = np.zeros((b, v, v), dtype=np.float64)
-    # KL gradients sum to zero per row, so logits keep zero row sums and sit
-    # tens of nats away from exp overflow: no max-shift needed. Runaway
-    # learning rates overflow exp() to inf, which the row-sum check catches.
-    step_w = (learning_rate * weights).reshape(1, v, 1)
-    weighted_targets = step_w * targets
-    q = np.empty_like(logits)
-    acc = np.empty((b, v, 1), dtype=np.float64)
-    scale = np.empty_like(acc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            np.exp(logits, out=q)
-            q.sum(axis=2, keepdims=True, out=acc)
-            if not np.isfinite(acc).all():
-                row = int(np.argwhere(~np.isfinite(acc))[0][1])
-                raise DivergenceError(step=step, row=row)
-            # logits -= lr * w * (q/acc - target), fused as two passes
-            np.divide(step_w, acc, out=scale)
-            q *= scale
-            q -= weighted_targets
-            logits -= q
+    row_w = learning_rate * weights
+    weighted_targets = (row_w.reshape(1, v, 1) * targets).reshape(b * v, v)
+    step_w = np.tile(row_w, b).reshape(b * v, 1)
+    n = worker_count(b * v)
+    edges = [i * b * v // n for i in range(n + 1)]
+    shards = [
+        (weighted_targets[lo:hi], step_w[lo:hi], steps)
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    if n == 1:
+        results = [_descend_rows(*shards[0])]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawn, not fork: forking a process that has threads can deadlock,
+        # and the worker needs nothing but its arguments.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(n - 1, mp_context=spawn) as pool:
+            rest = pool.map(_descend_rows, *zip(*shards[1:]))
+            results = [_descend_rows(*shards[0]), *rest]
+    failures = [
+        (fail[0], lo + fail[1])
+        for lo, (_, fail) in zip(edges, results)
+        if fail is not None
+    ]
+    if failures:
+        step, flat_row = min(failures)
+        raise DivergenceError(step=step, row=flat_row % v)
+    logits = np.concatenate([shard for shard, _ in results]).reshape(b, v, v)
     if not np.isfinite(logits).all():
         row = int(np.argwhere(~np.isfinite(logits))[0][1])
         raise DivergenceError(step=steps - 1, row=row)
@@ -413,35 +514,6 @@ def chain_fidelity(model: TabularLM, rows: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class OracleResult:
-    student: TabularLM
-    summary: SummarySet | None
-
-
-def converged_oracle(
-    teacher: TabularLM,
-    k,
-    epsilon_q: float = 1e-9,
-    eval_stream: np.ndarray | None = None,
-    ks: Sequence[int] = DEFAULT_KS,
-) -> OracleResult:
-    """Converged student plus (optionally) its exact eval-stream summaries.
-
-    No training happens: in-top-K tokens cost the teacher's CE plus
-    log Z_K (Z_K = kept teacher mass), everything else about -log epsilon_q.
-    """
-    student = converged_student(teacher, k, epsilon_q)
-    summary = None
-    if eval_stream is not None:
-        label = "full" if k == "full" or _resolve_k(teacher, k) == teacher.vocab_size else str(k)
-        ce = per_token_ce(student, eval_stream)
-        summary = summarize_exact(
-            LossVector(f"student-k{label}-oracle", ce.astype(np.float32)), ks
-        )
-    return OracleResult(student=student, summary=summary)
-
-
-@dataclass(frozen=True)
 class LabConfig:
     """Defaults for the dose-response experiment.
 
@@ -511,15 +583,18 @@ def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
     # no baseline, so its absence is a config error.
     if not any(k == "full" or k == config.vocab for k in config.ks):
         raise ValidationError('ks must include "full"')
+    # The training stream, the run's largest array, lives only as long as
+    # fitting the teacher takes.
     train = synth_corpus(
         config.seed, config.vocab, config.zipf_exponent, config.length,
         config.concentration, split=0,
     )
+    teacher = fit_teacher(train, config.alpha, vocab=config.vocab)
+    del train
     held_out = synth_corpus(
         config.seed, config.vocab, config.zipf_exponent, config.eval_length,
         config.concentration, split=1,
     )
-    teacher = fit_teacher(train, config.alpha, vocab=config.vocab)
 
     k_effs = [_resolve_k(teacher, k) for k in config.ks]
     targets = np.stack([_teacher_targets(teacher, k_eff) for k_eff in k_effs])

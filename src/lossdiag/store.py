@@ -190,7 +190,10 @@ def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVe
         # Unpacking drains the generator, so its trailing-payload check runs.
         (arr,) = _iter_binary(path, None)
     else:
-        arr = np.concatenate(list(_iter_text(path, DEFAULT_CHUNK)))
+        chunks = list(_iter_text(path, DEFAULT_CHUNK))
+        if not chunks:
+            raise StoreFormatError(f"{path}: empty text dump")
+        arr = np.concatenate(chunks)
     if checkpoint_id is None:
         checkpoint_id = path.stem
     return LossVector(checkpoint_id=checkpoint_id, losses=arr)

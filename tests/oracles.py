@@ -4,7 +4,9 @@ Everything here deliberately uses different machinery than the package
 (pure-Python sorting and loops, bisect, mpmath bignums, finite
 differences, float64 sorts and histograms where the package works in
 float32), so a bug shared with the implementation under test cannot hide
-on both sides of an assertion.
+on both sides of an assertion. The distillation references are the
+package's earlier, slower code (np.searchsorted per token, one process
+checking every GD step), which the faster code must match bit for bit.
 """
 
 import math
@@ -12,6 +14,9 @@ from bisect import bisect_left, bisect_right
 
 import mpmath
 import numpy as np
+
+from lossdiag.distill import DEFAULT_CONCENTRATION, true_chain
+from lossdiag.errors import DivergenceError
 
 
 def percentile_of_sorted_list(data, k):
@@ -121,3 +126,57 @@ def topk_by_sort(p, k):
     for i in keep:
         out[i] = p[i] / kept_mass
     return out
+
+
+def corpus_by_searchsorted(seed, vocab, zipf_exponent, length,
+                           concentration=DEFAULT_CONCENTRATION, split=0):
+    """The token stream of synth_corpus, one np.searchsorted per token.
+
+    The package's original sampler, kept verbatim (less validation) as
+    the reference for the bisect sampler.
+    """
+    base, rows = true_chain(seed, vocab, zipf_exponent, concentration)
+    cum = np.cumsum(rows, axis=1)
+    cum[:, -1] = 1.0
+    start_cum = np.cumsum(base)
+    start_cum[-1] = 1.0
+
+    sampler = np.random.default_rng([int(seed), 0x51, int(split)])
+    u = sampler.random(length)
+    out = np.empty(length, dtype=np.int64)
+    token = int(np.searchsorted(start_cum, u[0], side="right"))
+    out[0] = min(token, vocab - 1)
+    for i in range(1, length):
+        token = int(np.searchsorted(cum[out[i - 1]], u[i], side="right"))
+        out[i] = token if token < vocab else vocab - 1
+    return out
+
+
+def train_by_lockstep(targets, weights, steps, learning_rate):
+    """Full-batch GD on all (B, V, V) rows at once, checked every step.
+
+    The package's original single-process trainer, kept verbatim (less
+    validation) as the reference for the sharded, sparsely checked one.
+    """
+    b, v, _ = targets.shape
+    logits = np.zeros((b, v, v), dtype=np.float64)
+    step_w = (learning_rate * weights).reshape(1, v, 1)
+    weighted_targets = step_w * targets
+    q = np.empty_like(logits)
+    acc = np.empty((b, v, 1), dtype=np.float64)
+    scale = np.empty_like(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            np.exp(logits, out=q)
+            q.sum(axis=2, keepdims=True, out=acc)
+            if not np.isfinite(acc).all():
+                row = int(np.argwhere(~np.isfinite(acc))[0][1])
+                raise DivergenceError(step=step, row=row)
+            np.divide(step_w, acc, out=scale)
+            q *= scale
+            q -= weighted_targets
+            logits -= q
+    if not np.isfinite(logits).all():
+        row = int(np.argwhere(~np.isfinite(logits))[0][1])
+        raise DivergenceError(step=steps - 1, row=row)
+    return logits

@@ -24,7 +24,8 @@ from lossdiag import (
     write_loss_dump,
 )
 from lossdiag import cli, render
-from lossdiag.cli import _thread_count, main
+from lossdiag.cli import main
+from lossdiag.workers import worker_count
 
 
 def run(capsys, *argv):
@@ -99,13 +100,13 @@ class TestExitCodes:
             else:
                 mp.setenv("LOSSDIAG_THREADS", str(env))
             limit = min(8, cpus) if env is None else env
-            assert _thread_count(n_tasks) == min(limit, n_tasks)
+            assert worker_count(n_tasks) == min(limit, n_tasks)
 
     def test_default_pool_without_affinity_uses_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.delenv("LOSSDIAG_THREADS", raising=False)
-        assert _thread_count(16) == 3
+        assert worker_count(16) == 3
 
     def test_unexpected_exception_is_internal_error(self, capsys, demo_dir, monkeypatch):
         def boom(*args, **kwargs):
@@ -187,6 +188,32 @@ class TestSummarize:
         lo = losses[max(0, int(0.5 * n - 2e-3 * n) - 1)]
         hi = losses[min(n - 1, int(0.5 * n + 2e-3 * n) + 1)]
         assert lo * (1 - 1e-5) <= sketched <= hi * (1 + 1e-5)
+
+
+class TestDistillDemo:
+    ARGS = ("--vocab", "16", "--length", "10000", "--eval-length", "10000",
+            "--steps", "300", "--k", "2,full")
+
+    def test_worker_processes_do_not_change_output(self, capsys, tmp_path, monkeypatch):
+        # Unset is the default pool (one worker per usable CPU, up to 8);
+        # 3 forces a pool on any host.
+        outputs = {}
+        for threads in ("1", None, "3"):
+            if threads is None:
+                monkeypatch.delenv("LOSSDIAG_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LOSSDIAG_THREADS", threads)
+            out = tmp_path / str(threads)
+            rc, _, err = run(capsys, "distill-demo", *self.ARGS, "--out", str(out / "dose.csv"))
+            assert rc == 0, err
+            outputs[threads] = {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()
+            }
+        # dose.csv, manifest.yaml and teacher + trained + oracle per K.
+        assert len(outputs["1"]) == 2 + 1 + 2 * 2
+        assert outputs[None] == outputs["1"]
+        assert outputs["3"] == outputs["1"]
 
 
 class TestConcord:

@@ -12,7 +12,6 @@ from lossdiag import (
     TabularLM,
     ValidationError,
     chain_fidelity,
-    converged_oracle,
     converged_student,
     distill_loss,
     distill_student,
@@ -24,12 +23,14 @@ from lossdiag import (
     next_token_accuracy,
     per_token_ce,
     softmax,
+    summarize_exact,
     synth_corpus,
     topk_renormalize,
     true_chain,
     zipf_weights,
 )
-from lossdiag.distill import check_distribution
+from lossdiag.distill import _teacher_targets, _train_batch, check_distribution
+from lossdiag.store import LossVector
 
 import oracles
 
@@ -309,8 +310,7 @@ class TestDistillStudent:
     def test_runaway_rate_raises(self, small_world):
         with pytest.raises(DivergenceError) as exc:
             distill_student(small_world, 2, steps=10, learning_rate=1e9)
-        assert exc.value.step >= 0
-        assert 0 <= exc.value.row < 8
+        assert (exc.value.step, exc.value.row) == (1, 0)
 
     def test_hyperparameter_validation(self, small_world):
         with pytest.raises(ValidationError):
@@ -349,6 +349,12 @@ def _flat_teacher(row):
     return TabularLM(logits=np.log(np.tile(row, (v, 1))))
 
 
+def _oracle_summary(teacher, k, stream, epsilon_q=1e-9):
+    """Held-out summary of the converged student, as dose_response's oracle rows."""
+    ce = per_token_ce(converged_student(teacher, k, epsilon_q), stream)
+    return summarize_exact(LossVector("oracle", ce.astype(np.float32)))
+
+
 class TestConvergedOracle:
     def test_analytic_truncation_costs(self):
         # Every context shares the row (0.5, 0.3, 0.12, 0.08). Keeping K=2
@@ -356,20 +362,20 @@ class TestConvergedOracle:
         # -log 0.625 for the truncated student vs -log 0.5 for the teacher.
         teacher = _flat_teacher([0.5, 0.3, 0.12, 0.08])
         stream = np.zeros(1_000, dtype=np.int64)
-        result = converged_oracle(teacher, 2, epsilon_q=1e-6, eval_stream=stream)
-        assert result.summary.mean == pytest.approx(-math.log(0.625), abs=1e-5)
-        assert result.summary.value("median") == pytest.approx(-math.log(0.625), abs=1e-5)
+        summary = _oracle_summary(teacher, 2, stream, epsilon_q=1e-6)
+        assert summary.mean == pytest.approx(-math.log(0.625), abs=1e-5)
+        assert summary.value("median") == pytest.approx(-math.log(0.625), abs=1e-5)
         teacher_ce = per_token_ce(teacher, stream)
         assert teacher_ce[0] == pytest.approx(-math.log(0.5), abs=1e-12)
 
-    def test_vocab_sized_k_labels_full(self):
+    def test_vocab_sized_k_is_full(self):
+        # K equal to the vocab keeps every token: the same student and the
+        # same summary as K="full".
         teacher = _flat_teacher([0.5, 0.3, 0.12, 0.08])
-        stream = np.zeros(10, dtype=np.int64)
-        result = converged_oracle(teacher, 4, eval_stream=stream)
-        assert result.summary.checkpoint_id == "student-kfull-oracle"
-
-    def test_no_stream_no_summary(self, small_world):
-        assert converged_oracle(small_world, 2).summary is None
+        stream = np.random.default_rng(53).integers(0, 4, 1_000)
+        four = converged_student(teacher, 4)
+        assert np.array_equal(four.logits, converged_student(teacher, "full").logits)
+        assert _oracle_summary(teacher, 4, stream) == _oracle_summary(teacher, "full", stream)
 
 
 class TestPerTokenCE:
@@ -485,3 +491,104 @@ class TestDoseResponse:
         # The signature effect survives even at this tiny scale.
         assert oracle_by_k[2].median < oracle_by_k["full"].median
         assert oracle_by_k[2].mean > oracle_by_k["full"].mean
+
+
+class TestSamplerMatchesSearchsorted:
+    @pytest.mark.parametrize(
+        "seed,vocab,length,concentration,split",
+        [
+            (7, 64, 200_000, 4.5, 0),  # the lab's default training stream
+            (7, 64, 100_000, 4.5, 1),  # and its held-out stream
+            (1, 8, 10_000, 4.5, 0),
+            (2, 8, 10_001, 0.0, 3),  # uniform noise; one past a block edge
+            (3, 17, 12_289, 2.0, 1),
+            (11, 100, 20_000, 6.0, 2),
+        ],
+    )
+    def test_bitwise(self, seed, vocab, length, concentration, split):
+        ours = synth_corpus(seed, vocab, 1.1, length, concentration, split)
+        ref = oracles.corpus_by_searchsorted(seed, vocab, 1.1, length, concentration, split)
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref)
+
+
+WORKERS = ["1", "2", "3"]
+
+
+@pytest.fixture(scope="module")
+def stacked_targets(small_world):
+    return np.stack([_teacher_targets(small_world, k) for k in (1, 2, 5, 8)])
+
+
+class TestShardedTraining:
+    # 300 steps cross two divergence check points and end between them.
+    STEPS = 300
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_matches_lockstep(self, small_world, stacked_targets, workers, monkeypatch):
+        monkeypatch.setenv("LOSSDIAG_THREADS", workers)
+        w = small_world.context_weights
+        ours = _train_batch(stacked_targets, w, self.STEPS, 8.0)
+        ref = oracles.train_by_lockstep(stacked_targets, w, self.STEPS, 8.0)
+        assert np.array_equal(ours, ref)
+
+    def test_stacked_equals_separate_runs(self, small_world, stacked_targets):
+        w = small_world.context_weights
+        batch = _train_batch(stacked_targets, w, self.STEPS, 8.0)
+        for i, targets in enumerate(stacked_targets):
+            alone = _train_batch(targets[None], w, self.STEPS, 8.0)
+            assert np.array_equal(batch[i], alone[0])
+
+    def test_one_worker_makes_no_pool(self, small_world, stacked_targets, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("LOSSDIAG_THREADS", "1")
+        _train_batch(stacked_targets, small_world.context_weights, 10, 8.0)
+
+
+def _heavy_last_context(v=8):
+    """Context weights that put 93% of the mass on the last context."""
+    w = np.full(v, 0.01)
+    w[-1] = 1.0 - 0.01 * (v - 1)
+    return w
+
+
+class TestExactDivergence:
+    """The step, row and message of the every-step check, for any sharding.
+
+    Ks index the students of one batch; with 8 contexts per student, student
+    1's rows are the last shard for 2 and for 3 workers.
+    """
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize(
+        "ks,weights,lr,expected",
+        [
+            # Runaway rate: every row fails at step 1, in the first block.
+            ((2, 8), None, 1e9, (1, 0)),
+            # Only student 1 (the last shard) diverges, at step 272: between
+            # check points and after two clean ones.
+            ((1, 8), "heavy", 720.0, (272, 7)),
+            # Both diverge; the later shard's student fails first (335 < 1417).
+            ((3, 7), "heavy", 710.0, (335, 7)),
+            ((7, 3), "heavy", 710.0, (335, 7)),
+        ],
+        ids=["runaway", "later-shard-only", "later-shard-first", "first-shard-first"],
+    )
+    def test_matches_every_step_check(
+        self, small_world, workers, ks, weights, lr, expected, monkeypatch
+    ):
+        targets = np.stack([_teacher_targets(small_world, k) for k in ks])
+        w = small_world.context_weights if weights is None else _heavy_last_context()
+        with pytest.raises(DivergenceError) as ref:
+            oracles.train_by_lockstep(targets, w, 600, lr)
+        assert (ref.value.step, ref.value.row) == expected
+        monkeypatch.setenv("LOSSDIAG_THREADS", workers)
+        with pytest.raises(DivergenceError) as ours:
+            _train_batch(targets, w, 600, lr)
+        assert (ours.value.step, ours.value.row) == expected
+        assert str(ours.value) == str(ref.value)

@@ -171,6 +171,13 @@ class TestTextFallback:
         with pytest.raises(StoreFormatError):
             peek_dump_count(path)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_read_of_empty_text_dump_is_format_error(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(StoreFormatError, match="empty text dump"):
+            read_loss_dump(path)
+
 
 class TestChunkedReads:
     def test_chunks_preserve_values_and_bound_size(self, tmp_path):
