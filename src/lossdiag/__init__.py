@@ -63,7 +63,6 @@ from .quantiles import (
     DEFAULT_KS,
     EXACT_PATH_MAX,
     GroupedMeans,
-    StreamingSummary,
     SummarySet,
     grouped_summary,
     summarize_chunks,
@@ -104,7 +103,7 @@ __all__ = [
     "dump_manifest", "read_metric_file", "write_metric_file",
     # quantiles
     "DEFAULT_KS", "EXACT_PATH_MAX", "SummarySet", "summarize_exact",
-    "summarize_chunks", "StreamingSummary", "GroupedMeans", "grouped_summary",
+    "summarize_chunks", "GroupedMeans", "grouped_summary",
     # sketch
     "QuantileSketch", "build_sketch",
     # concordance

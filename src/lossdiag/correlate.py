@@ -168,7 +168,12 @@ def select(
     metrics: Mapping[str, MetricSeries] | None = None,
 ) -> SelectionTable:
     """Apply each rule over the table; ties break to the lexicographically
-    smaller checkpoint id, so selection is deterministic."""
+    smaller checkpoint id, so selection is deterministic.
+
+    Values compare as floats: a +inf CE summary loses every ``min`` rule to
+    any finite value, a +inf metric wins a ``max`` rule and a -inf one loses
+    it, and equal infinities tie like any other values.
+    """
     if not rules:
         raise ValidationError("no selection rules given")
     metrics = metrics or {}

@@ -8,12 +8,13 @@ implementation guards the case where both bracketing order statistics are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
+from .sketch import build_sketch
 from .store import LossVector
 
 # Default percentile grid for summaries: the 5..95 shape grid plus the 1/99
@@ -157,52 +158,26 @@ def grouped_summary(losses: LossVector, labels: Sequence[bool]) -> GroupedMeans:
     return GroupedMeans(mean_true, mean_false, mean_false / mean_true)
 
 
-@dataclass
-class StreamingSummary:
-    """Accumulates mean and sketched percentiles over loss chunks.
-
-    The exact path sorts everything; this path keeps memory bounded and is
-    what the CLI uses past EXACT_PATH_MAX. The mean stays exact.
-    """
-
-    checkpoint_id: str
-    epsilon: float = 1e-3
-    _sum: float = field(default=0.0, repr=False)
-    _count: int = field(default=0, repr=False)
-
-    def __post_init__(self):
-        from .sketch import QuantileSketch
-
-        self._sketch = QuantileSketch(self.epsilon)
-
-    def extend(self, chunk: np.ndarray) -> None:
-        arr = np.asarray(chunk, dtype=np.float64)
-        self._sum += float(arr.sum())
-        self._count += arr.size
-        self._sketch.extend(arr)
-
-    def finalize(self, ks: Sequence[int] = DEFAULT_KS) -> SummarySet:
-        ks = _check_ks(ks)
-        if self._count == 0:
-            raise ValidationError(f"{self.checkpoint_id}: no values streamed")
-        # query() is monotone in k, so the percentiles are non-decreasing and
-        # each one is the same whichever others are requested with it.
-        return SummarySet(
-            checkpoint_id=self.checkpoint_id,
-            mean=self._sum / self._count,
-            percentiles={k: self._sketch.query(k) for k in ks},
-            count=self._count,
-        )
-
-
 def summarize_chunks(
     checkpoint_id: str,
     chunks: Iterable[np.ndarray],
     ks: Sequence[int] = DEFAULT_KS,
     epsilon: float = 1e-3,
 ) -> SummarySet:
-    """Sketch-backed summary of an iterable of loss chunks."""
-    acc = StreamingSummary(checkpoint_id, epsilon=epsilon)
-    for chunk in chunks:
-        acc.extend(chunk)
-    return acc.finalize(ks)
+    """Sketch-backed summary of an iterable of loss chunks.
+
+    The exact path sorts everything; this one keeps memory bounded and is
+    what the CLI uses past EXACT_PATH_MAX. The mean stays exact.
+    """
+    ks = _check_ks(ks)
+    sketch = build_sketch(chunks, epsilon)
+    if sketch.count == 0:
+        raise ValidationError(f"{checkpoint_id}: no values streamed")
+    # query() is monotone in k, so the percentiles are non-decreasing and
+    # each one is the same whichever others are requested with it.
+    return SummarySet(
+        checkpoint_id=checkpoint_id,
+        mean=sketch.total / sketch.count,
+        percentiles=dict(zip(ks, sketch.query(ks).tolist())),
+        count=sketch.count,
+    )

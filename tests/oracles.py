@@ -6,7 +6,9 @@ differences, float64 sorts and histograms where the package works in
 float32), so a bug shared with the implementation under test cannot hide
 on both sides of an assertion. The distillation references are the
 package's earlier, slower code (np.searchsorted per token, one process
-checking every GD step), which the faster code must match bit for bit.
+checking every GD step), which the faster code must match bit for bit; so
+are the sketch references (one full sort per percentile, a Python sum
+per chunk).
 """
 
 import math
@@ -180,3 +182,39 @@ def train_by_lockstep(targets, weights, steps, learning_rate):
         row = int(np.argwhere(~np.isfinite(logits))[0][1])
         raise DivergenceError(step=steps - 1, row=row)
     return logits
+
+
+def sketch_query_by_k(sketch, k):
+    """QuantileSketch.query for one percentile, re-sorting the whole sketch.
+
+    The package's original per-k query, kept verbatim (less validation) as
+    the reference for the batched one.
+    """
+    parts = []
+    weights = []
+    for level, arrays in enumerate(sketch._levels):
+        if not arrays:
+            continue
+        vals = np.concatenate(arrays)
+        parts.append(vals)
+        weights.append(np.full(vals.size, 1 << level, dtype=np.int64))
+    vals = np.concatenate(parts)
+    wts = np.concatenate(weights)
+    order = np.argsort(vals, kind="stable")
+    cum = np.cumsum(wts[order])
+    target = k * sketch.count / 100.0
+    idx = int(np.searchsorted(cum, max(target, 1.0), side="left"))
+    idx = min(idx, vals.size - 1)
+    return float(vals[order][idx])
+
+
+def mean_by_chunk_sum(chunks):
+    """Streamed mean as the package first computed it: a float64 sum per
+    chunk, accumulated in a Python float, divided by the count."""
+    total = 0.0
+    count = 0
+    for chunk in chunks:
+        arr = np.asarray(chunk, dtype=np.float64)
+        total += float(arr.sum())
+        count += arr.size
+    return total / count

@@ -174,6 +174,37 @@ class TestSelection:
         assert result.rows[0].checkpoint_id == "a"
         assert result.rows[1].checkpoint_id == "b"
 
+    def test_all_inf_family_selects_smallest_id(self):
+        table = {
+            cid: SummarySet(cid, np.inf, {50: 0.5 + i, 99: np.inf}, 10)
+            for i, cid in enumerate(("c", "a", "b"))
+        }
+        rows = select(table, [SelectionRule("mean", "mean", "min"),
+                              SelectionRule("p99", "p99", "min")]).rows
+        assert [(r.checkpoint_id, r.value) for r in rows] == [
+            ("a", np.inf), ("a", np.inf)]
+
+    def test_mixed_family_with_infinities(self):
+        table = {
+            "a": SummarySet("a", np.inf, {50: 0.5, 99: np.inf}, 10),
+            "b": SummarySet("b", 9.0, {50: 0.5, 99: 40.0}, 10),
+            "c": SummarySet("c", np.inf, {50: 0.4, 99: np.inf}, 10),
+            "d": SummarySet("d", 3.0, {50: 0.6, 99: 30.0}, 10),
+        }
+        metrics = {
+            "up": MetricSeries("up", {"a": 1.0, "b": np.inf, "c": np.inf, "d": 2.0}),
+            "down": MetricSeries("down", {"a": -np.inf, "b": -1.0, "c": -np.inf,
+                                          "d": -np.inf}),
+        }
+        rules = [SelectionRule("mean", "mean", "min"),
+                 SelectionRule("p99", "p99", "min"),
+                 SelectionRule("p50", "p50", "min"),
+                 SelectionRule("up", "up", "max"),
+                 SelectionRule("down", "down", "max")]
+        rows = select(table, rules, metrics=metrics).rows
+        assert [(r.checkpoint_id, r.value) for r in rows] == [
+            ("d", 3.0), ("d", 30.0), ("c", 0.4), ("b", np.inf), ("b", -1.0)]
+
     def test_row_carries_full_summary(self):
         table = _sweep_table(np.random.default_rng(83), m=4)
         metric = MetricSeries("judge", {cid: 1.0 + i for i, cid in enumerate(sorted(table))})

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from lossdiag import (
     DegenerateInputError,
     LossVector,
     SummarySet,
     ValidationError,
+    build_sketch,
     grouped_summary,
     summarize_chunks,
     summarize_exact,
@@ -196,3 +198,16 @@ class TestStreamingSummary:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValidationError, match="no values"):
             summarize_chunks("c", [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(helpers.loss_streams())
+    @example([np.float32([0.75])])
+    @example([np.full(9, np.inf, np.float32), np.float32([])])
+    @example(np.array_split(np.float32([0.5, 1.0, 1.0, np.inf] * 4_000), 7))
+    def test_bit_equal_to_chunk_sum_and_per_k_queries(self, chunks):
+        s = summarize_chunks("c", chunks, epsilon=1e-2)
+        assert s.mean.hex() == oracles.mean_by_chunk_sum(chunks).hex()
+        sk = build_sketch(chunks, 1e-2)
+        assert s.percentiles == {
+            k: oracles.sketch_query_by_k(sk, k) for k in s.ks
+        }

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import helpers
+import oracles
 from lossdiag import QuantileSketch, ValidationError, build_sketch
 
 
@@ -42,6 +46,34 @@ class TestRankError:
         sk = build_sketch([vals], 1e-2)
         assert sk.query(50) <= 1.0
         assert sk.query(100) == np.inf
+
+
+class TestBatchedQuery:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        helpers.loss_streams(),
+        st.lists(st.floats(0.0, 100.0), max_size=5),
+    )
+    @example([np.float32([0.75])], [])
+    @example([np.full(20_000, 2.5, np.float32)], [])
+    @example([np.full(9, np.inf, np.float32), np.float32([])], [])
+    @example(np.array_split(np.float32([0.5, 1.0, 1.0, np.inf] * 4_000), 7), [])
+    def test_bit_equal_to_per_k_reference(self, chunks, extra_ks):
+        sk = build_sketch(chunks, 1e-2)
+        ks = list(range(101)) + extra_ks
+        got = sk.query(ks)
+        want = [oracles.sketch_query_by_k(sk, k) for k in ks]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    def test_scalar_gives_float_and_sequence_gives_array(self):
+        sk = build_sketch([np.arange(1000.0)], 1e-2)
+        assert type(sk.query(50)) is float
+        assert type(sk.query(np.int64(50))) is float
+        got = sk.query((25, 50))
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert got.tolist() == [sk.query(25), sk.query(50)]
+        with pytest.raises(ValidationError, match="outside"):
+            sk.query([50, 101])
 
 
 class TestDeterminism:
@@ -82,6 +114,15 @@ class TestMerge:
         before = [a.query(k) for k in (25, 50, 75)]
         a.merge(b)
         assert [a.query(k) for k in (25, 50, 75)] == before
+
+    @settings(max_examples=30, deadline=None)
+    @given(helpers.loss_streams(), helpers.loss_streams())
+    def test_merged_total_is_sum_of_totals(self, left, right):
+        a = build_sketch(left, 1e-2)
+        b = build_sketch(right, 1e-2)
+        merged = a.merge(b)
+        assert merged.total == a.total + b.total
+        assert merged.count == a.count + b.count
 
     def test_tighter_epsilon_wins(self):
         a = QuantileSketch(1e-2)
