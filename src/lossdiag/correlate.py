@@ -28,9 +28,13 @@ class MetricSeries:
     def __post_init__(self):
         if not self.values:
             raise ValidationError(f"metric {self.name!r} has no entries")
-        object.__setattr__(
-            self, "values", {str(k): float(v) for k, v in self.values.items()}
-        )
+        values = {str(k): float(v) for k, v in self.values.items()}
+        for cid, v in values.items():
+            if math.isnan(v):
+                raise ValidationError(
+                    f"metric {self.name!r} of checkpoint {cid!r} is NaN"
+                )
+        object.__setattr__(self, "values", values)
 
     def aligned(self, checkpoint_ids: Sequence[str]) -> np.ndarray:
         missing = [cid for cid in checkpoint_ids if cid not in self.values]

@@ -8,6 +8,7 @@ implementation guards the case where both bracketing order statistics are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -72,6 +73,9 @@ class SummarySet:
             raise ValidationError(f"{self.checkpoint_id}: count must be >= 1")
         ks = _check_ks(tuple(self.percentiles))
         pct = {k: float(self.percentiles[k]) for k in sorted(ks)}
+        for k, v in pct.items():
+            if math.isnan(v):
+                raise ValidationError(f"{self.checkpoint_id}: percentile p{k} is NaN")
         values = list(pct.values())
         for left, right, k in zip(values, values[1:], list(pct)[1:]):
             if right < left:

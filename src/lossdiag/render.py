@@ -37,14 +37,13 @@ def _cell(value, precision: int) -> str:
     if isinstance(value, bool):
         raise ValidationError(f"cannot render {value!r}")
     if isinstance(value, str):
-        text = value
-    elif isinstance(value, (int,)):
-        text = str(value)
-    else:
-        text = fmt(float(value), precision)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+        if "," in value or '"' in value or "\n" in value:
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    # Numbers render as digits, sign, '.', 'e' or 'inf': never quoted.
+    if isinstance(value, int):
+        return str(value)
+    return fmt(float(value), precision)
 
 
 def csv_table(
@@ -146,9 +145,8 @@ def distance_table(
         raise ValidationError("no profiles to render")
     ids = [p.checkpoint_id for p in profiles]
     header = ["checkpoint_id", *ids]
-    rows = []
-    for a in profiles:
-        rows.append([a.checkpoint_id, *(profile_distance(a, b) for b in profiles)])
+    matrix = profile_distance(profiles, profiles).tolist()
+    rows = [[cid, *dists] for cid, dists in zip(ids, matrix)]
     return csv_table(header, rows, precision)
 
 

@@ -72,11 +72,42 @@ def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID)
     )
 
 
-def profile_distance(a: PercentileProfile, b: PercentileProfile) -> float:
-    """Euclidean distance between two profiles on their shared grid."""
-    if a.grid != b.grid:
-        raise ValidationError(f"profile grids differ: {a.grid} vs {b.grid}")
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
+def _stack(profiles: Sequence[PercentileProfile], grid: tuple[int, ...]) -> np.ndarray:
+    for p in profiles:
+        if p.grid != grid:
+            raise ValidationError(f"profile grids differ: {grid} vs {p.grid}")
+    return np.stack([p.as_array() for p in profiles])
+
+
+def profile_distance(
+    a: PercentileProfile | Sequence[PercentileProfile],
+    b: PercentileProfile | Sequence[PercentileProfile],
+) -> float | np.ndarray:
+    """Euclidean distance between profiles on their shared grid.
+
+    Each side is one profile or a sequence of them, as ``k`` is in
+    ``QuantileSketch.query``: two single profiles give a float, anything
+    else a ``(len(a), len(b))`` array, bit-equal to ``np.linalg.norm`` of
+    each pair's difference. Equal entries, equal infinities included,
+    contribute exactly 0, so a profile's distance to itself is 0 even with
+    a +inf tail; +inf against a finite value gives inf.
+    """
+    single = isinstance(a, PercentileProfile) and isinstance(b, PercentileProfile)
+    left = [a] if isinstance(a, PercentileProfile) else list(a)
+    right = [b] if isinstance(b, PercentileProfile) else list(b)
+    if not left or not right:
+        raise ValidationError("need at least one profile on each side")
+    grid = left[0].grid
+    rows, cols = _stack(left, grid), _stack(right, grid)
+    out = np.empty((len(left), len(right)))
+    with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
+        for i, row in enumerate(rows):
+            d = row - cols
+            d[row == cols] = 0.0
+            # A stacked vector.vector matmul runs the same dot as
+            # np.linalg.norm, so each entry is bit-equal to it.
+            out[i] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return float(out[0, 0]) if single else out
 
 
 @dataclass(frozen=True)

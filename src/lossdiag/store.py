@@ -50,6 +50,13 @@ VALUE_BYTES = 4
 # independent of the dump size.
 DEFAULT_CHUNK = 1 << 20
 
+# libyaml's parser when PyYAML was built with it: the same documents as
+# SafeLoader (scalars resolve in the same Python code), several times
+# faster. Writes keep PyYAML's own emitter: libyaml's wraps long quoted
+# scalars and lays out empty or long mapping keys differently, so the
+# manifest bytes would change.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _checked_losses(values, origin: str, offset: int = 0) -> np.ndarray:
     """``values`` as a contiguous float32 array of valid losses.
@@ -308,7 +315,7 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ManifestError(f"{path}: not parseable: {exc}") from exc
     if not isinstance(doc, dict):

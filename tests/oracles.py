@@ -8,7 +8,8 @@ on both sides of an assertion. The distillation references are the
 package's earlier, slower code (np.searchsorted per token, one process
 checking every GD step), which the faster code must match bit for bit; so
 are the sketch references (one full sort per percentile, a Python sum
-per chunk).
+per chunk), the profile-distance reference (np.linalg.norm per pair) and
+the CSV-cell reference (every cell scanned for quote characters).
 """
 
 import math
@@ -18,7 +19,8 @@ import mpmath
 import numpy as np
 
 from lossdiag.distill import DEFAULT_CONCENTRATION, true_chain
-from lossdiag.errors import DivergenceError
+from lossdiag.errors import DivergenceError, ValidationError
+from lossdiag.render import fmt
 
 
 def percentile_of_sorted_list(data, k):
@@ -218,3 +220,30 @@ def mean_by_chunk_sum(chunks):
         total += float(arr.sum())
         count += arr.size
     return total / count
+
+
+def profile_distance_by_pair(a, b):
+    """One profile distance as the package first computed it: np.linalg.norm
+    of the two arrays' difference, with equal entries (equal infinities
+    included) set to exactly 0 first, the package's convention for +inf
+    tails."""
+    x, y = a.as_array(), b.as_array()
+    with np.errstate(invalid="ignore"):
+        d = np.where(x == y, 0.0, x - y)
+    return float(np.linalg.norm(d))
+
+
+def cell_by_char_scan(value, precision):
+    """One CSV cell as the package first rendered it: every cell, numbers
+    included, is scanned for characters that need quoting."""
+    if isinstance(value, bool):
+        raise ValidationError(f"cannot render {value!r}")
+    if isinstance(value, str):
+        text = value
+    elif isinstance(value, (int,)):
+        text = str(value)
+    else:
+        text = fmt(float(value), precision)
+    if any(ch in text for ch in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text

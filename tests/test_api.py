@@ -1,17 +1,23 @@
-"""The public import surface: ``lossdiag.__all__`` and what the demos import.
+"""The public import surface: ``lossdiag.__all__``, what the demos import
+and what the benchmark's tracer patches.
 
 The demos are parsed, not run (several take seconds and one trains
 students), so a deleted or renamed export fails here rather than only when
-someone next runs the demo.
+someone next runs the demo. Likewise a function the tracer patches by name
+fails here rather than in every traced benchmark run.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import lossdiag
+from lossdiag import PercentileProfile, cli, distill, render, store
+from lossdiag.sketch import QuantileSketch
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def _resolves(module, name):
@@ -49,3 +55,35 @@ def test_every_demo_import_resolves():
     imports = list(_demo_imports())
     assert {demo for demo, _, _ in imports} == {p.name for p in DEMOS.glob("*.py")}
     assert [i for i in imports if not _resolves(i[1], i[2])] == []
+
+
+def _load_tracing():
+    """perfbench/tracing.py, loaded by file path: perfbench is not a package
+    the tests import."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_patches_resolve_and_restore():
+    tracing = _load_tracing()
+    owners = (cli, distill, render, store, QuantileSketch)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_cli(tracer)
+        tracing.install_setup(tracer)
+        # The distance table goes through the patched name: one batched call.
+        grid = (25, 50, 75)
+        profiles = [
+            PercentileProfile(cid, grid, {25: -0.5, 50: 0.0, 75: 0.5}, 1.0)
+            for cid in "abc"
+        ]
+        render.distance_table(profiles)
+    finally:
+        tracer.restore()
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert tracing.aggregate(tracer.spans)["shape.profile_distance.calls"] == 1

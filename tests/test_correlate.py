@@ -205,6 +205,10 @@ class TestSelection:
         assert [(r.checkpoint_id, r.value) for r in rows] == [
             ("d", 3.0), ("d", 30.0), ("c", 0.4), ("b", np.inf), ("b", -1.0)]
 
+    def test_nan_metric_rejected_so_select_cannot_pick_it(self):
+        with pytest.raises(ValidationError, match="'j' of checkpoint 'a' is NaN"):
+            MetricSeries("j", {"a": np.nan, "b": 5.0})
+
     def test_row_carries_full_summary(self):
         table = _sweep_table(np.random.default_rng(83), m=4)
         metric = MetricSeries("judge", {cid: 1.0 + i for i, cid in enumerate(sorted(table))})

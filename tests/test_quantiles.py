@@ -130,6 +130,12 @@ class TestSummarySet:
         with pytest.raises(ValidationError, match="non-decreasing"):
             SummarySet("c", mean=1.0, percentiles={50: 2.0, 75: 1.0}, count=1)
 
+    def test_nan_percentile_rejected_naming_checkpoint_and_percentile(self):
+        with pytest.raises(ValidationError, match="a: percentile p50 is NaN"):
+            SummarySet("a", 1.0, {50: np.nan, 95: 2.0}, 3)
+        with pytest.raises(ValidationError, match="p95 is NaN"):
+            SummarySet("a", 1.0, {50: 1.0, 95: np.float32("nan")}, 3)
+
     def test_bad_count_and_mean(self):
         with pytest.raises(ValidationError):
             SummarySet("c", mean=1.0, percentiles={50: 1.0}, count=0)

@@ -3,7 +3,12 @@
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from lossdiag import (
     LossVector,
@@ -74,6 +79,32 @@ class TestCsvTable:
     def test_row_width_checked(self):
         with pytest.raises(ValidationError, match="2 cells"):
             csv_table(["a"], [[1, 2]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.text(alphabet=st.sampled_from('ab ,"\n\r;.-é'), max_size=8),
+                    st.integers(-(10**20), 10**20),
+                    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+                    st.integers(0, 255).map(np.uint8),
+                    st.floats(allow_nan=False, width=32).map(np.float32),
+                    st.floats(allow_nan=False),
+                    st.sampled_from((math.inf, -math.inf, -0.0, np.float64(-0.0))),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            max_size=6,
+        ),
+        precision=st.integers(1, 17),
+    )
+    def test_bytes_equal_char_scan_reference(self, rows, precision):
+        want = ["a,b,c"] + [
+            ",".join(oracles.cell_by_char_scan(v, precision) for v in row) for row in rows
+        ]
+        assert csv_table(["a", "b", "c"], rows, precision) == "\n".join(want) + "\n"
 
 
 class TestSummaryTable:
@@ -154,6 +185,12 @@ class TestProfileTables:
         c_row = lines[2].split(",")
         assert a_row[1] == c_row[2] == "0"
         assert a_row[2] == c_row[1] == "1"  # profiles differ by 1.0 at p95 only
+
+    def test_distance_table_inf_tail(self):
+        # A +inf p95 used to make the diagonal NaN, so the table refused
+        # to render.
+        table = distance_table([_profile("a"), _profile("t", tail=math.inf)])
+        assert table.splitlines()[1:] == ["a,0,inf", "t,inf,0"]
 
     def test_empty(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Standardized percentile profiles and loss-band mass tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lossdiag import (
     summarize_exact,
 )
 from lossdiag import render
-from lossdiag.shape import BandCounter
+from lossdiag.shape import BandCounter, PercentileProfile
 
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -102,6 +103,61 @@ class TestProfileDistance:
         coarse = standardize_profile(s, grid=(25, 50, 75))
         with pytest.raises(ValidationError, match="grids differ"):
             profile_distance(full, coarse)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(3, 60),
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        magnitude=st.sampled_from((1e-3, 1.0, 1e3)),
+        inf_share=st.sampled_from((0.0, 0.05, 0.5)),
+    )
+    def test_matrix_bit_equal_to_per_pair_norm(self, seed, g, n, m, magnitude, inf_share):
+        rng = np.random.default_rng(seed)
+        grid = tuple(range(g))
+        pool = []
+        for i in range(n + m):
+            vals = rng.normal(0.0, magnitude, g)
+            vals[rng.random(g) < inf_share] = math.inf
+            pool.append(PercentileProfile(f"c{i}", grid, dict(zip(grid, vals)), 1.0))
+        # Repeats put equal rows, and so equal infinities, on both sides.
+        left = [pool[i] for i in rng.integers(0, len(pool), n)]
+        right = [pool[i] for i in rng.integers(0, len(pool), m)]
+        got = profile_distance(left, right)
+        want = np.array([[oracles.profile_distance_by_pair(a, b) for b in right] for a in left])
+        assert got.shape == (n, m)
+        assert np.array_equal(got, want, equal_nan=True)
+        a, b = left[0], right[0]
+        one = profile_distance(a, b)
+        assert type(one) is float
+        assert one == oracles.profile_distance_by_pair(a, b) == got[0, 0]
+
+    def test_one_against_many_is_a_row(self):
+        rng = np.random.default_rng(5)
+        a, b, c = (
+            standardize_profile(_random_summary(rng, n)) for n in ("a", "b", "c")
+        )
+        row = profile_distance(a, [a, b, c])
+        assert row.shape == (1, 3)
+        assert row.tolist() == [[0.0, profile_distance(a, b), profile_distance(a, c)]]
+        with pytest.raises(ValidationError, match="at least one"):
+            profile_distance(a, [])
+
+    def test_inf_tail_distance_is_defined(self):
+        # 8% +inf sentinels put p95 at +inf; inf - inf used to make the
+        # distance of such a profile to itself NaN.
+        losses = np.concatenate([np.linspace(0.1, 5.0, 92), np.full(8, np.inf)])
+        tail = standardize_profile(summarize_exact(LossVector("t", losses), PROFILE_GRID))
+        finite = standardize_profile(_random_summary(np.random.default_rng(3)))
+        assert tail.values[95] == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert profile_distance(tail, tail) == 0.0
+            assert profile_distance(tail, finite) == math.inf
+            assert profile_distance([tail, finite], [tail, finite]).tolist() == [
+                [0.0, math.inf], [math.inf, 0.0]
+            ]
 
 
 def _band_fixture():

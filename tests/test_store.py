@@ -1,16 +1,21 @@
 """Loss-dump format, manifest parsing, and metric files."""
 
+import json
+import math
 import struct
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import yaml
 
 from lossdiag import (
     BadMagicError,
+    CheckpointMeta,
     CountMismatchError,
     LossVector,
+    Manifest,
     ManifestError,
     StoreFormatError,
     TruncatedDumpError,
@@ -24,6 +29,7 @@ from lossdiag import (
     write_loss_dump,
     write_metric_file,
 )
+from lossdiag import cli, store
 from lossdiag.store import MAGIC
 
 
@@ -233,6 +239,7 @@ class TestChunkedReads:
 
 
 def _write_manifest(tmp_path, body):
+    tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "manifest.yaml"
     path.write_text(textwrap.dedent(body), encoding="utf-8")
     return path
@@ -402,6 +409,80 @@ class TestManifest:
         path.write_text("{unbalanced", encoding="utf-8")
         with pytest.raises(ManifestError):
             load_manifest(path)
+
+
+# Strings PyYAML's two emitters disagree on: libyaml wraps long
+# double-quoted (non-ASCII) scalars and lays out empty or long mapping keys
+# differently. The rest are the usual quoting hazards.
+_AWKWARD_IDS = (
+    "a:b", "a: b", "it's", 'say "hi"', "  lead", "#hash", "- dash",
+    "héllo wörld", "x" * 200, "é" * 200, "caf\u00e9 " * 30,
+)
+
+
+def _awkward_manifest(tmp_path):
+    return Manifest(
+        version=1,
+        checkpoints=tuple(
+            CheckpointMeta(
+                checkpoint_id=cid,
+                family=f"fam {cid[:3]}",
+                step=i,
+                objective=cid[::-1],
+                loss_path=(tmp_path / "dumps" / f"d{i}.bin").resolve(),
+                metrics={"": 1.0, "k" * 150: -0.0, cid: math.inf},
+            )
+            for i, cid in enumerate(_AWKWARD_IDS)
+        ),
+    )
+
+
+class TestManifestYaml:
+    def test_dump_bytes_are_the_pure_python_emitters(self, tmp_path):
+        m = _awkward_manifest(tmp_path)
+        out = tmp_path / "manifest.yaml"
+        dump_manifest(m, out)
+        doc = {
+            "version": 1,
+            "checkpoints": [
+                {
+                    "id": c.checkpoint_id,
+                    "family": c.family,
+                    "step": c.step,
+                    "objective": c.objective,
+                    "loss": f"dumps/d{i}.bin",
+                    "metrics": dict(c.metrics),
+                }
+                for i, c in enumerate(m.checkpoints)
+            ],
+        }
+        want = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
+        assert out.read_bytes() == want.encode("utf-8")
+
+    def test_pure_python_loader_gives_equal_manifest(self, tmp_path, monkeypatch):
+        m = _awkward_manifest(tmp_path)
+        block = tmp_path / "manifest.yaml"
+        dump_manifest(m, block)
+        flow = _write_manifest(
+            tmp_path / "json",
+            """\
+            {"version": 1, "checkpoints": [
+              {"id": "j", "family": "f", "step": 7, "objective": "o",
+               "loss": "../dumps/d0.bin", "metrics": {"judge": 2.5e-3, "n": 3}}]}
+            """,
+        )
+        fast = [load_manifest(p, check_dumps=False) for p in (block, flow)]
+        monkeypatch.setattr(store, "_YAML_LOADER", yaml.SafeLoader)
+        slow = [load_manifest(p, check_dumps=False) for p in (block, flow)]
+        assert fast == slow
+        assert fast[0] == m
+
+    def test_unparseable_is_manifest_error_exit_2(self, tmp_path, capsys):
+        path = _write_manifest(tmp_path, "version: 1\ncheckpoints: [{id: a\n")
+        with pytest.raises(ManifestError, match="not parseable"):
+            load_manifest(path)
+        assert cli.main(["summarize", "--manifest", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
 
 class TestMetricFiles:
