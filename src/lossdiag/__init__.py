@@ -32,7 +32,6 @@ from .distill import (
     TabularLM,
     chain_fidelity,
     converged_student,
-    distill_loss,
     distill_student,
     dose_response,
     fit_teacher,
@@ -120,7 +119,7 @@ __all__ = [
     "TabularLM", "LabConfig", "DoseResponseRow", "DoseResult",
     "synth_corpus", "true_chain", "zipf_weights", "fit_teacher", "softmax",
     "log_softmax", "topk_renormalize", "kl", "kl_grad_logits",
-    "distill_student", "distill_loss", "converged_student",
+    "distill_student", "converged_student",
     "per_token_ce", "next_token_accuracy", "chain_fidelity", "dose_response",
     # errors
     "LossDiagError", "UsageError", "ValidationError", "StoreFormatError",

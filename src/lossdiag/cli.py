@@ -9,7 +9,9 @@ subcommand shares with the standalone subcommands.
 
 Each run reads every dump it needs once: one scan per checkpoint yields
 its summary over every percentile the run uses and, where bands are
-wanted, its band table, and all tables are built from those results.
+wanted, its band table, and all tables are built from those results. The
+scan takes the dump's value count from the manifest check (a positional
+dump is counted once, before any scan), so no dump is counted twice.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
 worker processes that train distill-demo's students (workers.worker_count:
 one per task, at most 8 and at most the usable CPUs).
@@ -22,7 +24,6 @@ import json
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,13 +94,13 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _scan(path, checkpoint_id, ks, bounds=None, mode="auto", epsilon=1e-3):
+def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3):
     """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
 
+    ``count`` is the dump's value count, as ``peek_dump_count`` measured it.
     The dump is read once. Past EXACT_PATH_MAX it is streamed through the
     sketch and the band counter instead, never held whole.
     """
-    count = peek_dump_count(path)
     if mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX):
         losses = read_loss_dump(path, checkpoint_id)
         summary = summarize_exact(losses, ks)
@@ -117,7 +118,7 @@ def _scan(path, checkpoint_id, ks, bounds=None, mode="auto", epsilon=1e-3):
 
 
 def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=1e-3):
-    """_scan over (path, checkpoint_id) pairs in one thread pool, order-preserving."""
+    """_scan over (path, checkpoint_id, count) in one thread pool, order-preserving."""
     entries = list(entries)
     with ThreadPoolExecutor(max_workers=worker_count(len(entries))) as pool:
         return list(pool.map(lambda e: _scan(*e, ks, bounds, mode, epsilon), entries))
@@ -128,8 +129,9 @@ def _shape_ks(grid) -> tuple[int, ...]:
     return grid if 95 in grid else (*grid, 95)
 
 
-def _entries(checkpoints) -> list[tuple[Path, str]]:
-    return [(c.loss_path, c.checkpoint_id) for c in checkpoints]
+def _entries(checkpoints) -> list[tuple[Path, str, int]]:
+    """Scan entries of checkpoints whose counts ``load_manifest`` measured."""
+    return [(c.loss_path, c.checkpoint_id, c.count) for c in checkpoints]
 
 
 def _summary_table(checkpoints, ks) -> dict[str, SummarySet]:
@@ -185,14 +187,15 @@ def _metric_series(
 
 
 def _cmd_summarize(args) -> None:
-    entries: list[tuple[Path, str]] = [(Path(p), Path(p).stem) for p in args.paths]
+    checkpoints = ()
     if args.manifest:
-        manifest = load_manifest(args.manifest)
-        entries.extend(_entries(_selection(manifest, args.family)))
+        checkpoints = _selection(load_manifest(args.manifest), args.family)
     elif args.family:
         raise UsageError("--family requires --manifest")
-    if not entries:
+    if not args.paths and not checkpoints:
         raise UsageError("give dump paths and/or --manifest")
+    paths = [Path(p) for p in args.paths]
+    entries = [(p, p.stem, peek_dump_count(p)) for p in paths] + _entries(checkpoints)
     mode = "exact" if args.exact else "sketch" if args.sketch else "auto"
     scans = _scan_many(entries, tuple(args.ks), None, mode, args.epsilon)
     _emit(render.summary_table([s for s, _ in scans], args.precision), args.out)
@@ -405,75 +408,48 @@ def _cmd_distill_demo(args) -> None:
 _FORMATS = ("csv", "md", "svg")
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    """Everything the report subcommand needs, validated up front."""
-
-    manifest_path: Path
-    out_dir: Path
-    families: tuple[str, ...] | None = None
-    summaries: tuple[str, ...] = ("mean", "median", "p95")
-    grid: tuple[int, ...] = PROFILE_GRID
-    band_bounds: tuple[float, ...] = DEFAULT_BAND_BOUNDS
-    formats: tuple[str, ...] = _FORMATS
-    metric: str | None = None
-    precision: int = render.DEFAULT_PRECISION
-
-    def __post_init__(self):
-        if len(self.summaries) < 2:
-            raise UsageError("report needs at least two summary names")
-        bad = [f for f in self.formats if f not in _FORMATS]
-        if bad:
-            raise UsageError(f"unknown format(s) {bad}; choose from {_FORMATS}")
-        for needed in (25, 50, 75):
-            if needed not in self.grid:
-                raise UsageError(f"profile grid must include {needed}")
-
-
-def _report_sections(config: ReportConfig) -> tuple[dict[str, str], dict[str, str]]:
+def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     """All report CSVs, in report order, and SVG charts, keyed by file name.
 
     One scan per checkpoint feeds every table. Each table gets the summaries
     restricted to the percentiles its standalone subcommand computes and the
     same module calls and render functions, so the bytes match exactly.
     """
-    manifest = load_manifest(config.manifest_path)
-    selected = _selection(manifest, config.families)
+    manifest = load_manifest(args.manifest)
+    families = args.family or None  # an empty --family list: every family
+    grid, precision = tuple(args.grid), args.precision
+    selected = _selection(manifest, families)
     # Grid values outside 1..99 stay out of the scan; restrict() rejects them
     # where the shape tables are built.
-    ks = sorted(set(DEFAULT_KS).union(k for k in config.grid if 1 <= k <= 99))
-    scans = _scan_many(_entries(selected), ks, config.band_bounds)
+    ks = sorted(set(DEFAULT_KS).union(k for k in grid if 1 <= k <= 99))
+    scans = _scan_many(_entries(selected), ks, tuple(args.bands))
 
     summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
-    sections = {"summary.csv": render.summary_table(summaries, config.precision)}
+    sections = {"summary.csv": render.summary_table(summaries, precision)}
     table = {s.checkpoint_id: s for s in summaries}
 
-    families = _families_with_pairs(selected)
-    if families:
-        reports = _concordance_reports(manifest, families, table, config.summaries)
-        sections["concordance.csv"] = render.concordance_table(
-            reports, config.precision
-        )
+    pair_families = _families_with_pairs(selected)
+    if pair_families:
+        reports = _concordance_reports(manifest, pair_families, table, args.summaries)
+        sections["concordance.csv"] = render.concordance_table(reports, precision)
 
-    columns = list(config.summaries)
-    if config.metric is not None:
-        columns.append(config.metric)
+    columns = list(args.summaries)
+    if args.metric is not None:
+        columns.append(args.metric)
     sections["selection.csv"] = render.selection_table(
-        _selection_result(manifest, config.families, table, columns), config.precision
+        _selection_result(manifest, families, table, columns), precision
     )
 
     sweep_rows = []
-    if config.metric is not None and len(table) >= 3:
-        metric = _metric_series(manifest, config.metric, None, config.families)
+    if args.metric is not None and len(table) >= 3:
+        metric = _metric_series(manifest, args.metric, None, families)
         sweep_rows = percentile_sweep(table, metric)
-        sections["sweep.csv"] = render.sweep_table(sweep_rows, config.precision)
+        sections["sweep.csv"] = render.sweep_table(sweep_rows, precision)
 
-    grid_scans = [(s.restrict(_shape_ks(config.grid)), b) for s, b in scans]
-    sections.update(
-        _shape_tables(selected, grid_scans, config.grid, config.precision)
-    )
-    svg = "svg" in config.formats
-    charts = _report_charts(summaries, sweep_rows, config.precision) if svg else {}
+    grid_scans = [(s.restrict(_shape_ks(grid)), b) for s, b in scans]
+    sections.update(_shape_tables(selected, grid_scans, grid, precision))
+    svg = "svg" in args.formats
+    charts = _report_charts(summaries, sweep_rows, precision) if svg else {}
     return sections, charts
 
 
@@ -518,30 +494,28 @@ def _report_charts(summaries, sweep_rows, precision: int) -> dict[str, str]:
 
 
 def _cmd_report(args) -> None:
-    config = ReportConfig(
-        manifest_path=Path(args.manifest),
-        out_dir=Path(args.out_dir),
-        families=tuple(args.family) if args.family else None,
-        summaries=tuple(args.summaries),
-        grid=tuple(args.grid),
-        band_bounds=tuple(args.bands),
-        formats=tuple(args.formats),
-        metric=args.metric,
-        precision=args.precision,
-    )
-    sections, charts = _report_sections(config)
-    outputs = dict(sections) if "csv" in config.formats else {}
-    if "md" in config.formats:
+    if len(args.summaries) < 2:
+        raise UsageError("report needs at least two summary names")
+    bad = [f for f in args.formats if f not in _FORMATS]
+    if bad:
+        raise UsageError(f"unknown format(s) {bad}; choose from {_FORMATS}")
+    for needed in (25, 50, 75):
+        if needed not in args.grid:
+            raise UsageError(f"profile grid must include {needed}")
+    sections, charts = _report_sections(args)
+    outputs = dict(sections) if "csv" in args.formats else {}
+    if "md" in args.formats:
         outputs["report.md"] = render.markdown_report(
             "Loss diagnostics report",
             [(_REPORT_TITLES[name], text) for name, text in sections.items()],
         )
     outputs.update(sorted(charts.items()))
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
-        _write_text(config.out_dir / name, text)
+        _write_text(out_dir / name, text)
     for name in outputs:
-        print(config.out_dir / name)
+        print(out_dir / name)
 
 
 # --- parser ------------------------------------------------------------

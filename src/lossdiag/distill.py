@@ -430,20 +430,6 @@ def distill_student(
     return TabularLM(logits=logits[0], context_weights=weights)
 
 
-def distill_loss(teacher: TabularLM, student: TabularLM, k) -> float:
-    """The training objective: context-weighted KL(top-K teacher || student)."""
-    k_eff = _resolve_k(teacher, k)
-    targets = _teacher_targets(teacher, k_eff)
-    weights = teacher.context_weights
-    if weights is None:
-        weights = np.full(teacher.vocab_size, 1.0 / teacher.vocab_size)
-    rows = student.probs()
-    total = 0.0
-    for c in range(teacher.vocab_size):
-        total += weights[c] * kl(targets[c], rows[c])
-    return float(total)
-
-
 def converged_student(teacher: TabularLM, k, epsilon_q: float = 1e-9) -> TabularLM:
     """Closed form of the student that training would converge to.
 

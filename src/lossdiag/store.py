@@ -25,9 +25,10 @@ import csv
 import io
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 import yaml
@@ -156,8 +157,18 @@ def _iter_binary(path: Path, chunk: int | None) -> Iterator[np.ndarray]:
             )
 
 
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; undecodable bytes are a format error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise StoreFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _iter_text(path: Path, chunk: int) -> Iterator[np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         buf: list[float] = []
         seen = 0
         for lineno, line in enumerate(fh, start=1):
@@ -223,7 +234,7 @@ def peek_dump_count(path: str | Path) -> int:
             )
         return count
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line in fh:
             if line.strip():
                 count += 1
@@ -242,6 +253,7 @@ class CheckpointMeta:
     objective: str
     loss_path: Path
     metrics: Mapping[str, float] = field(default_factory=dict)
+    count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -310,13 +322,16 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
     Loss paths are resolved relative to the manifest's directory. With
     ``check_dumps`` each dump is checked by ``peek_dump_count``: a binary
     header against its payload size, a text dump by counting all its lines.
+    The count it returns is kept as ``CheckpointMeta.count``, so a reader of
+    the manifest need not count again; without ``check_dumps`` it is None.
+    It is measured, not declared, so ``dump_manifest`` does not write it.
     NaN metric values are rejected.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: not parseable: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: top level must be a mapping")
@@ -355,11 +370,12 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
                 raise ManifestError(
                     f"{where}: metric {name!r} of checkpoint {cid!r} is NaN"
                 )
+        count = None
         if check_dumps:
             if not loss_path.exists():
                 raise ManifestError(f"{where}: loss dump not found: {loss_path}")
             try:
-                peek_dump_count(loss_path)
+                count = peek_dump_count(loss_path)
             except StoreFormatError as exc:
                 raise ManifestError(f"{where}: bad loss dump: {exc}") from exc
         checkpoints.append(
@@ -370,6 +386,7 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
                 objective=objective,
                 loss_path=loss_path,
                 metrics=metrics,
+                count=count,
             )
         )
     return Manifest(version=version, checkpoints=tuple(checkpoints))
@@ -407,8 +424,11 @@ def read_metric_file(path: str | Path) -> dict[str, float]:
     """
     path = Path(path)
     out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise ValidationError(f"{path}: empty metric file")

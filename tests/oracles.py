@@ -9,7 +9,8 @@ package's earlier, slower code (np.searchsorted per token, one process
 checking every GD step), which the faster code must match bit for bit; so
 are the sketch references (one full sort per percentile, a Python sum
 per chunk), the profile-distance reference (np.linalg.norm per pair) and
-the CSV-cell reference (every cell scanned for quote characters).
+the CSV-cell reference (every cell scanned for quote characters). The
+distillation objective is a per-row loop over the public helpers.
 """
 
 import math
@@ -18,7 +19,7 @@ from bisect import bisect_left, bisect_right
 import mpmath
 import numpy as np
 
-from lossdiag.distill import DEFAULT_CONCENTRATION, true_chain
+from lossdiag.distill import DEFAULT_CONCENTRATION, kl, topk_renormalize, true_chain
 from lossdiag.errors import DivergenceError, ValidationError
 from lossdiag.render import fmt
 
@@ -154,6 +155,21 @@ def corpus_by_searchsorted(seed, vocab, zipf_exponent, length,
         token = int(np.searchsorted(cum[out[i - 1]], u[i], side="right"))
         out[i] = token if token < vocab else vocab - 1
     return out
+
+
+def distill_loss(teacher, student, k):
+    """The training objective, context-weighted KL(top-K teacher || student),
+    one Python loop step per context row. Contexts are weighted uniformly
+    when the teacher carries no frequencies."""
+    vocab = teacher.vocab_size
+    weights = teacher.context_weights
+    if weights is None:
+        weights = np.full(vocab, 1.0 / vocab)
+    targets, rows = teacher.probs(), student.probs()
+    total = 0.0
+    for c in range(vocab):
+        total += weights[c] * kl(topk_renormalize(targets[c], k), rows[c])
+    return float(total)
 
 
 def train_by_lockstep(targets, weights, steps, learning_rate):

@@ -23,7 +23,7 @@ from lossdiag import (
     summarize_exact,
     write_loss_dump,
 )
-from lossdiag import cli, render
+from lossdiag import cli, render, store
 from lossdiag.cli import main
 from lossdiag.workers import worker_count
 
@@ -378,6 +378,19 @@ class TestCorrelate:
         assert payload["error"] == "ValidationError"
         assert f"{metric_file}:2: metric of 'run-1' is NaN" in payload["message"]
 
+    def test_non_utf8_metric_file_is_data_error(self, capsys, tmp_path):
+        manifest_path = _judged_workspace(tmp_path, (2.0, 1.5, 1.0))
+        metric_file = tmp_path / "judge.csv"
+        metric_file.write_bytes(b"run-0,2.0\nrun-1,\xff\nrun-2,1.0\n")
+        rc, _, err = run(
+            capsys, "correlate", "--manifest", str(manifest_path),
+            "--sweep", "--metric", "judge", "--metric-file", str(metric_file),
+        )
+        assert rc == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValidationError"
+        assert f"{metric_file}: not UTF-8 text" in payload["message"]
+
     def test_crossing_needs_reference(self, capsys, demo_dir):
         rc, _, _ = run(
             capsys, "correlate", "--manifest", str(demo_dir / "manifest.yaml"),
@@ -479,7 +492,8 @@ class TestReport:
         assert message in stderr_payload(err)["message"]
 
     def test_reads_each_dump_once(self, capsys, demo_dir, tmp_path, monkeypatch):
-        reads, summaries = [], []
+        checkpoints = load_manifest(demo_dir / "manifest.yaml").checkpoints
+        reads, summaries, peeks = [], [], []
 
         def counted(fn, calls, key):
             def wrapper(*args, **kwargs):
@@ -491,14 +505,30 @@ class TestReport:
         monkeypatch.setattr(cli, "iter_loss_chunks", counted(cli.iter_loss_chunks, reads, Path))
         monkeypatch.setattr(cli, "summarize_exact", counted(
             cli.summarize_exact, summaries, lambda losses: losses.checkpoint_id))
+        # The manifest check counts each dump; the scan reuses that count.
+        for module in (store, cli):
+            monkeypatch.setattr(module, "peek_dump_count", counted(
+                module.peek_dump_count, peeks, Path))
         rc, _, _ = run(
             capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
             "--out-dir", str(tmp_path / "report"), "--metric", "fidelity",
         )
         assert rc == 0
-        checkpoints = load_manifest(demo_dir / "manifest.yaml").checkpoints
         assert Counter(reads) == Counter(c.loss_path for c in checkpoints)
         assert Counter(summaries) == Counter(c.checkpoint_id for c in checkpoints)
+        assert Counter(peeks) == Counter(c.loss_path for c in checkpoints)
+
+    def test_empty_family_list_reports_every_family(self, capsys, demo_dir, tmp_path):
+        written = {}
+        for name, flags in (("all", ()), ("empty", ("--family", ""))):
+            out_dir = tmp_path / name
+            rc, _, _ = run(
+                capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
+                "--out-dir", str(out_dir), "--metric", "fidelity", *flags,
+            )
+            assert rc == 0
+            written[name] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert written["empty"] == written["all"]
 
     def test_sketch_path_streams_and_keeps_exact_bands(
         self, capsys, demo_dir, tmp_path, monkeypatch

@@ -13,7 +13,6 @@ from lossdiag import (
     ValidationError,
     chain_fidelity,
     converged_student,
-    distill_loss,
     distill_student,
     dose_response,
     fit_teacher,
@@ -299,8 +298,8 @@ class TestDistillStudent:
     def test_more_steps_do_not_hurt(self, small_world):
         short = distill_student(small_world, 4, steps=50, learning_rate=4.0)
         long = distill_student(small_world, 4, steps=500, learning_rate=4.0)
-        assert (distill_loss(small_world, long, 4)
-                <= distill_loss(small_world, short, 4) + 1e-12)
+        assert (oracles.distill_loss(small_world, long, 4)
+                <= oracles.distill_loss(small_world, short, 4) + 1e-12)
 
     def test_seed_has_no_effect(self, small_world):
         a = distill_student(small_world, 2, steps=10, learning_rate=1.0, seed=1)

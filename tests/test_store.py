@@ -184,6 +184,29 @@ class TestTextFallback:
         with pytest.raises(StoreFormatError, match="empty text dump"):
             read_loss_dump(path)
 
+    def test_non_utf8_text_dump_is_format_error_exit_2(self, tmp_path, capsys):
+        dump = tmp_path / "dumps" / "latin1.txt"
+        dump.parent.mkdir()
+        dump.write_bytes(b"0.5\n\xff1.0\n")
+        readers = (peek_dump_count, read_loss_dump, lambda p: list(iter_loss_chunks(p)))
+        for read in readers:
+            with pytest.raises(StoreFormatError, match="not UTF-8 text"):
+                read(dump)
+        assert cli.main(["summarize", str(dump)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "StoreFormatError"
+        path = _write_manifest(
+            tmp_path,
+            """\
+            version: 1
+            checkpoints:
+              - {id: a, family: f, step: 0, objective: o, loss: dumps/latin1.txt}
+            """,
+        )
+        with pytest.raises(ManifestError, match="bad loss dump: .*not UTF-8 text"):
+            load_manifest(path)
+        assert cli.main(["summarize", "--manifest", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+
 
 class TestChunkedReads:
     def test_chunks_preserve_values_and_bound_size(self, tmp_path):
@@ -367,6 +390,29 @@ class TestManifest:
         # Metadata-only callers can skip the dump check.
         assert load_manifest(path, check_dumps=False).ids() == ["a"]
 
+    def test_keeps_the_measured_dump_count(self, tmp_path):
+        _seed_dump(tmp_path, "a", (0.5, 1.0, 2.0))
+        (tmp_path / "dumps" / "b.txt").write_text("0.5\n\n1.5\n", encoding="utf-8")
+        path = _write_manifest(
+            tmp_path,
+            """\
+            version: 1
+            checkpoints:
+              - {id: a, family: f, step: 0, objective: o, loss: dumps/a.bin}
+              - {id: b, family: f, step: 1, objective: o, loss: dumps/b.txt}
+            """,
+        )
+        m = load_manifest(path)
+        assert [c.count for c in m.checkpoints] == [3, 2]
+        unchecked = load_manifest(path, check_dumps=False)
+        assert [c.count for c in unchecked.checkpoints] == [None, None]
+        # Measured, not declared: a written manifest does not carry it.
+        out = tmp_path / "written.yaml"
+        dump_manifest(m, out)
+        entries = yaml.safe_load(out.read_text(encoding="utf-8"))["checkpoints"]
+        declared = {"id", "family", "step", "objective", "loss"}
+        assert all(set(e) == declared for e in entries)
+
     def test_unknown_family_in_select(self, tmp_path):
         _seed_dump(tmp_path, "a")
         path = _write_manifest(
@@ -478,11 +524,15 @@ class TestManifestYaml:
         assert fast[0] == m
 
     def test_unparseable_is_manifest_error_exit_2(self, tmp_path, capsys):
-        path = _write_manifest(tmp_path, "version: 1\ncheckpoints: [{id: a\n")
-        with pytest.raises(ManifestError, match="not parseable"):
-            load_manifest(path)
-        assert cli.main(["summarize", "--manifest", str(path)]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+        path = tmp_path / "manifest.yaml"
+        # Broken YAML, and bytes that are not UTF-8.
+        broken = b"version: 1\ncheckpoints: [{id: a\n"
+        for body in (broken, b"version: 1\ncheckpoints: [\xff]\n"):
+            path.write_bytes(body)
+            with pytest.raises(ManifestError, match="not parseable"):
+                load_manifest(path)
+            assert cli.main(["summarize", "--manifest", str(path)]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
 
 class TestMetricFiles:
