@@ -66,6 +66,7 @@ from .quantiles import (
     grouped_summary,
     summarize_chunks,
     summarize_exact,
+    summarize_sorted,
 )
 from .shape import (
     DEFAULT_BAND_BOUNDS,
@@ -102,7 +103,7 @@ __all__ = [
     "dump_manifest", "read_metric_file", "write_metric_file",
     # quantiles
     "DEFAULT_KS", "EXACT_PATH_MAX", "SummarySet", "summarize_exact",
-    "summarize_chunks", "GroupedMeans", "grouped_summary",
+    "summarize_sorted", "summarize_chunks", "GroupedMeans", "grouped_summary",
     # sketch
     "QuantileSketch", "build_sketch",
     # concordance

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -45,13 +46,12 @@ from .quantiles import (
     EXACT_PATH_MAX,
     SummarySet,
     summarize_chunks,
-    summarize_exact,
+    summarize_sorted,
 )
 from .shape import (
     DEFAULT_BAND_BOUNDS,
     PROFILE_GRID,
     BandCounter,
-    band_masses,
     standardize_profile,
 )
 from .store import (
@@ -94,6 +94,13 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+# Each scan thread sorts into two buffers it keeps from dump to dump, and
+# one dump at a time is read and copied in, so a run's peak memory does
+# not depend on how the threads' reads and sorts happen to overlap.
+_BUFFERS = threading.local()
+_READ_LOCK = threading.Lock()
+
+
 def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3):
     """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
 
@@ -101,11 +108,20 @@ def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3
     The dump is read once. Past EXACT_PATH_MAX it is streamed through the
     sketch and the band counter instead, never held whole.
     """
-    if mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX):
-        losses = read_loss_dump(path, checkpoint_id)
-        summary = summarize_exact(losses, ks)
-        return summary, None if bounds is None else band_masses(losses, bounds)
     counter = None if bounds is None else BandCounter(checkpoint_id, bounds)
+    if mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX):
+        if getattr(_BUFFERS, "size", 0) < count:
+            _BUFFERS.size = count
+            _BUFFERS.f32, _BUFFERS.f64 = np.empty(count, np.float32), np.empty(count)
+        values, ascending = _BUFFERS.f32[:count], _BUFFERS.f64[:count]
+        with _READ_LOCK:
+            np.copyto(values, read_loss_dump(path, checkpoint_id).losses)
+        values.sort()
+        np.copyto(ascending, values)  # exact: every float32 is a float64
+        if counter is not None:
+            counter.extend(values)
+        summary = summarize_sorted(checkpoint_id, ascending, ks)
+        return summary, None if counter is None else counter.table()
 
     def chunks():
         for chunk in iter_loss_chunks(path):

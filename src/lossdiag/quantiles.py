@@ -123,15 +123,17 @@ def summarize_exact(losses: LossVector, ks: Sequence[int] = DEFAULT_KS) -> Summa
     up to EXACT_PATH_MAX values. A +inf mean is documented behavior, not an
     error (dumps may carry the +inf sentinel).
     """
+    ascending = np.sort(losses.losses).astype(np.float64)
+    return summarize_sorted(losses.checkpoint_id, ascending, ks)
+
+
+def summarize_sorted(
+    checkpoint_id: str, ascending: np.ndarray, ks: Sequence[int] = DEFAULT_KS
+) -> SummarySet:
+    """summarize_exact of losses sorted and cast to float64 by the caller."""
     ks = _check_ks(ks)
-    arr = np.sort(losses.losses).astype(np.float64)
-    pct = percentiles_of_sorted(arr, ks)
-    return SummarySet(
-        checkpoint_id=losses.checkpoint_id,
-        mean=float(arr.mean()),
-        percentiles={k: float(v) for k, v in zip(ks, pct)},
-        count=arr.size,
-    )
+    pct = dict(zip(ks, percentiles_of_sorted(ascending, ks).tolist()))
+    return SummarySet(checkpoint_id, float(ascending.mean()), pct, ascending.size)
 
 
 class GroupedMeans(NamedTuple):

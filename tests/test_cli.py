@@ -153,6 +153,23 @@ class TestSummarize:
         _, threaded, _ = run(capsys, *argv)
         assert serial == threaded
 
+    def test_one_thread_reusing_its_buffers_matches_library(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # One scan thread sorts every dump in the same buffers, which grow to
+        # the largest dump so far; a smaller dump must not see older values.
+        rng = np.random.default_rng(5)
+        paths = []
+        for i, size in enumerate((300, 7, 1000, 40)):
+            values = rng.lognormal(0.0, 1.0, size).astype(np.float32)
+            values[::5] = np.inf
+            paths.append(tmp_path / f"d{i}.bin")
+            write_loss_dump(LossVector(f"d{i}", values), paths[-1])
+        monkeypatch.setenv("LOSSDIAG_THREADS", "1")
+        rc, out, _ = run(capsys, "summarize", *map(str, paths))
+        assert rc == 0
+        assert out == render.summary_table([summarize_exact(read_loss_dump(p)) for p in paths])
+
     def test_out_writes_file_instead_of_stdout(self, capsys, demo_dir, tmp_path):
         dump = demo_dir / "dumps" / "teacher.bin"
         target = tmp_path / "summary.csv"
@@ -503,8 +520,8 @@ class TestReport:
 
         monkeypatch.setattr(cli, "read_loss_dump", counted(cli.read_loss_dump, reads, Path))
         monkeypatch.setattr(cli, "iter_loss_chunks", counted(cli.iter_loss_chunks, reads, Path))
-        monkeypatch.setattr(cli, "summarize_exact", counted(
-            cli.summarize_exact, summaries, lambda losses: losses.checkpoint_id))
+        monkeypatch.setattr(cli, "summarize_sorted", counted(
+            cli.summarize_sorted, summaries, str))
         # The manifest check counts each dump; the scan reuses that count.
         for module in (store, cli):
             monkeypatch.setattr(module, "peek_dump_count", counted(

@@ -16,6 +16,7 @@ from lossdiag import (
     grouped_summary,
     summarize_chunks,
     summarize_exact,
+    summarize_sorted,
 )
 from lossdiag.render import summary_table
 
@@ -105,6 +106,13 @@ class TestExactPercentiles:
         mean, pct = oracles.summary_by_float64_sort(vals, s.ks)
         assert s.mean.hex() == mean.hex()
         assert s.percentiles == pct
+
+    def test_sorted_input_gives_the_same_summary(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            vals = _random_losses(rng)
+            ascending = np.sort(vals).astype(np.float64)
+            assert summarize_sorted("v", ascending) == summarize_exact(_vector(vals))
 
     def test_percentile_validation(self):
         with pytest.raises(ValidationError):
