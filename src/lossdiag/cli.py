@@ -7,11 +7,12 @@ parse them. All outputs are deterministic for identical inputs and seeds;
 CSV rendering is delegated to the render module, which the report
 subcommand shares with the standalone subcommands.
 
-Each run reads every dump it needs once: one scan per checkpoint yields
-its summary over every percentile the run uses and, where bands are
-wanted, its band table, and all tables are built from those results. The
-scan takes the dump's value count from the manifest check (a positional
-dump is counted once, before any scan), so no dump is counted twice.
+Each run reads every dump it needs once: one scan per checkpoint streams
+the dump in chunks and yields its summary over every percentile the run
+uses and, where bands are wanted, its band table, and all tables are built
+from those results. The scan takes the dump's value count from the
+manifest check (a positional dump is counted once, before any scan), so
+no dump is counted twice. An empty --family list means every family.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
 worker processes that train distill-demo's students (workers.worker_count:
 one per task, at most 8 and at most the usable CPUs).
@@ -40,7 +41,7 @@ from .distill import (
     per_token_ce,
     true_chain,
 )
-from .errors import DivergenceError, UsageError, ValidationError
+from .errors import DivergenceError, StoreFormatError, UsageError, ValidationError
 from .quantiles import (
     DEFAULT_KS,
     EXACT_PATH_MAX,
@@ -62,7 +63,7 @@ from .store import (
     iter_loss_chunks,
     load_manifest,
     peek_dump_count,
-    read_loss_dump,
+    read_loss_dump,  # not called here; perfbench/tracing.py patches this binding
     read_metric_file,
     write_loss_dump,
 )
@@ -94,42 +95,52 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# Each scan thread sorts into two buffers it keeps from dump to dump, and
-# one dump at a time is read and copied in, so a run's peak memory does
-# not depend on how the threads' reads and sorts happen to overlap.
+def _families(text: str) -> list[str] | None:
+    return _str_list(text) or None  # an empty list selects every family
+
+
+# Each scan thread keeps a float32 and a float64 sort buffer from dump to
+# dump and fills them one streamed chunk at a time: it holds 12 bytes per
+# value of its largest dump plus one chunk, however the threads overlap.
 _BUFFERS = threading.local()
-_READ_LOCK = threading.Lock()
 
 
 def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3):
     """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
 
-    ``count`` is the dump's value count, as ``peek_dump_count`` measured it.
-    The dump is read once. Past EXACT_PATH_MAX it is streamed through the
-    sketch and the band counter instead, never held whole.
+    The dump is streamed once, each chunk counted into the bands and then
+    copied into the thread's sort buffer or, past EXACT_PATH_MAX, fed to
+    the sketch. ``count`` is the value count ``peek_dump_count`` measured;
+    a stream of any other length (the file changed) is a StoreFormatError.
     """
     counter = None if bounds is None else BandCounter(checkpoint_id, bounds)
+
+    def chunks():
+        seen = 0
+        for chunk in iter_loss_chunks(path):
+            seen += chunk.size
+            if seen > count:
+                break
+            if counter is not None:
+                counter.extend(chunk)
+            yield chunk
+        if seen != count:
+            raise StoreFormatError(f"{path}: changed after {count} values were counted")
+
     if mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX):
         if getattr(_BUFFERS, "size", 0) < count:
             _BUFFERS.size = count
             _BUFFERS.f32, _BUFFERS.f64 = np.empty(count, np.float32), np.empty(count)
         values, ascending = _BUFFERS.f32[:count], _BUFFERS.f64[:count]
-        with _READ_LOCK:
-            np.copyto(values, read_loss_dump(path, checkpoint_id).losses)
+        filled = 0
+        for chunk in chunks():
+            values[filled:filled + chunk.size] = chunk
+            filled += chunk.size
         values.sort()
         np.copyto(ascending, values)  # exact: every float32 is a float64
-        if counter is not None:
-            counter.extend(values)
         summary = summarize_sorted(checkpoint_id, ascending, ks)
-        return summary, None if counter is None else counter.table()
-
-    def chunks():
-        for chunk in iter_loss_chunks(path):
-            if counter is not None:
-                counter.extend(chunk)
-            yield chunk
-
-    summary = summarize_chunks(checkpoint_id, chunks(), ks, epsilon)
+    else:
+        summary = summarize_chunks(checkpoint_id, chunks(), ks, epsilon)
     return summary, None if counter is None else counter.table()
 
 
@@ -167,13 +178,6 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(Path(out), text)
 
 
-def _selection(manifest: Manifest, families) -> tuple[CheckpointMeta, ...]:
-    selected = manifest.select(families)
-    if not selected:
-        raise ValidationError("manifest selection is empty")
-    return selected
-
-
 def _selection_result(manifest: Manifest, families, table, columns):
     metric_names = sorted({n for c in manifest.select(families) for n in c.metrics})
     metrics = {
@@ -205,7 +209,7 @@ def _metric_series(
 def _cmd_summarize(args) -> None:
     checkpoints = ()
     if args.manifest:
-        checkpoints = _selection(load_manifest(args.manifest), args.family)
+        checkpoints = load_manifest(args.manifest).select(args.family)
     elif args.family:
         raise UsageError("--family requires --manifest")
     if not args.paths and not checkpoints:
@@ -264,7 +268,11 @@ def _shape_tables(selected, scans, grid, precision):
     stats = []
     for fam in sorted(by_family):
         tails = np.array(by_family[fam])
-        stats.append((fam, tails.size, float(tails.mean()), float(tails.std())))
+        mean = tails.mean()
+        with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
+            d = tails - mean
+        d[tails == mean] = 0.0  # as in profile_distance: equal infinities add 0
+        stats.append((fam, tails.size, float(mean), float(np.sqrt((d * d).mean()))))
     return {
         "profiles.csv": render.profile_table(profiles, precision),
         "distances.csv": render.distance_table(profiles, precision),
@@ -287,7 +295,7 @@ def _cmd_shape(args) -> None:
     for needed in (25, 50, 75):
         if needed not in grid:
             raise UsageError(f"--grid must include {needed}")
-    selected = _selection(manifest, args.family)
+    selected = manifest.select(args.family)
     scans = _scan_many(_entries(selected), _shape_ks(grid), tuple(args.bands))
     tables = _shape_tables(selected, scans, grid, args.precision)
     if args.out_dir is None:
@@ -326,7 +334,7 @@ def _cmd_correlate(args) -> None:
         _emit(render.crossing_table(rows, args.precision), args.out)
         return
 
-    table = _summary_table(_selection(manifest, args.family), tuple(args.ks))
+    table = _summary_table(manifest.select(args.family), tuple(args.ks))
     if args.sweep:
         metric = _metric_series(manifest, args.metric, args.metric_file, args.family)
         rows = percentile_sweep(table, metric)
@@ -432,9 +440,8 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     same module calls and render functions, so the bytes match exactly.
     """
     manifest = load_manifest(args.manifest)
-    families = args.family or None  # an empty --family list: every family
-    grid, precision = tuple(args.grid), args.precision
-    selected = _selection(manifest, families)
+    families, grid, precision = args.family, tuple(args.grid), args.precision
+    selected = manifest.select(families)
     # Grid values outside 1..99 stay out of the scan; restrict() rejects them
     # where the shape tables are built.
     ks = sorted(set(DEFAULT_KS).union(k for k in grid if 1 <= k <= 99))
@@ -549,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="mean/percentile summaries of loss dumps")
     p.add_argument("paths", nargs="*", help="loss dump files")
     p.add_argument("--manifest", default=None)
-    p.add_argument("--family", type=_str_list, default=None,
+    p.add_argument("--family", type=_families, default=None,
                    help="comma-separated family tags (with --manifest)")
     p.add_argument("--ks", type=_int_list, default=list(DEFAULT_KS),
                    help="percentiles to report")
@@ -562,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concord", help="summary concordance across checkpoints")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--family", type=_str_list, default=None)
+    p.add_argument("--family", type=_families, default=None)
     p.add_argument("--summaries", type=_str_list, default=["mean", "median", "p95"])
     p.add_argument("--ks", type=_int_list, default=list(DEFAULT_KS))
     common(p)
@@ -570,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shape", help="standardized profiles and band tables")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--family", type=_str_list, default=None)
+    p.add_argument("--family", type=_families, default=None)
     p.add_argument("--grid", type=_int_list, default=list(PROFILE_GRID))
     p.add_argument("--bands", type=_float_list, default=list(DEFAULT_BAND_BOUNDS))
     p.add_argument("--out-dir", default=None, help="write the four CSVs here")
@@ -579,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="summary-vs-metric relationships")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--family", type=_str_list, default=None)
+    p.add_argument("--family", type=_families, default=None)
     p.add_argument("--sweep", action="store_true",
                    help="correlate every summary against --metric")
     p.add_argument("--select", type=_str_list, default=None,
@@ -616,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="all analyses in one document")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--family", type=_str_list, default=None)
+    p.add_argument("--family", type=_families, default=None)
     p.add_argument("--summaries", type=_str_list, default=["mean", "median", "p95"])
     p.add_argument("--metric", default=None)
     p.add_argument("--grid", type=_int_list, default=list(PROFILE_GRID))

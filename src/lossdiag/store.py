@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -131,15 +130,10 @@ def _looks_binary(path: Path) -> bool:
     return head[: len(MAGIC_PREFIX)] == MAGIC_PREFIX
 
 
-def _iter_binary(path: Path, chunk: int | None) -> Iterator[np.ndarray]:
-    """Payload blocks of ``chunk`` values; None reads it as one block."""
+def _iter_binary(path: Path, chunk: int) -> Iterator[np.ndarray]:
+    """Payload blocks of ``chunk`` values."""
     with open(path, "rb") as fh:
         count = _read_header(fh, path)
-        if chunk is None:
-            # Sized by the file, so a corrupt header cannot ask for more
-            # memory than the payload holds.
-            stored = (os.fstat(fh.fileno()).st_size - HEADER_BYTES) // VALUE_BYTES
-            chunk = max(1, min(count, stored))
         seen = 0
         while seen < count:
             want = min(chunk, count - seen)
@@ -202,19 +196,17 @@ def iter_loss_chunks(path: str | Path, chunk: int = DEFAULT_CHUNK) -> Iterator[n
 
 
 def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVector:
-    """Read a whole dump into memory; inverse of write_loss_dump."""
+    """Read a whole dump into memory; inverse of write_loss_dump.
+
+    The dump's chunks are joined, so reading holds it twice for a moment.
+    """
     path = Path(path)
-    if _looks_binary(path):
-        # Unpacking drains the generator, so its trailing-payload check runs.
-        (arr,) = _iter_binary(path, None)
-    else:
-        chunks = list(_iter_text(path, DEFAULT_CHUNK))
-        if not chunks:
-            raise StoreFormatError(f"{path}: empty text dump")
-        arr = np.concatenate(chunks)
+    chunks = list(iter_loss_chunks(path))
+    if not chunks:  # a binary header declares at least one value
+        raise StoreFormatError(f"{path}: empty text dump")
     if checkpoint_id is None:
         checkpoint_id = path.stem
-    return LossVector(checkpoint_id=checkpoint_id, losses=arr)
+    return LossVector(checkpoint_id=checkpoint_id, losses=np.concatenate(chunks))
 
 
 def peek_dump_count(path: str | Path) -> int:

@@ -11,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossdiag import (
+    DEFAULT_BAND_BOUNDS,
+    DEFAULT_KS,
+    BandTable,
     CheckpointMeta,
     LossVector,
     Manifest,
     MetricSeries,
+    StoreFormatError,
+    SummarySet,
+    band_masses,
     dump_manifest,
     load_manifest,
     percentile_sweep,
@@ -32,6 +38,10 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def write_text_dump(values, path):
+    path.write_text("".join(f"{float(v)!r}\n" for v in values), encoding="utf-8")
 
 
 def stderr_payload(err):
@@ -118,6 +128,36 @@ class TestExitCodes:
         payload = stderr_payload(err)
         assert payload["error"] == "RuntimeError"
         assert payload["exit_code"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("summarize",),
+    ("concord",),
+    ("shape",),
+    ("correlate", "--sweep", "--metric", "fidelity"),
+    ("correlate", "--select", "mean,median,fidelity"),
+    ("correlate", "--crossing", "--reference", "1.5"),
+], ids=["summarize", "concord", "shape", "sweep", "select", "crossing"])
+def test_empty_family_list_means_every_family(capsys, tmp_path, argv):
+    # Two families of three steps each: every mode has input it accepts
+    # (the demo's oracle family repeats step 0, which --crossing refuses).
+    rng = np.random.default_rng(3)
+    checkpoints = []
+    for family in ("a", "b"):
+        for step in (100, 200, 300):
+            cid = f"{family}-{step}"
+            path = tmp_path / f"{cid}.bin"
+            write_loss_dump(LossVector(cid, rng.lognormal(300 / step - 1, 1.0, 2000)), path)
+            checkpoints.append(CheckpointMeta(
+                checkpoint_id=cid, family=family, step=step, objective="token-ce",
+                loss_path=path, metrics={"fidelity": float(rng.random())}))
+    dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), tmp_path / "m.yaml")
+    manifest = ("--manifest", str(tmp_path / "m.yaml"))
+    rc, every, err = run(capsys, *argv, *manifest)
+    assert rc == 0, err
+    rc, empty, err = run(capsys, *argv, *manifest, "--family=")
+    assert rc == 0, err
+    assert empty == every
 
 
 class TestSummarize:
@@ -207,6 +247,45 @@ class TestSummarize:
         assert lo * (1 - 1e-5) <= sketched <= hi * (1 + 1e-5)
 
 
+class TestScan:
+    """One chunk stream per dump feeds the band counter and the sort buffer."""
+
+    @pytest.fixture
+    def dumps(self, tmp_path):
+        rng = np.random.default_rng(11)
+        paths = []
+        for i, size in enumerate((300, 7, 1000, 40)):
+            values = rng.lognormal(0.0, 1.0, size).astype(np.float32)
+            values[::6] = np.inf
+            values[1::9] = values[2]  # exact ties
+            binary, text = tmp_path / f"d{i}.bin", tmp_path / f"t{i}.txt"
+            write_loss_dump(LossVector(binary.stem, values), binary)
+            write_text_dump(values, text)
+            paths += [binary, text]
+        return paths
+
+    def test_reused_buffers_fed_in_small_chunks_match_library(self, dumps, monkeypatch):
+        # Chunks of 7 values fill each dump's slice of the thread's buffers,
+        # which grow to the largest dump so far; every call runs in this one
+        # thread, so a smaller dump must not see an older dump's values.
+        monkeypatch.setattr(cli, "iter_loss_chunks", lambda p: store.iter_loss_chunks(p, 7))
+        for path in dumps:
+            losses = read_loss_dump(path)
+            summary, bands = cli._scan(
+                path, path.stem, losses.count, DEFAULT_KS, DEFAULT_BAND_BOUNDS
+            )
+            assert summary == summarize_exact(losses)
+            assert bands == band_masses(losses)
+
+    @pytest.mark.parametrize("mode", ["auto", "sketch"])
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_stream_longer_or_shorter_than_count_is_format_error(self, dumps, mode, off):
+        cli._scan(dumps[4], "d2", 1000, DEFAULT_KS)  # leaves 1000 values in the buffers
+        for path in dumps[6:]:  # 40 values, binary then text
+            with pytest.raises(StoreFormatError, match=str(path)):
+                cli._scan(path, path.stem, 40 + off, DEFAULT_KS, (1.0,), mode)
+
+
 class TestDistillDemo:
     ARGS = ("--vocab", "16", "--length", "10000", "--eval-length", "10000",
             "--steps", "300", "--k", "2,full")
@@ -289,6 +368,54 @@ class TestShape:
         )
         assert rc == 0
         assert "band[0;1)" in out and "band[5;inf)" in out
+
+
+    @staticmethod
+    def _family_stats(capsys, tmp_path, inf_shares):
+        # One family whose checkpoints carry these shares of +inf; a share of
+        # 5% or more makes p95, and so the standardized tail, +inf.
+        rng = np.random.default_rng(8)
+        checkpoints = []
+        for i, share in enumerate(inf_shares):
+            values = rng.lognormal(0.0, 1.0, 1000)
+            values[: int(share * 1000)] = np.inf
+            path = tmp_path / f"c{i}.bin"
+            write_loss_dump(LossVector(f"c{i}", values), path)
+            checkpoints.append(CheckpointMeta(
+                checkpoint_id=f"c{i}", family="trunc", step=i,
+                objective="topk-kl", loss_path=path))
+        manifest = tmp_path / "manifest.yaml"
+        dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), manifest)
+        rc, _, err = run(
+            capsys, "shape", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")
+        )
+        assert rc == 0, err
+        return (tmp_path / "out" / "family_stats.csv").read_text(encoding="utf-8")
+
+    def test_all_inf_tails_have_zero_spread(self, capsys, tmp_path):
+        stats = self._family_stats(capsys, tmp_path, (0.08, 0.08, 0.08))
+        assert stats.splitlines()[1] == "trunc,3,inf,0"
+
+    def test_inf_and_finite_tails_have_inf_spread(self, capsys, tmp_path):
+        stats = self._family_stats(capsys, tmp_path, (0.08, 0.0, 0.08))
+        assert stats.splitlines()[1] == "trunc,3,inf,inf"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(3.0, 1e12), min_size=1, max_size=12))
+    def test_finite_tail_spread_is_numpy_std(self, p95s):
+        # p25, p50, p75 = 1, 2, 3, so each standardized tail is (p95 - 2) / 2;
+        # 17 significant digits render every float64 exactly.
+        selected, scans = [], []
+        for i, p95 in enumerate(p95s):
+            cid = f"c{i}"
+            selected.append(CheckpointMeta(cid, "fam", i, "token-ce", Path(f"{cid}.bin")))
+            summary = SummarySet(cid, 1.0, {25: 1.0, 50: 2.0, 75: 3.0, 95: p95}, 1)
+            scans.append((summary, BandTable(cid, (1.0,), (50.0, 50.0))))
+        tails = np.array([(p95 - 2.0) / 2.0 for p95 in p95s])
+        expected = render.family_stats_table(
+            [("fam", len(p95s), float(tails.mean()), float(tails.std()))], 17
+        )
+        assert cli._shape_tables(selected, scans, (25, 50, 75), 17)["family_stats.csv"] == expected
 
 
 class TestCorrelate:
@@ -510,7 +637,7 @@ class TestReport:
 
     def test_reads_each_dump_once(self, capsys, demo_dir, tmp_path, monkeypatch):
         checkpoints = load_manifest(demo_dir / "manifest.yaml").checkpoints
-        reads, summaries, peeks = [], [], []
+        reads, whole_reads, summaries, peeks = [], [], [], []
 
         def counted(fn, calls, key):
             def wrapper(*args, **kwargs):
@@ -518,7 +645,8 @@ class TestReport:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "read_loss_dump", counted(cli.read_loss_dump, reads, Path))
+        monkeypatch.setattr(cli, "read_loss_dump", counted(
+            cli.read_loss_dump, whole_reads, Path))
         monkeypatch.setattr(cli, "iter_loss_chunks", counted(cli.iter_loss_chunks, reads, Path))
         monkeypatch.setattr(cli, "summarize_sorted", counted(
             cli.summarize_sorted, summaries, str))
@@ -532,6 +660,7 @@ class TestReport:
         )
         assert rc == 0
         assert Counter(reads) == Counter(c.loss_path for c in checkpoints)
+        assert whole_reads == []  # the exact path fills its buffer from the stream
         assert Counter(summaries) == Counter(c.checkpoint_id for c in checkpoints)
         assert Counter(peeks) == Counter(c.loss_path for c in checkpoints)
 
