@@ -53,6 +53,7 @@ from .shape import (
     DEFAULT_BAND_BOUNDS,
     PROFILE_GRID,
     BandCounter,
+    bands_of_sorted,
     standardize_profile,
 )
 from .store import (
@@ -99,21 +100,23 @@ def _families(text: str) -> list[str] | None:
     return _str_list(text) or None  # an empty list selects every family
 
 
-# Each scan thread keeps a float32 and a float64 sort buffer from dump to
-# dump and fills them one streamed chunk at a time: it holds 12 bytes per
-# value of its largest dump plus one chunk, however the threads overlap.
+# Each scan thread keeps a float32 sort buffer from dump to dump and fills
+# it one streamed chunk at a time: it holds 4 bytes per value of its largest
+# dump plus one chunk, however the threads overlap.
 _BUFFERS = threading.local()
 
 
 def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3):
     """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
 
-    The dump is streamed once, each chunk counted into the bands and then
-    copied into the thread's sort buffer or, past EXACT_PATH_MAX, fed to
-    the sketch. ``count`` is the value count ``peek_dump_count`` measured;
-    a stream of any other length (the file changed) is a StoreFormatError.
+    The dump is streamed once, each chunk copied into the thread's float32
+    sort buffer, which gives the summary and the bands, or, past
+    EXACT_PATH_MAX, fed to the sketch and counted into the bands. ``count``
+    is the value count ``peek_dump_count`` measured; a stream of any other
+    length (the file changed) is a StoreFormatError.
     """
-    counter = None if bounds is None else BandCounter(checkpoint_id, bounds)
+    exact = mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX)
+    counter = None if bounds is None or exact else BandCounter(checkpoint_id, bounds)
 
     def chunks():
         seen = 0
@@ -127,21 +130,22 @@ def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3
         if seen != count:
             raise StoreFormatError(f"{path}: changed after {count} values were counted")
 
-    if mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX):
+    if exact:
         if getattr(_BUFFERS, "size", 0) < count:
             _BUFFERS.size = count
-            _BUFFERS.f32, _BUFFERS.f64 = np.empty(count, np.float32), np.empty(count)
-        values, ascending = _BUFFERS.f32[:count], _BUFFERS.f64[:count]
+            _BUFFERS.values = np.empty(count, np.float32)
+        ascending = _BUFFERS.values[:count]
         filled = 0
         for chunk in chunks():
-            values[filled:filled + chunk.size] = chunk
+            ascending[filled:filled + chunk.size] = chunk
             filled += chunk.size
-        values.sort()
-        np.copyto(ascending, values)  # exact: every float32 is a float64
+        ascending.sort()
         summary = summarize_sorted(checkpoint_id, ascending, ks)
+        bands = None if bounds is None else bands_of_sorted(checkpoint_id, ascending, bounds)
     else:
         summary = summarize_chunks(checkpoint_id, chunks(), ks, epsilon)
-    return summary, None if counter is None else counter.table()
+        bands = None if counter is None else counter.table()
+    return summary, bands
 
 
 def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=1e-3):
@@ -329,7 +333,10 @@ def _cmd_correlate(args) -> None:
         rows = []
         for family, cs in groups:
             series = [(c.step, table[c.checkpoint_id].value(args.summary)) for c in cs]
-            step = crossing_step(series, args.reference)
+            try:
+                step = crossing_step(series, args.reference)
+            except ValidationError as exc:
+                raise ValidationError(f"family {family!r}: {exc}") from exc
             rows.append((family, args.summary, args.reference, step))
         _emit(render.crossing_table(rows, args.precision), args.out)
         return
@@ -383,9 +390,12 @@ def _cmd_distill_demo(args) -> None:
     _write_text(out, render.dose_table(result.rows, args.precision))
     print(out)
 
-    # CE dumps plus a manifest so every other subcommand can run on the
+    # CE dumps plus a manifest so the other subcommands can run on the
     # lab's outputs: the teacher under family "teacher", trained students
-    # under "trained", converged floors under "oracle". Metrics: accuracy
+    # under "trained", converged floors under "oracle". Every student of a
+    # family shares one step (--steps, or 0 for the oracles), so
+    # `correlate --crossing`, which needs a step series, refuses those
+    # families; the teacher alone is a one-step series. Metrics: accuracy
     # (constant across students of one teacher, by construction) and
     # fidelity against the generating chain (varies with K), the lab's
     # external-judge analogue.

@@ -249,9 +249,9 @@ def crossing_step(
     if not series:
         raise ValidationError("empty series")
     ordered = sorted((int(s), float(v)) for s, v in series)
-    steps = [s for s, _ in ordered]
-    if len(set(steps)) != len(steps):
-        raise ValidationError("duplicate steps in series")
+    for (step, _), (following, _) in zip(ordered, ordered[1:]):
+        if step == following:
+            raise ValidationError(f"duplicate step {step} in series")
     for step, value in ordered:
         if value < reference:
             return step

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .sketch import build_sketch
+from .sketch import build_sketch, float64_sum
 from .store import LossVector
 
 # Default percentile grid for summaries: the 5..95 shape grid plus the 1/99
@@ -23,7 +23,9 @@ from .store import LossVector
 DEFAULT_KS: tuple[int, ...] = (1,) + tuple(range(5, 100, 5)) + (99,)
 
 # Dumps at most this large are summarized exactly by default; the CLI falls
-# back to the sketch beyond it unless forced.
+# back to the sketch beyond it unless forced. The exact scan sorts a dump in
+# a float32 buffer each scan thread keeps, so at this size 8 scan threads
+# hold 2**26 values * 4 bytes * 8 = 2 GiB of sort buffers.
 EXACT_PATH_MAX = 1 << 26
 
 
@@ -42,15 +44,19 @@ def _check_ks(ks: Sequence[int]) -> tuple[int, ...]:
 
 
 def percentiles_of_sorted(sorted_values: np.ndarray, ks: Sequence[int]) -> np.ndarray:
-    """Percentiles of an ascending float64 array, +inf tolerated."""
+    """Percentiles of an ascending float32 or float64 array, +inf tolerated.
+
+    Only the bracketing order statistics are cast to float64, exactly, so a
+    float32 array gives the percentiles of its float64 copy.
+    """
     n = sorted_values.size
     ks_arr = np.asarray(ks, dtype=np.float64)
     h = (n - 1) * ks_arr / 100.0
     lo = np.floor(h).astype(np.int64)
     hi = np.ceil(h).astype(np.int64)
     g = h - lo
-    a = sorted_values[lo]
-    b = sorted_values[hi]
+    a = sorted_values[lo].astype(np.float64)
+    b = sorted_values[hi].astype(np.float64)
     # Interpolate only where the bracket is a proper finite gap; b == a and
     # inf brackets both collapse to the lower order statistic.
     with np.errstate(invalid="ignore"):
@@ -117,23 +123,27 @@ class SummarySet:
 def summarize_exact(losses: LossVector, ks: Sequence[int] = DEFAULT_KS) -> SummarySet:
     """Exact mean and percentiles of one loss vector.
 
-    Sorts the float32 values and casts the sorted copy to float64 once; the
-    cast is exact and monotone, so this equals sorting a float64 copy, at
-    half the sort's cost. The mean is the float64 sum in sorted order. Fine
-    up to EXACT_PATH_MAX values. A +inf mean is documented behavior, not an
-    error (dumps may carry the +inf sentinel).
+    Sorts the float32 values; the cast to float64 is exact and monotone, so
+    this equals sorting a float64 copy, at half the sort's cost and with no
+    float64 copy. The mean is the float64 sum in sorted order. Fine up to
+    EXACT_PATH_MAX values. A +inf mean is documented behavior, not an error
+    (dumps may carry the +inf sentinel).
     """
-    ascending = np.sort(losses.losses).astype(np.float64)
-    return summarize_sorted(losses.checkpoint_id, ascending, ks)
+    return summarize_sorted(losses.checkpoint_id, np.sort(losses.losses), ks)
 
 
 def summarize_sorted(
     checkpoint_id: str, ascending: np.ndarray, ks: Sequence[int] = DEFAULT_KS
 ) -> SummarySet:
-    """summarize_exact of losses sorted and cast to float64 by the caller."""
+    """summarize_exact of losses sorted by the caller, float32 or float64.
+
+    The mean is ``ascending.astype(np.float64).mean()`` bit for bit, summed
+    without the float64 copy.
+    """
     ks = _check_ks(ks)
     pct = dict(zip(ks, percentiles_of_sorted(ascending, ks).tolist()))
-    return SummarySet(checkpoint_id, float(ascending.mean()), pct, ascending.size)
+    mean = float(float64_sum(ascending)) / ascending.size
+    return SummarySet(checkpoint_id, mean, pct, ascending.size)
 
 
 class GroupedMeans(NamedTuple):

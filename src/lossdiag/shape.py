@@ -150,9 +150,17 @@ def _float32_thresholds(bounds: tuple[float, ...]) -> np.ndarray:
     return t
 
 
+def _band_table(checkpoint_id: str, bounds: tuple[float, ...], n: int, at_or_above) -> BandTable:
+    """Table of ``n`` losses from the count at or above each bound's threshold."""
+    counts = -np.diff([n, *at_or_above, 0])
+    # Every loss is >= 0 (NaN rejected), so each lands in exactly one band.
+    return BandTable(checkpoint_id, bounds, tuple(100.0 * c / n for c in counts))
+
+
 class BandCounter:
-    """Band counts accumulated chunk by chunk; exact, so chunking never
-    changes the table. band_masses counts a whole vector as one chunk.
+    """Band counts of unsorted losses, accumulated chunk by chunk; exact, so
+    chunking never changes the table. band_masses counts a whole vector as
+    one chunk; bands_of_sorted gives the same table for sorted losses.
 
     Chunks are float32 losses; each band count is the difference of two
     counts of values at or above a bound, taken at the bound's exact
@@ -163,18 +171,24 @@ class BandCounter:
         self.checkpoint_id = checkpoint_id
         self.bounds = _check_bounds(bounds)
         self._thresholds = _float32_thresholds(self.bounds)
-        self._counts = np.zeros(len(self.bounds) + 1, dtype=np.int64)
+        self._n = 0
+        self._at_or_above = np.zeros(len(self.bounds), dtype=np.int64)
 
     def extend(self, chunk: np.ndarray) -> None:
         x = np.asarray(chunk, dtype=np.float32)
-        at_or_above = [np.count_nonzero(x >= t) for t in self._thresholds]
-        self._counts -= np.diff([x.size, *at_or_above, 0])
+        self._n += x.size
+        self._at_or_above += [np.count_nonzero(x >= t) for t in self._thresholds]
 
     def table(self) -> BandTable:
-        # Every loss is >= 0 (NaN rejected), so each lands in exactly one band.
-        n = self._counts.sum()
-        mass = tuple(100.0 * c / n for c in self._counts)
-        return BandTable(self.checkpoint_id, self.bounds, mass)
+        return _band_table(self.checkpoint_id, self.bounds, self._n, self._at_or_above)
+
+
+def bands_of_sorted(checkpoint_id: str, ascending: np.ndarray, bounds: Sequence[float]) -> BandTable:
+    """band_masses of ascending float32 losses, one binary search per bound."""
+    bounds = _check_bounds(bounds)
+    x = np.asarray(ascending, dtype=np.float32)
+    at_or_above = x.size - np.searchsorted(x, _float32_thresholds(bounds), side="left")
+    return _band_table(checkpoint_id, bounds, x.size, at_or_above)
 
 
 def band_masses(

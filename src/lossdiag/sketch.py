@@ -16,11 +16,19 @@ additive rank error of at most epsilon * n for any stream shorter than
 same stream is bit-identical. The surviving-half parity alternates per
 level, which cancels most of the realized error in practice.
 
+Levels store values in the dtype they were fed: a float32 stream stays
+float32 and any other input is cast to float64. The cast from float32 is
+exact and keeps order, so both dtypes store and answer the same values;
+only the answers of query() are cast to float64. A level that holds both
+dtypes, as after merging a float32 sketch with a float64 one, is promoted
+to float64 when it is next compacted or queried.
+
 Memory is bounded by capacity * (number of occupied levels) values, i.e.
 independent of n up to the log factor. The bound is the worst case, a full
 buffer on every level: at epsilon = 1e-3 on 1e7 values it is 64,001 values
-on each of 9 levels, about 4.6 MB. A 1e7-value stream fed in 2**20-value
-chunks actually leaves 149,785 values (about 1.2 MB).
+on each of 9 levels, about 2.3 MB in float32 (4.6 MB in float64). A
+1e7-value stream fed in 2**20-value chunks actually leaves 149,785 values
+(about 0.6 MB in float32).
 """
 
 from __future__ import annotations
@@ -35,6 +43,25 @@ from .errors import ValidationError
 # Levels cover streams up to 2**64 items; the capacity rule keeps the error
 # bound valid even if every level compacts as often as possible.
 MAX_LEVELS = 64
+
+# float64_sum casts at most this many values at a time.
+_SUM_BLOCK = 1 << 16
+
+
+def float64_sum(values: np.ndarray) -> np.float64:
+    """``values.astype(np.float64).sum()`` bit for bit, one block at a time.
+
+    numpy sums a float64 array pairwise, splitting n values at n/2 rounded
+    down to a multiple of 8 (Higham, SIAM J. Sci. Comput. 1993). Following
+    that split down to blocks of _SUM_BLOCK values and summing each block
+    as numpy would keeps every partial sum, so a float32 array is summed in
+    float64 without a float64 copy of it.
+    """
+    n = values.size
+    if n <= _SUM_BLOCK:
+        return values.astype(np.float64, copy=False).sum()
+    half = n // 2 - n // 2 % 8
+    return float64_sum(values[:half]) + float64_sum(values[half:])
 
 
 class QuantileSketch:
@@ -55,18 +82,27 @@ class QuantileSketch:
         self._parity: list[int] = [0]
 
     def extend(self, values) -> None:
-        """Ingest a chunk of values (any array-like; +inf allowed, NaN not)."""
-        arr = np.asarray(values, dtype=np.float64).ravel()
+        """Ingest a chunk of values (any array-like; +inf allowed, NaN not).
+
+        A float32 chunk is kept as float32; anything else is cast to float64.
+        """
+        arr = np.asarray(values)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
+        arr = arr.ravel()
         if arr.size == 0:
             return
         if np.isnan(arr).any():
             raise ValidationError("sketch input contains NaN")
         # Feed at most one capacity's worth at a time so level 0 never grows
-        # past 2 * capacity regardless of the chunk size handed to us.
+        # past 2 * capacity regardless of the chunk size handed to us. A full
+        # slice is compacted (copied) at once; a shorter one may wait at
+        # level 0, so it is copied in case the caller reuses its array.
         for off in range(0, arr.size, self._cap):
-            self._push(0, arr[off : off + self._cap])
+            part = arr[off : off + self._cap]
+            self._push(0, part if part.size == self._cap else part.copy())
         self.count += int(arr.size)
-        self.total += float(arr.sum())
+        self.total += float(float64_sum(arr))
 
     def _push(self, level: int, arr: np.ndarray) -> None:
         while level >= len(self._levels):
@@ -121,13 +157,14 @@ class QuantileSketch:
         # The weights sum to count, so a target in [0, count] always lands
         # on a stored value; one below the first weight lands on the first.
         idx = np.searchsorted(cum, ks * self.count / 100.0, side="left")
-        out = vals[order[idx]]
+        out = vals[order[idx]].astype(np.float64)
         return float(out) if out.ndim == 0 else out
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Combine two sketches; inputs are left untouched.
 
-        The result carries the tighter epsilon of the two. Merging is
+        The result carries the tighter epsilon of the two. Levels of a float32
+        and a float64 sketch are combined in float64. Merging is
         commutative and associative in its guarantee (the worst-case error
         bound holds for any merge order), not in exact output bits.
         """

@@ -2,14 +2,16 @@
 
 import json
 import os
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lossdiag import (
     DEFAULT_BAND_BOUNDS,
     DEFAULT_KS,
@@ -277,6 +279,33 @@ class TestScan:
             assert summary == summarize_exact(losses)
             assert bands == band_masses(losses)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from((0.0, 0.1, 0.5, 1.5, np.inf))
+            | st.floats(min_value=0.0, max_value=20.0, width=32),
+            min_size=1,
+            max_size=3_000,
+        ),
+        bounds=st.sampled_from((DEFAULT_BAND_BOUNDS, (0.5,), (1e-3, 1.5, 19.0))),
+    )
+    @example(values=[np.inf], bounds=DEFAULT_BAND_BOUNDS)
+    @example(values=[0.5] * 17, bounds=(0.5,))
+    @example(values=[1.0, np.inf, np.inf, 0.0, 0.1], bounds=DEFAULT_BAND_BOUNDS)
+    def test_exact_scan_matches_float64_oracles(self, values, bounds):
+        values = np.float32(values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.bin"
+            write_loss_dump(LossVector("d", values), path)
+            summary, bands = cli._scan(path, "d", values.size, DEFAULT_KS, bounds, "exact")
+        mean, pct = oracles.summary_by_float64_sort(values, DEFAULT_KS)
+        assert summary.mean.hex() == mean.hex()
+        assert [summary.percentiles[k].hex() for k in DEFAULT_KS] == [
+            pct[k].hex() for k in DEFAULT_KS
+        ]
+        counts = oracles.band_counts_by_histogram(values, bounds)
+        assert bands.mass == tuple(100.0 * c / values.size for c in counts)
+
     @pytest.mark.parametrize("mode", ["auto", "sketch"])
     @pytest.mark.parametrize("off", [-1, 1])
     def test_stream_longer_or_shorter_than_count_is_format_error(self, dumps, mode, off):
@@ -534,6 +563,19 @@ class TestCorrelate:
         payload = stderr_payload(err)
         assert payload["error"] == "ValidationError"
         assert f"{metric_file}: not UTF-8 text" in payload["message"]
+
+    def test_crossing_on_demo_manifest_names_family_and_step(self, capsys, demo_dir):
+        # Every trained student of the demo sits at step --steps (2000), so
+        # the "trained" series repeats a step; the error must say where.
+        rc, out, err = run(
+            capsys, "correlate", "--manifest", str(demo_dir / "manifest.yaml"),
+            "--crossing", "--reference", "1.5",
+        )
+        assert rc == 2
+        assert out == ""
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"] == "family 'trained': duplicate step 2000 in series"
 
     def test_crossing_needs_reference(self, capsys, demo_dir):
         rc, _, _ = run(

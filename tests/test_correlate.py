@@ -293,8 +293,8 @@ class TestCrossingStep:
     def test_errors(self):
         with pytest.raises(ValidationError):
             crossing_step([], 1.0)
-        with pytest.raises(ValidationError, match="duplicate"):
-            crossing_step([(1, 0.5), (1, 0.4)], 1.0)
+        with pytest.raises(ValidationError, match="duplicate step 1 in series"):
+            crossing_step([(2, 0.3), (1, 0.5), (1, 0.4)], 1.0)
 
     def test_frozen_training_trajectory(self):
         series = helpers.load_trajectory_fixture(

@@ -19,6 +19,7 @@ from lossdiag import (
     summarize_sorted,
 )
 from lossdiag.render import summary_table
+from lossdiag.sketch import float64_sum
 
 
 def _vector(values):
@@ -111,8 +112,9 @@ class TestExactPercentiles:
         rng = np.random.default_rng(17)
         for _ in range(50):
             vals = _random_losses(rng)
-            ascending = np.sort(vals).astype(np.float64)
-            assert summarize_sorted("v", ascending) == summarize_exact(_vector(vals))
+            want = summarize_exact(_vector(vals))
+            assert summarize_sorted("v", np.sort(vals)) == want
+            assert summarize_sorted("v", np.sort(vals).astype(np.float64)) == want
 
     def test_percentile_validation(self):
         with pytest.raises(ValidationError):
@@ -123,6 +125,28 @@ class TestExactPercentiles:
             summarize_exact(_vector([1.0]), ks=(100,))
         with pytest.raises(ValidationError):
             summarize_exact(_vector([1.0]), ks=(50, 50))
+
+
+class TestFloat64Sum:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 300_000)
+        | st.sampled_from((2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3, 300_000)),
+        seed=st.integers(0, 2**32 - 1),
+        inf_share=st.sampled_from((0.0, 1e-4, 1.0)),
+        dtype=st.sampled_from((np.float32, np.float64)),
+    )
+    @example(size=2**16 + 1, seed=0, inf_share=1e-4, dtype=np.float32)
+    @example(size=2**16 - 1, seed=0, inf_share=0.0, dtype=np.float32)
+    @example(size=299_999, seed=1, inf_share=0.0, dtype=np.float32)
+    def test_bit_equal_to_sum_of_float64_copy(self, size, seed, inf_share, dtype):
+        rng = np.random.default_rng(seed)
+        vals = rng.lognormal(0.0, 2.0, size).astype(np.float32)
+        vals[rng.random(size) < inf_share] = np.inf
+        vals = vals.astype(dtype)
+        got = float64_sum(vals)
+        assert type(got) is np.float64
+        assert got.hex() == vals.astype(np.float64).sum().hex()
 
 
 class TestSummarySet:

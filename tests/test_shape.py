@@ -23,7 +23,7 @@ from lossdiag import (
     summarize_exact,
 )
 from lossdiag import render
-from lossdiag.shape import BandCounter, PercentileProfile
+from lossdiag.shape import BandCounter, PercentileProfile, bands_of_sorted
 
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -234,6 +234,7 @@ class TestBandMasses:
         counts = oracles.band_counts_by_histogram(values, bounds)
         assert counter.table().mass == tuple(100.0 * c / values.size for c in counts)
         assert band_masses(LossVector("c", values), bounds) == counter.table()
+        assert bands_of_sorted("c", np.sort(values), bounds) == counter.table()
 
     def test_bounds_validation(self):
         losses = LossVector("v", [1.0])

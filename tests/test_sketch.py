@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from lossdiag import QuantileSketch, ValidationError, build_sketch
+from lossdiag import DEFAULT_KS, QuantileSketch, ValidationError, build_sketch
 
 
 def _rank_error(sorted_vals, value, k):
@@ -134,6 +134,59 @@ class TestMerge:
     def test_merge_type_check(self):
         with pytest.raises(ValidationError):
             QuantileSketch(1e-2).merge("not a sketch")
+
+
+def _bits(sketch):
+    """Everything a sketch reports, with floats as hex strings."""
+    return (
+        [v.hex() for v in sketch.query(DEFAULT_KS).tolist()],
+        sketch.total.hex(),
+        sketch.count,
+        sketch.memory_values(),
+    )
+
+
+class TestFloat32Storage:
+    """A float32 stream is stored as float32 and answers as its float64 copy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(helpers.loss_streams())
+    @example([np.full(20_000, 2.5, np.float32)])  # constant
+    @example([np.float32([np.inf] * 7 + [0.5] * 6_400)] * 3)  # 6,407: cap is 6,401
+    @example(np.array_split(np.float32([0.5, 1.0, 1.0, np.inf] * 4_000), 7))
+    def test_float32_and_float64_feeds_are_bit_equal(self, chunks):
+        narrow = [np.asarray(c, np.float32) for c in chunks]
+        wide = [c.astype(np.float64) for c in narrow]
+        a, b = build_sketch(narrow, 1e-2), build_sketch(wide, 1e-2)
+        assert _bits(a) == _bits(b)
+        assert {arr.dtype for level in a._levels for arr in level} <= {np.dtype(np.float32)}
+        assert a.query(DEFAULT_KS).dtype == np.float64
+        assert type(a.query(50)) is float
+
+    @settings(max_examples=30, deadline=None)
+    @given(helpers.loss_streams(), helpers.loss_streams())
+    def test_mixed_merge_equals_float64_merge(self, left, right):
+        narrow = [np.asarray(c, np.float32) for c in left]
+        wide = [c.astype(np.float64) for c in narrow]
+        other = build_sketch([np.asarray(c, np.float64) for c in right], 1e-2)
+        mixed = build_sketch(narrow, 1e-2).merge(other)
+        assert _bits(mixed) == _bits(build_sketch(wide, 1e-2).merge(other))
+        assert _bits(other.merge(build_sketch(narrow, 1e-2))) == _bits(
+            other.merge(build_sketch(wide, 1e-2))
+        )
+        assert mixed.query(DEFAULT_KS).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_chunk_buffer_does_not_change_the_sketch(self, dtype):
+        # 1,000-value chunks never fill level 0 (capacity 6,401) alone, so
+        # each waits there after extend() returns while the buffer is reused.
+        rng = np.random.default_rng(9)
+        chunks = [rng.lognormal(0.0, 1.0, 1_000).astype(dtype) for _ in range(20)]
+        reused, buf = QuantileSketch(1e-2), np.empty(1_000, dtype)
+        for chunk in chunks:
+            buf[:] = chunk
+            reused.extend(buf)
+        assert _bits(reused) == _bits(build_sketch(chunks, 1e-2))
 
 
 class TestMemory:
