@@ -25,27 +25,6 @@ from .correlate import (
     select,
     spearman,
 )
-from .distill import (
-    DoseResponseRow,
-    DoseResult,
-    LabConfig,
-    TabularLM,
-    chain_fidelity,
-    converged_student,
-    distill_student,
-    dose_response,
-    fit_teacher,
-    kl,
-    kl_grad_logits,
-    log_softmax,
-    next_token_accuracy,
-    per_token_ce,
-    softmax,
-    synth_corpus,
-    topk_renormalize,
-    true_chain,
-    zipf_weights,
-)
 from .errors import (
     BadMagicError,
     CountMismatchError,
@@ -95,6 +74,25 @@ from .store import (
 
 __version__ = "0.1.0"
 
+# The distillation lab is imported on first use (PEP 562): only distill-demo
+# and the lab's own callers need it, and it is the slowest module to import.
+_DISTILL_NAMES = (
+    "TabularLM", "LabConfig", "DoseResponseRow", "DoseResult",
+    "synth_corpus", "true_chain", "zipf_weights", "fit_teacher", "softmax",
+    "log_softmax", "topk_renormalize", "kl", "kl_grad_logits",
+    "distill_student", "converged_student",
+    "per_token_ce", "next_token_accuracy", "chain_fidelity", "dose_response",
+)
+
+
+def __getattr__(name):
+    if name in _DISTILL_NAMES:
+        from importlib import import_module
+
+        return getattr(import_module(".distill", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "__version__",
     # store
@@ -117,11 +115,7 @@ __all__ = [
     "SelectionRule", "SelectionTable", "select", "default_rules",
     "normalize_series", "crossing_step", "passk_ci",
     # distill
-    "TabularLM", "LabConfig", "DoseResponseRow", "DoseResult",
-    "synth_corpus", "true_chain", "zipf_weights", "fit_teacher", "softmax",
-    "log_softmax", "topk_renormalize", "kl", "kl_grad_logits",
-    "distill_student", "converged_student",
-    "per_token_ce", "next_token_accuracy", "chain_fidelity", "dose_response",
+    *_DISTILL_NAMES,
     # errors
     "LossDiagError", "UsageError", "ValidationError", "StoreFormatError",
     "BadMagicError", "TruncatedDumpError", "CountMismatchError",

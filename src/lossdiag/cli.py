@@ -33,14 +33,6 @@ import numpy as np
 from . import render
 from .concordance import concordance
 from .correlate import MetricSeries, crossing_step, default_rules, percentile_sweep, select
-from .distill import (
-    LabConfig,
-    chain_fidelity,
-    dose_response,
-    next_token_accuracy,
-    per_token_ce,
-    true_chain,
-)
 from .errors import DivergenceError, StoreFormatError, UsageError, ValidationError
 from .quantiles import (
     DEFAULT_KS,
@@ -369,21 +361,29 @@ def _parse_k_list(text: str) -> tuple:
     return tuple(ks)
 
 
+# distill-demo's flags that set a LabConfig field, with the field's name and
+# type; an unset flag keeps the field's default.
+_LAB_FLAGS = (
+    ("--vocab", "vocab", int), ("--zipf", "zipf_exponent", float),
+    ("--length", "length", int), ("--alpha", "alpha", float),
+    ("--steps", "steps", int), ("--lr", "learning_rate", float),
+    ("--seed", "seed", int), ("--concentration", "concentration", float),
+    ("--eval-length", "eval_length", int), ("--epsilon-q", "epsilon_q", float),
+)
+
+
 def _cmd_distill_demo(args) -> None:
-    config = LabConfig(
-        vocab=args.vocab,
-        zipf_exponent=args.zipf,
-        length=args.length,
-        alpha=args.alpha,
-        ks=_parse_k_list(args.k),
-        steps=args.steps,
-        learning_rate=args.lr,
-        concentration=args.concentration,
-        eval_length=args.eval_length,
-        epsilon_q=args.epsilon_q,
-        seed=args.seed,
-    )
-    result = dose_response(config)
+    # Imported here, and its names read at call time: only this subcommand
+    # needs the lab, and a tracer may have replaced them.
+    from . import distill
+
+    given = {
+        field: getattr(args, field)
+        for _, field, _ in _LAB_FLAGS
+        if getattr(args, field) is not None
+    }
+    config = distill.LabConfig(ks=_parse_k_list(args.k), **given)
+    result = distill.dose_response(config)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -402,13 +402,13 @@ def _cmd_distill_demo(args) -> None:
     dump_dir = out.parent / "dumps"
     dump_dir.mkdir(parents=True, exist_ok=True)
     eval_stream = result.eval_stream
-    _, truth = true_chain(
+    _, truth = distill.true_chain(
         config.seed, config.vocab, config.zipf_exponent, config.concentration
     )
     checkpoints = []
 
     def add(checkpoint_id, family, step, objective, model):
-        ce = per_token_ce(model, eval_stream).astype(np.float32)
+        ce = distill.per_token_ce(model, eval_stream).astype(np.float32)
         path = (dump_dir / f"{checkpoint_id}.bin").resolve()
         write_loss_dump(LossVector(checkpoint_id, ce), path)
         checkpoints.append(
@@ -419,8 +419,8 @@ def _cmd_distill_demo(args) -> None:
                 objective=objective,
                 loss_path=path,
                 metrics={
-                    "accuracy": next_token_accuracy(model, eval_stream),
-                    "fidelity": chain_fidelity(model, truth),
+                    "accuracy": distill.next_token_accuracy(model, eval_stream),
+                    "fidelity": distill.chain_fidelity(model, truth),
                 },
             )
         )
@@ -612,20 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_correlate)
 
-    lab = LabConfig()
     p = sub.add_parser("distill-demo", help="synthetic top-K distillation lab")
-    p.add_argument("--vocab", type=int, default=lab.vocab)
-    p.add_argument("--zipf", type=float, default=lab.zipf_exponent)
-    p.add_argument("--length", type=int, default=lab.length)
-    p.add_argument("--alpha", type=float, default=lab.alpha)
+    for flag, field, kind in _LAB_FLAGS:
+        p.add_argument(flag, dest=field, type=kind, help=f"default: LabConfig.{field}")
     p.add_argument("--k", default="2,4,8,16,full",
                    help="comma-separated truncation levels; include full")
-    p.add_argument("--steps", type=int, default=lab.steps)
-    p.add_argument("--lr", type=float, default=lab.learning_rate)
-    p.add_argument("--seed", type=int, default=lab.seed)
-    p.add_argument("--concentration", type=float, default=lab.concentration)
-    p.add_argument("--eval-length", type=int, default=lab.eval_length)
-    p.add_argument("--epsilon-q", type=float, default=lab.epsilon_q)
     p.add_argument("--out", required=True, help="dose-response CSV path")
     p.add_argument("--precision", type=int, default=render.DEFAULT_PRECISION)
     p.set_defaults(func=_cmd_distill_demo)

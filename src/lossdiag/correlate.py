@@ -108,7 +108,9 @@ def percentile_sweep(
     """Correlate the metric against mean CE and against each percentile.
 
     One row per summary, "mean" first, then ascending k. All checkpoints in
-    ``table`` must carry every requested percentile and a metric value.
+    ``table`` must carry every requested percentile and a metric value. A
+    column pearson or spearman refuses raises the same error type, its
+    message prefixed with the summary and the metric name.
     """
     ids = sorted(table)
     if len(ids) < 3:
@@ -119,11 +121,12 @@ def percentile_sweep(
     ks = tuple(int(k) for k in ks)
     y = metric.aligned(ids)
     rows = []
-    means = np.array([table[cid].mean for cid in ids])
-    rows.append(SweepRow("mean", pearson(means, y), spearman(means, y)))
-    for k in ks:
-        xs = np.array([table[cid].value(f"p{k}") for cid in ids])
-        rows.append(SweepRow(f"p{k}", pearson(xs, y), spearman(xs, y)))
+    for name in ("mean", *(f"p{k}" for k in ks)):
+        xs = [table[cid].value(name) for cid in ids]
+        try:
+            rows.append(SweepRow(name, pearson(xs, y), spearman(xs, y)))
+        except ValidationError as exc:  # name the column and the metric
+            raise type(exc)(f"sweep of {name} against {metric.name!r}: {exc}") from exc
     return rows
 
 

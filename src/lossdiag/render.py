@@ -10,45 +10,69 @@ thousands separators.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from .concordance import ConcordanceReport
 from .correlate import SelectionTable, SweepRow
-from .distill import DoseResponseRow
 from .errors import ValidationError
 from .quantiles import SummarySet
 from .shape import BandTable, PercentileProfile, profile_distance
 
+if TYPE_CHECKING:  # the distillation lab is imported only when distill-demo runs
+    from .distill import DoseResponseRow
+
 DEFAULT_PRECISION = 6
+
+
+def _format_floats(values, precision: int) -> list[str]:
+    """Each value with ``precision`` significant digits; inf stays 'inf'.
+
+    The one float format of every output: NaN is refused and -0.0 shows as
+    0 (adding +0.0 turns -0.0 into 0.0 and leaves every other value as is).
+    All values go through one '%' operation; '%.{p}g' % v is format(v, '.{p}g').
+    """
+    if precision < 1:
+        raise ValidationError("precision must be >= 1")
+    values = tuple([float(v) + 0.0 for v in values])
+    if any(map(math.isnan, values)):
+        raise ValidationError("refusing to render NaN")
+    return (",".join([f"%.{precision}g"] * len(values)) % values).split(",")
 
 
 def fmt(value: float, precision: int = DEFAULT_PRECISION) -> str:
     """Format one float with `precision` significant digits; inf stays 'inf'."""
-    if precision < 1:
-        raise ValidationError("precision must be >= 1")
-    if math.isnan(value):
-        raise ValidationError("refusing to render NaN")
-    if value == 0.0:  # normalize -0.0
-        value = 0.0
-    return format(value, f".{precision}g")
+    return _format_floats((value,), precision)[0]
 
 
-def _cell(value, precision: int) -> str:
-    if isinstance(value, bool):
-        raise ValidationError(f"cannot render {value!r}")
-    if isinstance(value, str):
-        if "," in value or '"' in value or "\n" in value:
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    # Numbers render as digits, sign, '.', 'e' or 'inf': never quoted.
-    if isinstance(value, int):
-        return str(value)
-    return fmt(float(value), precision)
+def _csv_line(row, precision: int) -> str:
+    """One CSV line; the row's float cells are checked and formatted together."""
+    cells: list = []
+    floats: list = []
+    for value in row:
+        if type(value) is float:  # the common cell, tested first
+            cells.append(None)
+            floats.append(value)
+        elif isinstance(value, str):
+            if "," in value or '"' in value or "\n" in value:
+                value = '"' + value.replace('"', '""') + '"'
+            cells.append(value)
+        elif isinstance(value, bool):
+            raise ValidationError(f"cannot render {value!r}")
+        elif isinstance(value, int):  # digits and sign: never quoted
+            cells.append(str(value))
+        else:
+            cells.append(None)
+            floats.append(value)
+    if floats:
+        texts = iter(_format_floats(floats, precision))
+        cells = [next(texts) if cell is None else cell for cell in cells]
+    return ",".join(cells)
 
 
 def csv_table(
     header: Sequence[str],
-    rows: Sequence[Sequence],
+    rows: Iterable[Sequence],
     precision: int = DEFAULT_PRECISION,
 ) -> str:
     """Render a CSV string with a trailing newline and \\n line endings."""
@@ -58,7 +82,7 @@ def csv_table(
             raise ValidationError(
                 f"row has {len(row)} cells, header has {len(header)}"
             )
-        lines.append(",".join(_cell(v, precision) for v in row))
+        lines.append(_csv_line(row, precision))
     return "\n".join(lines) + "\n"
 
 
@@ -145,8 +169,8 @@ def distance_table(
         raise ValidationError("no profiles to render")
     ids = [p.checkpoint_id for p in profiles]
     header = ["checkpoint_id", *ids]
-    matrix = profile_distance(profiles, profiles).tolist()
-    rows = [[cid, *dists] for cid, dists in zip(ids, matrix)]
+    matrix = profile_distance(profiles, profiles)
+    rows = ([cid, *dists.tolist()] for cid, dists in zip(ids, matrix))
     return csv_table(header, rows, precision)
 
 

@@ -41,8 +41,10 @@ class PercentileProfile:
 def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID) -> PercentileProfile:
     """Standardize a summary's percentiles; needs p25/p50/p75 on the grid.
 
-    Raises DegenerateInputError when the IQR is zero (a constant-loss
-    checkpoint has no shape to standardize; never silently returns NaN).
+    Raises DegenerateInputError, naming the quartiles, when the IQR is zero
+    or infinite (a constant-loss checkpoint has no shape to standardize, and
+    neither has one with +inf on a quarter of its tokens); never silently
+    returns NaN.
     """
     grid = tuple(int(k) for k in grid)
     for needed in (25, 50, 75):
@@ -58,8 +60,11 @@ def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID)
     p75 = summary.percentiles[75]
     iqr = p75 - p25
     if not iqr > 0 or not math.isfinite(iqr):
+        # Name the quartiles: with both at +inf, p75 - p25 is nan.
+        quartiles = f"p25 = p75 = {p25}" if p25 == p75 else f"p25 = {p25}, p75 = {p75}"
         raise DegenerateInputError(
-            f"{summary.checkpoint_id}: IQR is {iqr}; profile undefined"
+            f"{summary.checkpoint_id}: {quartiles}, no finite positive IQR; "
+            "profile undefined"
         )
     values = {k: (summary.percentiles[k] - p50) / iqr for k in grid}
     # Pin the anchors so the defining identities hold bitwise: the formula

@@ -11,9 +11,20 @@ truncated-support student assigns zero mass to some tokens). NaN and
 negative values are rejected on construction, as are values too large for
 float32, so writes and reads share one validation choke point.
 
-A text fallback is accepted on read: one decimal loss per line, no header.
-Files that begin with b"CELOSSv" followed by any other version byte are
-rejected as bad magic rather than parsed as text.
+A text fallback is accepted on read: one decimal loss per line, no header;
+each non-blank line, stripped, must be something float() reads. Files that
+begin with b"CELOSSv" followed by any other version byte are rejected as
+bad magic rather than parsed as text.
+
+Each reader opens a dump once and tells binary from text by its first
+bytes. A text dump is read in blocks of whole lines. A block whose lines
+are all plain tokens (no whitespace, no blank line, only the bytes of
+decimal numbers, "inf" and "nan") is counted by its newlines and parsed
+by one numpy call that reads each line with float(), so both give what a
+loop over the stripped lines gives. At any other block the dump goes back
+to its first byte and through that per-line loop, which skips blank lines
+and names the first line float() refuses; counts, values and error
+messages are the same either way.
 
 Readers are safe to use from multiple threads on distinct files; the
 returned containers are immutable (the numpy buffers are marked read-only).
@@ -23,11 +34,12 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 import yaml
@@ -49,6 +61,19 @@ VALUE_BYTES = 4
 # Streaming readers buffer this many values at a time; memory use is
 # independent of the dump size.
 DEFAULT_CHUNK = 1 << 20
+
+# Text dumps are read in blocks of whole lines of about this many bytes.
+_TEXT_BLOCK = 1 << 16
+# A text-mode file decodes this many bytes at a time (CPython's
+# TextIOWrapper), so a bad byte anywhere in them fails the first line read.
+_DECODE_STEP = 8192
+
+# The bytes of a decimal loss as float() reads it with nothing to strip:
+# digits, '.', exponent and sign characters and the letters of "inf",
+# "infinity" and "nan". A block of such lines, none empty, holds one token
+# per line; any other byte (whitespace, CR, '#', '_', non-ASCII) or an
+# empty line sends the dump through the per-line loop.
+_NUMERIC = b"0123456789.eE+-infinityan\n"
 
 # libyaml's parser when PyYAML was built with it: the same documents as
 # SafeLoader (scalars resolve in the same Python code), several times
@@ -114,8 +139,8 @@ def write_loss_dump(vector: LossVector, path: str | Path) -> None:
         fh.write(arr.tobytes())
 
 
-def _read_header(fh, path: Path) -> int:
-    head = fh.read(HEADER_BYTES)
+def _header_count(head: bytes, path: Path) -> int:
+    """The value count a binary dump's first HEADER_BYTES declare."""
     if len(head) < HEADER_BYTES or head[:8] != MAGIC:
         raise BadMagicError(f"{path}: bad or truncated magic {head[:8]!r}")
     (count,) = struct.unpack("<Q", head[8:])
@@ -124,75 +149,176 @@ def _read_header(fh, path: Path) -> int:
     return count
 
 
-def _looks_binary(path: Path) -> bool:
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC_PREFIX))
-    return head[: len(MAGIC_PREFIX)] == MAGIC_PREFIX
-
-
-def _iter_binary(path: Path, chunk: int) -> Iterator[np.ndarray]:
-    """Payload blocks of ``chunk`` values."""
-    with open(path, "rb") as fh:
-        count = _read_header(fh, path)
-        seen = 0
-        while seen < count:
-            want = min(chunk, count - seen)
-            block = np.fromfile(fh, dtype="<f4", count=want)
-            if block.size < want:
-                raise TruncatedDumpError(
-                    f"{path}: payload ends after {seen + block.size} of {count} values"
-                )
-            block = _checked_losses(block, str(path), seen)
-            seen += block.size
-            yield block
-        if fh.read(1):
-            raise CountMismatchError(
-                f"{path}: payload continues past the declared count {count}"
+def _iter_binary(fh, path: Path, count: int, chunk: int) -> Iterator[np.ndarray]:
+    """Payload blocks of ``chunk`` values; ``fh`` is just past the header."""
+    seen = 0
+    while seen < count:
+        want = min(chunk, count - seen)
+        block = np.fromfile(fh, dtype="<f4", count=want)
+        if block.size < want:
+            raise TruncatedDumpError(
+                f"{path}: payload ends after {seen + block.size} of {count} values"
             )
+        block = _checked_losses(block, str(path), seen)
+        seen += block.size
+        yield block
+    if fh.read(1):
+        raise CountMismatchError(
+            f"{path}: payload continues past the declared count {count}"
+        )
 
 
-@contextmanager
-def _open_text(path: Path) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text; undecodable bytes are a format error."""
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The rest of ``fh`` in blocks of whole lines, about _TEXT_BLOCK bytes each.
+
+    Only the last block may lack its final newline, so an empty line is
+    either a block's first byte or a b"\\n\\n" inside one block.
+    """
+    pieces: list[bytes] = []
+    while data := fh.read(_TEXT_BLOCK):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            pieces.append(data[:cut])
+            yield b"".join(pieces)
+            pieces = [data[cut:]]
+        else:  # a line longer than a block
+            pieces.append(data)
+    tail = b"".join(pieces)
+    if tail:
+        yield tail
+
+
+def _plain_lines(block: bytes) -> int | None:
+    """Lines of ``block`` if each is a non-empty run of _NUMERIC bytes, else None."""
+    if block.translate(None, _NUMERIC):
+        return None
+    newline = np.frombuffer(block, np.uint8) == ord("\n")
+    if newline[0] or (newline[1:] & newline[:-1]).any():
+        return None  # an empty line
+    return int(np.count_nonzero(newline)) + (not newline[-1])
+
+
+def _text_lines(fh, path: Path) -> Iterator[str]:
+    """The lines of ``fh`` from its first byte, decoded as ``open(path, "r")`` would.
+
+    A fresh buffer over the raw handle reads in the same steps as a text
+    open, so a UnicodeDecodeError names the same position.
+    """
+    fh.seek(0)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+        yield from io.TextIOWrapper(io.BufferedReader(fh), encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise StoreFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _iter_text(path: Path, chunk: int) -> Iterator[np.ndarray]:
-    with _open_text(path) as fh:
-        buf: list[float] = []
+def _parse_lines(fh, path: Path, chunk: int) -> Iterator[list[float]]:
+    """The per-line loop: float() of each non-blank stripped line, ``chunk`` at a time."""
+    buf: list[float] = []
+    for lineno, line in enumerate(_text_lines(fh, path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            buf.append(float(line))
+        except ValueError:
+            raise StoreFormatError(f"{path}:{lineno}: not a decimal loss: {line!r}")
+        if len(buf) >= chunk:
+            yield buf
+            buf = []
+    if buf:
+        yield buf
+
+
+def _text_values(fh, path: Path, chunk: int) -> Iterator[np.ndarray]:
+    """A text dump's values as float64 arrays of any size, as the per-line loop reads them.
+
+    A plain block is split on its newlines and converted in one numpy call,
+    which reads each bytes token with float(). At the first other block the
+    per-line loop restarts from the first byte, so every error keeps its
+    text, line number and order, and the values already passed on are
+    skipped. The per-line loop decodes _DECODE_STEP bytes ahead of the line
+    it reads, so a block's values are passed on only once the blocks after
+    it are known to hold no undecodable byte in that reach.
+    """
+    passed = read = 0
+    held: deque[tuple[np.ndarray, int]] = deque()  # values, read position that frees them
+    for block in _line_blocks(fh):
+        if _plain_lines(block) is None:
+            break
+        try:
+            values = np.array(block.split(), dtype=np.float64)
+        except ValueError:  # "1e", "in" and the like
+            break
+        read += len(block)
+        held.append((values, -(-read // _DECODE_STEP) * _DECODE_STEP))
+        while held and held[0][1] <= read:
+            values = held.popleft()[0]
+            passed += values.size
+            yield values
+    else:
+        for values, _ in held:
+            yield values
+        return
+    for buf in _parse_lines(fh, path, chunk):
+        if passed < len(buf):
+            yield np.array(buf[passed:], dtype=np.float64)
+        passed = max(passed - len(buf), 0)
+
+
+def _rechunk(arrays: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
+    """The values of ``arrays`` regrouped ``chunk`` at a time; the last group may be short."""
+    held: list[np.ndarray] = []
+    size = 0
+    for values in arrays:
+        held.append(values)
+        size += values.size
+        if size >= chunk:
+            joined = np.concatenate(held)
+            full = size - size % chunk
+            for start in range(0, full, chunk):
+                yield joined[start:start + chunk]
+            held, size = [joined[full:]], size - full
+    if size:
+        yield np.concatenate(held)
+
+
+def _count_text(fh, path: Path) -> int:
+    """Non-blank lines of a text dump: newlines of plain blocks, else the per-line loop."""
+    count = 0
+    for block in _line_blocks(fh):
+        lines = _plain_lines(block)
+        if lines is None:
+            return sum(1 for line in _text_lines(fh, path) if line.strip())
+        count += lines
+    return count
+
+
+def _iter_dump(fh, path: Path, chunk: int) -> Iterator[np.ndarray]:
+    """The chunks of the open dump ``fh``, binary or text by its first bytes."""
+    with fh:
+        head = fh.read(HEADER_BYTES)
+        if head.startswith(MAGIC_PREFIX):
+            yield from _iter_binary(fh, path, _header_count(head, path), chunk)
+            return
+        fh.seek(0)
         seen = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                buf.append(float(line))
-            except ValueError:
-                raise StoreFormatError(f"{path}:{lineno}: not a decimal loss: {line!r}")
-            if len(buf) >= chunk:
-                yield _checked_losses(buf, str(path), seen)
-                seen += len(buf)
-                buf = []
-        if buf:
-            yield _checked_losses(buf, str(path), seen)
+        for values in _rechunk(_text_values(fh, path, chunk), chunk):
+            yield _checked_losses(values, str(path), seen)
+            seen += values.size
 
 
 def iter_loss_chunks(path: str | Path, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
     """Stream a dump as float32 chunks of at most ``chunk`` values.
 
     Works for both the binary format and the text fallback. This is the
-    fixed-buffer path: peak memory does not depend on the dump size.
+    fixed-buffer path: peak memory does not depend on the dump size. The
+    dump is opened here, so a missing file raises before any chunk is read,
+    and the stream closes it when it ends, fails or is closed.
     """
     path = Path(path)
     if chunk < 1:
         raise ValidationError("chunk size must be >= 1")
-    if _looks_binary(path):
-        return _iter_binary(path, chunk)
-    return _iter_text(path, chunk)
+    return _iter_dump(open(path, "rb", buffering=0), path, chunk)
 
 
 def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVector:
@@ -210,26 +336,28 @@ def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVe
 
 
 def peek_dump_count(path: str | Path) -> int:
-    """Value count of a dump without reading the payload (binary: header only)."""
+    """Value count of a dump without parsing it.
+
+    A binary dump's header is checked against the file size; a text dump's
+    non-blank lines are counted.
+    """
     path = Path(path)
-    if _looks_binary(path):
-        with open(path, "rb") as fh:
-            count = _read_header(fh, path)
-        payload = path.stat().st_size - HEADER_BYTES
-        if payload < count * VALUE_BYTES:
-            raise TruncatedDumpError(
-                f"{path}: payload holds {payload // VALUE_BYTES} of {count} values"
-            )
-        if payload > count * VALUE_BYTES:
-            raise CountMismatchError(
-                f"{path}: payload continues past the declared count {count}"
-            )
-        return count
-    count = 0
-    with _open_text(path) as fh:
-        for line in fh:
-            if line.strip():
-                count += 1
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(HEADER_BYTES)
+        if head.startswith(MAGIC_PREFIX):
+            count = _header_count(head, path)
+            payload = os.fstat(fh.fileno()).st_size - HEADER_BYTES
+            if payload < count * VALUE_BYTES:
+                raise TruncatedDumpError(
+                    f"{path}: payload holds {payload // VALUE_BYTES} of {count} values"
+                )
+            if payload > count * VALUE_BYTES:
+                raise CountMismatchError(
+                    f"{path}: payload continues past the declared count {count}"
+                )
+            return count
+        fh.seek(0)
+        count = _count_text(fh, path)
     if count == 0:
         raise StoreFormatError(f"{path}: empty text dump")
     return count

@@ -9,8 +9,10 @@ package's earlier, slower code (np.searchsorted per token, one process
 checking every GD step), which the faster code must match bit for bit; so
 are the sketch references (one full sort per percentile, a Python sum
 per chunk), the profile-distance reference (np.linalg.norm per pair) and
-the CSV-cell reference (every cell scanned for quote characters). The
-distillation objective is a per-row loop over the public helpers.
+the CSV-cell reference (every cell scanned for quote characters, every
+float formatted on its own) and the text-dump references (the file read
+as text, float() per line). The distillation objective is a per-row loop
+over the public helpers.
 """
 
 import math
@@ -20,8 +22,8 @@ import mpmath
 import numpy as np
 
 from lossdiag.distill import DEFAULT_CONCENTRATION, kl, topk_renormalize, true_chain
-from lossdiag.errors import DivergenceError, ValidationError
-from lossdiag.render import fmt
+from lossdiag.errors import DivergenceError, StoreFormatError, ValidationError
+from lossdiag.store import _checked_losses
 
 
 def percentile_of_sorted_list(data, k):
@@ -259,7 +261,57 @@ def cell_by_char_scan(value, precision):
     elif isinstance(value, (int,)):
         text = str(value)
     else:
-        text = fmt(float(value), precision)
+        text = float_by_format(float(value), precision)
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
     return text
+
+
+def float_by_format(value, precision):
+    """One float cell as the package first rendered it: one format() call."""
+    if precision < 1:
+        raise ValidationError("precision must be >= 1")
+    if math.isnan(value):
+        raise ValidationError("refusing to render NaN")
+    if value == 0.0:  # normalize -0.0
+        value = 0.0
+    return format(value, f".{precision}g")
+
+
+def _text_lines(path):
+    """The lines of a text dump, opened as UTF-8 text; yields from the open file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise StoreFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def text_chunks_by_lines(path, chunk):
+    """A text dump's float32 chunks as the package first read them: float()
+    of each stripped non-blank line, ``chunk`` values at a time, each chunk
+    validated by the store's own checker."""
+    chunks, buf, seen = [], [], 0
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            buf.append(float(line))
+        except ValueError:
+            raise StoreFormatError(f"{path}:{lineno}: not a decimal loss: {line!r}")
+        if len(buf) >= chunk:
+            chunks.append(_checked_losses(buf, str(path), seen))
+            seen += len(buf)
+            buf = []
+    if buf:
+        chunks.append(_checked_losses(buf, str(path), seen))
+    return chunks
+
+
+def text_count_by_lines(path):
+    """Non-blank lines of a text dump, counted on the decoded text."""
+    count = sum(1 for line in _text_lines(path) if line.strip())
+    if count == 0:
+        raise StoreFormatError(f"{path}: empty text dump")
+    return count

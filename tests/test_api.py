@@ -10,6 +10,9 @@ fails here rather than in every traced benchmark run.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lossdiag
@@ -49,6 +52,20 @@ def _demo_imports():
 
 def test_every_exported_name_resolves():
     assert [n for n in lossdiag.__all__ if not hasattr(lossdiag, n)] == []
+
+
+def test_cli_imports_without_the_distillation_lab():
+    # The lab loads on first use of one of its names, for the package too.
+    code = (
+        "import sys, lossdiag.cli\n"
+        "assert 'lossdiag.distill' not in sys.modules, 'imported by lossdiag.cli'\n"
+        "import lossdiag\n"
+        "assert lossdiag.dose_response is sys.modules['lossdiag.distill'].dose_response\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_demo_import_resolves():

@@ -22,6 +22,7 @@ from lossdiag import (
     MetricSeries,
     StoreFormatError,
     SummarySet,
+    ValidationError,
     band_masses,
     dump_manifest,
     load_manifest,
@@ -341,6 +342,29 @@ class TestDistillDemo:
         assert outputs["3"] == outputs["1"]
 
 
+    def test_defaults_come_from_lab_config_when_the_command_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The lab's names are read at call time, so a patched
+        # distill.dose_response is the one called.
+        from lossdiag import distill
+
+        seen = []
+
+        def stop(config):
+            seen.append(config)
+            raise ValidationError("stop")
+
+        monkeypatch.setattr(distill, "dose_response", stop)
+        out = str(tmp_path / "dose.csv")
+        assert run(capsys, "distill-demo", "--out", out)[0] == 2
+        assert run(capsys, "distill-demo", "--out", out, "--vocab", "32", "--lr", "2")[0] == 2
+        assert seen == [
+            distill.LabConfig(),
+            distill.LabConfig(vocab=32, learning_rate=2.0),
+        ]
+
+
 class TestConcord:
     def test_families_with_pairs_only(self, capsys, demo_dir):
         rc, out, _ = run(capsys, "concord", "--manifest", str(demo_dir / "manifest.yaml"))
@@ -583,6 +607,29 @@ class TestCorrelate:
             "--crossing",
         )
         assert rc == 1
+
+
+    def test_sweep_refusal_names_the_summary_and_metric(self, capsys, tmp_path):
+        # Every checkpoint has +inf mean CE: the mean column has no Pearson r.
+        rng = np.random.default_rng(11)
+        checkpoints = []
+        for i in range(4):
+            values = rng.uniform(0.1, 2.0 + i, 200)
+            values[::10] = np.inf
+            path = tmp_path / f"c{i}.bin"
+            write_loss_dump(LossVector(f"c{i}", values), path)
+            checkpoints.append(CheckpointMeta(
+                checkpoint_id=f"c{i}", family="trunc", step=i, objective="topk-kl",
+                loss_path=path, metrics={"judge": 1.0 + i}))
+        manifest = tmp_path / "manifest.yaml"
+        dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), manifest)
+        rc, _, err = run(
+            capsys, "correlate", "--manifest", str(manifest), "--sweep", "--metric", "judge",
+        )
+        assert rc == 2
+        assert stderr_payload(err)["message"] == (
+            "sweep of mean against 'judge': first vector contains non-finite values"
+        )
 
 
 def _judged_workspace(tmp_path, judge_scores):

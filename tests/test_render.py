@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 
@@ -105,6 +106,40 @@ class TestCsvTable:
             ",".join(oracles.cell_by_char_scan(v, precision) for v in row) for row in rows
         ]
         assert csv_table(["a", "b", "c"], rows, precision) == "\n".join(want) + "\n"
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        matrix=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 40)),
+            elements=st.one_of(
+                st.floats(allow_nan=False),
+                st.sampled_from((math.inf, -math.inf, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308)),
+            ),
+        ),
+        precision=st.integers(1, 17),
+        nan_at=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 39)),
+    )
+    def test_matrix_rows_equal_per_cell_format(self, matrix, precision, nan_at):
+        # A row's floats are formatted together; each must read as format()
+        # alone would print it, and one NaN anywhere refuses the row.
+        n_rows, n_cols = matrix.shape
+        header = ["id", *(f"c{j}" for j in range(n_cols))]
+        if nan_at is not None:
+            matrix[nan_at[0] % n_rows, nan_at[1] % n_cols] = math.nan
+        as_floats = [[f"r{i}", *row.tolist()] for i, row in enumerate(matrix)]
+        as_scalars = [[f"r{i}", *row] for i, row in enumerate(matrix)]
+        for rows in (as_floats, as_scalars):
+            if nan_at is not None:
+                with pytest.raises(ValidationError, match="refusing to render NaN"):
+                    csv_table(header, rows, precision)
+                continue
+            want = [",".join(header)] + [
+                ",".join([row[0], *(oracles.float_by_format(float(v), precision) for v in row[1:])])
+                for row in rows
+            ]
+            assert csv_table(header, iter(rows), precision) == "\n".join(want) + "\n"
 
 
 class TestSummaryTable:

@@ -76,6 +76,17 @@ class TestStandardize:
         with pytest.raises(DegenerateInputError, match="flat"):
             standardize_profile(flat)
 
+    def test_inf_quartiles_are_named(self):
+        # With p25 = p75 = +inf the IQR is inf - inf; the message names the
+        # quartiles rather than printing that nan.
+        values = {k: (1.0 if k < 25 else math.inf) for k in PROFILE_GRID}
+        with pytest.raises(DegenerateInputError, match="p25 = p75 = inf") as info:
+            standardize_profile(_summary("trunc", values))
+        assert "nan" not in str(info.value)
+        values = {k: (0.5 if k <= 25 else math.inf) for k in PROFILE_GRID}
+        with pytest.raises(DegenerateInputError, match="p25 = 0.5, p75 = inf"):
+            standardize_profile(_summary("trunc", values))
+
     def test_grid_needs_quartiles(self):
         s = _random_summary(np.random.default_rng(0))
         with pytest.raises(ValidationError, match="50"):

@@ -1,14 +1,21 @@
 """Loss-dump format, manifest parsing, and metric files."""
 
+import builtins
 import json
 import math
 import struct
+import tempfile
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from lossdiag import (
     BadMagicError,
@@ -206,6 +213,115 @@ class TestTextFallback:
             load_manifest(path)
         assert cli.main(["summarize", "--manifest", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+
+
+# Text-dump lines: numbers as writers print them, and what a hand-edited or
+# foreign dump holds (whitespace, blank lines, comments, underscores,
+# non-ASCII digits, two numbers on a line, bytes that are not UTF-8).
+_ODD_LINES = (
+    "0", "1.5", "-0.0", "1e5", "2.5E-3", "1e400", "1e-400", "+.5", "5.", "0001",
+    "inf", "Infinity", "INF", "-inf", "nan", "NaN", "1_0", "١٢",
+    " 1.5", "1.5 ", "\t2", "\x0c3", "", "", "  ", "\t", "1.5 2.5", "#", "# 1",
+    "1e", "in", "infinit", "e5", "1..2", "-1", "1.5\x00", " ",
+)
+_TEXT_LINES = st.one_of(
+    st.floats(0, 1e39).map(lambda v: repr(v).encode()),
+    st.floats(0).map(lambda v: ("%.9g" % v).encode()),
+    st.sampled_from([t.encode() for t in _ODD_LINES] + [b"\xff", b"1\xc3", b"\xe9"]),
+)
+_LINE_ENDS = st.sampled_from((b"\n",) * 6 + (b"\r\n", b"\r"))
+
+
+@st.composite
+def _text_dumps(draw):
+    lines = draw(st.lists(_TEXT_LINES, max_size=12))
+    ends = draw(st.lists(_LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    if ends and draw(st.booleans()):
+        data = data[: -len(ends[-1])]  # no final newline
+    return data
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type and text of what it raises."""
+    try:
+        return "ok", read()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _chunk_bytes(chunks):
+    return [(c.dtype.str, c.tobytes()) for c in chunks]
+
+
+def _assert_reads_like_lines(path, chunk):
+    """The store's chunks and count equal the per-line references, value,
+    error type and message alike; the count matches the values parsed (a
+    dump with none is an empty dump to both)."""
+    got = _outcome(lambda: _chunk_bytes(iter_loss_chunks(path, chunk)))
+    want = _outcome(lambda: _chunk_bytes(oracles.text_chunks_by_lines(path, chunk)))
+    assert got == want
+    count = _outcome(lambda: peek_dump_count(path))
+    assert count == _outcome(lambda: oracles.text_count_by_lines(path))
+    if got[0] == "ok" and got[1]:
+        assert count == ("ok", sum(len(b) // 4 for _, b in got[1]))
+
+
+class TestTextDumpProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(data=_text_dumps(), chunk=st.integers(1, 7), block=st.integers(1, 16))
+    @example(data=b"1.5 2.5", chunk=1, block=16)
+    @example(data=b"0.5\n1.5 2.5\n2\n", chunk=2, block=16)
+    @example(data=b"1.5\n\n2.5\n", chunk=7, block=4)  # a block ends inside "\n\n"
+    @example(data=b"\n1.5\n", chunk=1, block=1)
+    @example(data=b"1.5\r\n2.5", chunk=3, block=2)
+    @example(data=b"1.5\n2.5\xff\n", chunk=1, block=3)
+    @example(data=b"3.40282357e+38\n\xff\n", chunk=1, block=1)  # decoded before parsed
+    def test_blocks_read_like_the_per_line_loop(self, data, chunk, block):
+        # Small read blocks put block boundaries at every place in the dump.
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(store, "_TEXT_BLOCK", block)
+            path = Path(tmp) / "d.txt"
+            path.write_bytes(data)
+            _assert_reads_like_lines(path, chunk)
+
+    @pytest.mark.parametrize("tail", [
+        b"\xff\n", b" 1.5\n", b"\n\n", b"1.5 2.5\n", b"1e\n", b"-1\n", b"nan\n",
+        b"1e400\n", b"#\n", b"",
+    ])
+    @pytest.mark.parametrize("at", [0, 9000, 70000, None])
+    def test_a_late_odd_line_keeps_the_per_line_error(self, tmp_path, tail, at):
+        # Past the first read block and the text decoder's first chunk, an
+        # odd line sends the dump back through the per-line loop; the error
+        # names the same line, index or byte position.
+        rng = np.random.default_rng(5)
+        plain = b"".join(repr(float(v)).encode() + b"\n" for v in rng.random(8000))
+        cut = len(plain) if at is None else plain.index(b"\n", at) + 1 if at else 0
+        path = tmp_path / "late.txt"
+        path.write_bytes(plain[:cut] + tail + plain[cut:])
+        for chunk in (1000, store.DEFAULT_CHUNK):
+            _assert_reads_like_lines(path, chunk)
+
+    def test_each_reader_opens_the_dump_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counted_open, raising=False)
+        write_loss_dump(LossVector("b", np.array([0.5, 1.5])), tmp_path / "b.bin")
+        (tmp_path / "plain.txt").write_bytes(b"0.5\n1.5\n")
+        (tmp_path / "crlf.txt").write_bytes(b"0.5\r\n1.5\r\n")  # the per-line loop
+        for name in ("b.bin", "plain.txt", "crlf.txt"):
+            opened.clear()
+            assert peek_dump_count(tmp_path / name) == 2
+            assert sum(c.size for c in iter_loss_chunks(tmp_path / name)) == 2
+            assert opened == [name, name]
+
+    def test_missing_dump_raises_when_the_stream_is_made(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            iter_loss_chunks(tmp_path / "missing.txt")
 
 
 class TestChunkedReads:
