@@ -54,7 +54,9 @@ from .shape import (
     PercentileProfile,
     band_delta,
     band_masses,
+    family_tail_stats,
     profile_distance,
+    profile_percentiles,
     standardize_profile,
 )
 from .sketch import QuantileSketch, build_sketch
@@ -82,6 +84,7 @@ _DISTILL_NAMES = (
     "log_softmax", "topk_renormalize", "kl", "kl_grad_logits",
     "distill_student", "converged_student",
     "per_token_ce", "next_token_accuracy", "chain_fidelity", "dose_response",
+    "lab_checkpoints",
 )
 
 
@@ -109,7 +112,7 @@ __all__ = [
     # shape
     "PROFILE_GRID", "DEFAULT_BAND_BOUNDS", "PercentileProfile",
     "standardize_profile", "profile_distance", "BandTable", "band_masses",
-    "band_delta",
+    "band_delta", "profile_percentiles", "family_tail_stats",
     # correlate
     "MetricSeries", "pearson", "spearman", "SweepRow", "percentile_sweep",
     "SelectionRule", "SelectionTable", "select", "default_rules",

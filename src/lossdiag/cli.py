@@ -3,16 +3,18 @@
 Subcommands: summarize, concord, shape, correlate, distill-demo, report.
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 internal
 error. Failures print one JSON object per line on stderr so wrappers can
-parse them. All outputs are deterministic for identical inputs and seeds;
-CSV rendering is delegated to the render module, which the report
-subcommand shares with the standalone subcommands.
+parse them. All outputs are deterministic for identical inputs and seeds.
+This module parses flags, scans dumps, composes tables and writes files;
+statistics, the profile-grid policy and the lab's checkpoints come from the
+library modules, and every table is rendered by render.
 
 Each run reads every dump it needs once: one scan per checkpoint streams
 the dump in chunks and yields its summary over every percentile the run
 uses and, where bands are wanted, its band table, and all tables are built
 from those results. The scan takes the dump's value count from the
 manifest check (a positional dump is counted once, before any scan), so
-no dump is counted twice. An empty --family list means every family.
+no dump is counted twice. Flags, a bad --grid included, are refused before
+any dump is streamed. An empty --family list means every family.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
 worker processes that train distill-demo's students (workers.worker_count:
 one per task, at most 8 and at most the usable CPUs).
@@ -46,11 +48,12 @@ from .shape import (
     PROFILE_GRID,
     BandCounter,
     bands_of_sorted,
+    family_tail_stats,
+    profile_percentiles,
     standardize_profile,
 )
 from .store import (
     CheckpointMeta,
-    LossVector,
     Manifest,
     dump_manifest,
     iter_loss_chunks,
@@ -90,6 +93,15 @@ def _str_list(text: str) -> list[str]:
 
 def _families(text: str) -> list[str] | None:
     return _str_list(text) or None  # an empty list selects every family
+
+
+def _grid(text: str) -> tuple[int, ...]:
+    """A --grid value: a percentile list holding the profile's quartiles."""
+    grid = tuple(_int_list(text))
+    for needed in (25, 50, 75):
+        if needed not in grid:
+            raise UsageError(f"--grid must include {needed}")
+    return grid
 
 
 # Each scan thread keeps a float32 sort buffer from dump to dump and fills
@@ -145,11 +157,6 @@ def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=1e-3):
     entries = list(entries)
     with ThreadPoolExecutor(max_workers=worker_count(len(entries))) as pool:
         return list(pool.map(lambda e: _scan(*e, ks, bounds, mode, epsilon), entries))
-
-
-def _shape_ks(grid) -> tuple[int, ...]:
-    """The profile grid plus p95, which the family tail statistic reads."""
-    return grid if 95 in grid else (*grid, 95)
 
 
 def _entries(checkpoints) -> list[tuple[Path, str, int]]:
@@ -252,27 +259,16 @@ def _cmd_concord(args) -> None:
 def _shape_tables(selected, scans, grid, precision):
     """The four shape CSVs: profiles, distances, bands, per-family stats.
 
-    ``scans`` pairs each checkpoint's summary over ``_shape_ks(grid)`` with
-    its band table.
+    ``scans`` pairs each checkpoint's summary over (at least)
+    ``profile_percentiles(grid)`` with its band table.
     """
-    profiles = [standardize_profile(s, grid) for s, _ in scans]
-    bands = [b for _, b in scans]
-    by_family: dict[str, list[float]] = {}
-    for c, (s, _), p in zip(selected, scans, profiles):
-        tail = (s.percentiles[95] - s.percentiles[50]) / p.iqr  # p95 in profile units
-        by_family.setdefault(c.family, []).append(tail)
-    stats = []
-    for fam in sorted(by_family):
-        tails = np.array(by_family[fam])
-        mean = tails.mean()
-        with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
-            d = tails - mean
-        d[tails == mean] = 0.0  # as in profile_distance: equal infinities add 0
-        stats.append((fam, tails.size, float(mean), float(np.sqrt((d * d).mean()))))
+    summaries = [s for s, _ in scans]
+    profiles = [standardize_profile(s, grid) for s in summaries]
+    stats = family_tail_stats([c.family for c in selected], summaries, profiles)
     return {
         "profiles.csv": render.profile_table(profiles, precision),
         "distances.csv": render.distance_table(profiles, precision),
-        "bands.csv": render.band_table(bands, precision),
+        "bands.csv": render.band_table([b for _, b in scans]),
         "family_stats.csv": render.family_stats_table(stats, precision),
     }
 
@@ -287,13 +283,10 @@ _SHAPE_TITLES = {
 
 def _cmd_shape(args) -> None:
     manifest = load_manifest(args.manifest)
-    grid = tuple(args.grid)
-    for needed in (25, 50, 75):
-        if needed not in grid:
-            raise UsageError(f"--grid must include {needed}")
+    ks = profile_percentiles(args.grid)
     selected = manifest.select(args.family)
-    scans = _scan_many(_entries(selected), _shape_ks(grid), tuple(args.bands))
-    tables = _shape_tables(selected, scans, grid, args.precision)
+    scans = _scan_many(_entries(selected), ks, tuple(args.bands))
+    tables = _shape_tables(selected, scans, args.grid, args.precision)
     if args.out_dir is None:
         for name, text in tables.items():
             sys.stdout.write(render.markdown_section(_SHAPE_TITLES[name], text))
@@ -382,55 +375,20 @@ def _cmd_distill_demo(args) -> None:
         for _, field, _ in _LAB_FLAGS
         if getattr(args, field) is not None
     }
-    config = distill.LabConfig(ks=_parse_k_list(args.k), **given)
-    result = distill.dose_response(config)
-
+    result = distill.dose_response(distill.LabConfig(ks=_parse_k_list(args.k), **given))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_text(out, render.dose_table(result.rows, args.precision))
     print(out)
 
-    # CE dumps plus a manifest so the other subcommands can run on the
-    # lab's outputs: the teacher under family "teacher", trained students
-    # under "trained", converged floors under "oracle". Every student of a
-    # family shares one step (--steps, or 0 for the oracles), so
-    # `correlate --crossing`, which needs a step series, refuses those
-    # families; the teacher alone is a one-step series. Metrics: accuracy
-    # (constant across students of one teacher, by construction) and
-    # fidelity against the generating chain (varies with K), the lab's
-    # external-judge analogue.
+    # One dump per lab model plus a manifest, so the other subcommands can
+    # run on the lab's outputs.
     dump_dir = out.parent / "dumps"
     dump_dir.mkdir(parents=True, exist_ok=True)
-    eval_stream = result.eval_stream
-    _, truth = distill.true_chain(
-        config.seed, config.vocab, config.zipf_exponent, config.concentration
-    )
     checkpoints = []
-
-    def add(checkpoint_id, family, step, objective, model):
-        ce = distill.per_token_ce(model, eval_stream).astype(np.float32)
-        path = (dump_dir / f"{checkpoint_id}.bin").resolve()
-        write_loss_dump(LossVector(checkpoint_id, ce), path)
-        checkpoints.append(
-            CheckpointMeta(
-                checkpoint_id=checkpoint_id,
-                family=family,
-                step=step,
-                objective=objective,
-                loss_path=path,
-                metrics={
-                    "accuracy": distill.next_token_accuracy(model, eval_stream),
-                    "fidelity": distill.chain_fidelity(model, truth),
-                },
-            )
-        )
-
-    add("teacher", "teacher", 0, "token-ce", result.teacher)
-    for k in config.ks:
-        label = "full" if k == "full" else str(int(k))
-        objective = f"topk-kl:{label}"
-        add(f"student-k{label}-trained", "trained", config.steps, objective, result.students[k])
-        add(f"student-k{label}-oracle", "oracle", 0, objective, result.oracles[k])
+    for cid, family, step, objective, losses, metrics in distill.lab_checkpoints(result):
+        path = (dump_dir / f"{cid}.bin").resolve()
+        write_loss_dump(losses, path)
+        checkpoints.append(CheckpointMeta(cid, family, step, objective, path, metrics))
 
     manifest_path = out.parent / "manifest.yaml"
     dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), manifest_path)
@@ -445,16 +403,14 @@ _FORMATS = ("csv", "md", "svg")
 def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     """All report CSVs, in report order, and SVG charts, keyed by file name.
 
-    One scan per checkpoint feeds every table. Each table gets the summaries
-    restricted to the percentiles its standalone subcommand computes and the
-    same module calls and render functions, so the bytes match exactly.
+    One scan per checkpoint feeds every table, through the same module calls
+    and render functions as the standalone subcommands, so the bytes match
+    exactly: a percentile does not depend on which others are scanned with it.
     """
     manifest = load_manifest(args.manifest)
-    families, grid, precision = args.family, tuple(args.grid), args.precision
+    families, grid, precision = args.family, args.grid, args.precision
+    ks = sorted(set(DEFAULT_KS).union(profile_percentiles(grid)))
     selected = manifest.select(families)
-    # Grid values outside 1..99 stay out of the scan; restrict() rejects them
-    # where the shape tables are built.
-    ks = sorted(set(DEFAULT_KS).union(k for k in grid if 1 <= k <= 99))
     scans = _scan_many(_entries(selected), ks, tuple(args.bands))
 
     summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
@@ -479,8 +435,7 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
         sweep_rows = percentile_sweep(table, metric)
         sections["sweep.csv"] = render.sweep_table(sweep_rows, precision)
 
-    grid_scans = [(s.restrict(_shape_ks(grid)), b) for s, b in scans]
-    sections.update(_shape_tables(selected, grid_scans, grid, precision))
+    sections.update(_shape_tables(selected, scans, grid, precision))
     svg = "svg" in args.formats
     charts = _report_charts(summaries, sweep_rows, precision) if svg else {}
     return sections, charts
@@ -529,12 +484,8 @@ def _report_charts(summaries, sweep_rows, precision: int) -> dict[str, str]:
 def _cmd_report(args) -> None:
     if len(args.summaries) < 2:
         raise UsageError("report needs at least two summary names")
-    bad = [f for f in args.formats if f not in _FORMATS]
-    if bad:
-        raise UsageError(f"unknown format(s) {bad}; choose from {_FORMATS}")
-    for needed in (25, 50, 75):
-        if needed not in args.grid:
-            raise UsageError(f"profile grid must include {needed}")
+    if not args.formats or not set(args.formats) <= set(_FORMATS):
+        raise UsageError(f"--formats takes one or more of {_FORMATS}, got {args.formats}")
     sections, charts = _report_sections(args)
     outputs = dict(sections) if "csv" in args.formats else {}
     if "md" in args.formats:
@@ -588,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shape", help="standardized profiles and band tables")
     p.add_argument("--manifest", required=True)
     p.add_argument("--family", type=_families, default=None)
-    p.add_argument("--grid", type=_int_list, default=list(PROFILE_GRID))
+    p.add_argument("--grid", type=_grid, default=PROFILE_GRID)
     p.add_argument("--bands", type=_float_list, default=list(DEFAULT_BAND_BOUNDS))
     p.add_argument("--out-dir", default=None, help="write the four CSVs here")
     p.add_argument("--precision", type=int, default=render.DEFAULT_PRECISION)
@@ -627,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=_families, default=None)
     p.add_argument("--summaries", type=_str_list, default=["mean", "median", "p95"])
     p.add_argument("--metric", default=None)
-    p.add_argument("--grid", type=_int_list, default=list(PROFILE_GRID))
+    p.add_argument("--grid", type=_grid, default=PROFILE_GRID)
     p.add_argument("--bands", type=_float_list, default=list(DEFAULT_BAND_BOUNDS))
     p.add_argument("--formats", type=_str_list, default=list(_FORMATS))
     p.add_argument("--precision", type=int, default=render.DEFAULT_PRECISION)

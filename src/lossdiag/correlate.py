@@ -100,28 +100,20 @@ class SweepRow:
     spearman_rho: float
 
 
-def percentile_sweep(
-    table: Mapping[str, SummarySet],
-    metric: MetricSeries,
-    ks: Sequence[int] | None = None,
-) -> list[SweepRow]:
+def percentile_sweep(table: Mapping[str, SummarySet], metric: MetricSeries) -> list[SweepRow]:
     """Correlate the metric against mean CE and against each percentile.
 
     One row per summary, "mean" first, then ascending k. All checkpoints in
-    ``table`` must carry every requested percentile and a metric value. A
+    ``table`` must carry the first one's percentiles and a metric value. A
     column pearson or spearman refuses raises the same error type, its
     message prefixed with the summary and the metric name.
     """
     ids = sorted(table)
     if len(ids) < 3:
         raise ValidationError("sweep needs at least three checkpoints")
-    if ks is None:
-        first = table[ids[0]]
-        ks = first.ks
-    ks = tuple(int(k) for k in ks)
     y = metric.aligned(ids)
     rows = []
-    for name in ("mean", *(f"p{k}" for k in ks)):
+    for name in ("mean", *(f"p{k}" for k in table[ids[0]].ks)):
         xs = [table[cid].value(name) for cid in ids]
         try:
             rows.append(SweepRow(name, pearson(xs, y), spearman(xs, y)))

@@ -26,7 +26,9 @@ Pieces:
 * the converged-student oracle: top-K renormalized teacher rows with zeros
   replaced by a small floor epsilon_q (a literal zero would make mean CE
   +inf; the floor models the mass a finite training run leaves behind);
-* dose_response: the K sweep producing trained and oracle summary rows.
+* dose_response: the K sweep producing trained and oracle summary rows;
+  lab_checkpoints: the same models as checkpoints, with their held-out CE
+  and metrics.
 """
 
 from __future__ import annotations
@@ -554,8 +556,16 @@ class DoseResult:
     eval_stream: np.ndarray = field(repr=False)
 
 
-def _k_label(k) -> str:
-    return "full" if k == "full" else str(int(k))
+def _lab_models(config: LabConfig, teacher, students, oracles):
+    """(K, checkpoint id, family, step, objective, model) of every lab model
+    in manifest order: the teacher (K None), then per K its trained student
+    and its converged oracle."""
+    yield None, "teacher", "teacher", 0, "token-ce", teacher
+    for k in config.ks:
+        label = "full" if k == "full" else str(int(k))
+        objective = f"topk-kl:{label}"
+        yield k, f"student-k{label}-trained", "trained", config.steps, objective, students[k]
+        yield k, f"student-k{label}-oracle", "oracle", 0, objective, oracles[k]
 
 
 def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
@@ -588,38 +598,44 @@ def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
         targets, teacher.context_weights, config.steps, config.learning_rate
     )
 
-    def summarize(model: TabularLM, cid: str) -> SummarySet:
-        ce = per_token_ce(model, held_out)
-        return summarize_exact(LossVector(cid, ce.astype(np.float32)))
-
-    teacher_summary = summarize(teacher, "teacher")
-
-    rows: list[DoseResponseRow] = []
-    students: dict[object, TabularLM] = {}
-    oracles: dict[object, TabularLM] = {}
-    for i, k in enumerate(config.ks):
-        label = _k_label(k)
-        student = TabularLM(logits=logits[i], context_weights=teacher.context_weights)
-        oracle = converged_student(teacher, k_effs[i], config.epsilon_q)
-        students[k] = student
-        oracles[k] = oracle
-        for source, model in (("trained", student), ("oracle", oracle)):
-            s = summarize(model, f"student-k{label}-{source}")
-            rows.append(
-                DoseResponseRow(
-                    k=k,
-                    source=source,
-                    mean=s.mean,
-                    median=s.value("median"),
-                    p95=s.value("p95"),
-                )
-            )
-    return DoseResult(
-        config=config,
-        rows=tuple(rows),
-        teacher=teacher,
-        teacher_summary=teacher_summary,
-        students=students,
-        oracles=oracles,
-        eval_stream=held_out,
+    weights = teacher.context_weights
+    students = {k: TabularLM(logits[i], weights) for i, k in enumerate(config.ks)}
+    oracles = {
+        k: converged_student(teacher, k_eff, config.epsilon_q)
+        for k, k_eff in zip(config.ks, k_effs)
+    }
+    summaries = [
+        (k, family, summarize_exact(
+            LossVector(cid, per_token_ce(model, held_out).astype(np.float32))))
+        for k, cid, family, _, _, model in _lab_models(config, teacher, students, oracles)
+    ]
+    rows = tuple(
+        DoseResponseRow(k, family, s.mean, s.value("median"), s.value("p95"))
+        for k, family, s in summaries[1:]
     )
+    return DoseResult(config, rows, teacher, summaries[0][2], students, oracles, held_out)
+
+
+def lab_checkpoints(result: DoseResult):
+    """Each lab model as a checkpoint, in manifest order: (id, family, step,
+    objective, held-out CE as a float32 LossVector, metrics).
+
+    The teacher is family "teacher", trained students "trained", converged
+    floors "oracle". Every student of a family shares one step (the config's
+    steps, or 0 for the oracles), so `correlate --crossing`, which needs a
+    step series, refuses those families; the teacher alone is a one-step
+    series. Metrics: accuracy (constant across students of one teacher, by
+    construction) and fidelity against the generating chain (varies with K),
+    the lab's external-judge analogue. Each CE vector is computed when its
+    item is pulled, so one is alive at a time.
+    """
+    config, stream = result.config, result.eval_stream
+    _, truth = true_chain(config.seed, config.vocab, config.zipf_exponent, config.concentration)
+    models = _lab_models(config, result.teacher, result.students, result.oracles)
+    for _, cid, family, step, objective, model in models:
+        ce = per_token_ce(model, stream).astype(np.float32)
+        metrics = {
+            "accuracy": next_token_accuracy(model, stream),
+            "fidelity": chain_fidelity(model, truth),
+        }
+        yield cid, family, step, objective, LossVector(cid, ce), metrics

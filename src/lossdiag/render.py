@@ -179,15 +179,12 @@ def _band_name(lo: float, hi: float) -> str:
     return f"band[{fmt(lo, 6)};{hi_text})"
 
 
-def band_table(
-    tables: Sequence[BandTable], precision: int = DEFAULT_PRECISION
-) -> str:
+def band_table(tables: Sequence[BandTable]) -> str:
     """Loss-band mass percentages, one checkpoint per row.
 
     Masses print at a fixed 0.1 percentage-point resolution (so a mass of
-    exactly 21% reads "21.0", not "21"); ``precision`` only affects how the
-    band-bound header names are rendered elsewhere and is accepted for
-    signature parity with the other tables.
+    exactly 21% reads "21.0", not "21") and band bounds in the header with 6
+    significant digits, so no precision applies.
     """
     if not tables:
         raise ValidationError("no band tables to render")
@@ -197,7 +194,7 @@ def band_table(
             raise ValidationError("band tables use different bounds")
     header = ["checkpoint_id", *(_band_name(lo, hi) for lo, hi in tables[0].bands)]
     rows = [[t.checkpoint_id, *(f"{m:.1f}" for m in t.mass)] for t in tables]
-    return csv_table(header, rows, precision)
+    return csv_table(header, rows)
 
 
 def family_stats_table(

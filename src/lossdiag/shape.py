@@ -3,7 +3,8 @@
 Two tools: standardized percentile profiles (each percentile re-expressed
 as IQR units above the median, which makes checkpoints with different loss
 scales comparable) and band tables (what fraction of token losses falls
-into fixed nat ranges, i.e. where the probability mass sits).
+into fixed nat ranges, i.e. where the probability mass sits). Also the
+percentiles a profile grid needs and each family's tail statistic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .quantiles import SummarySet
+from .quantiles import SummarySet, _check_ks
 from .store import LossVector
 
 # Percentile grid for profiles; includes the quartiles used as anchors.
@@ -36,6 +37,12 @@ class PercentileProfile:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.values[k] for k in self.grid], dtype=np.float64)
+
+
+def profile_percentiles(grid: Sequence[int]) -> tuple[int, ...]:
+    """The grid plus p95, which family_tail_stats reads; ValidationError on a
+    percentile outside 1..99 or a repeated one."""
+    return _check_ks(grid if 95 in grid else (*grid, 95))
 
 
 def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID) -> PercentileProfile:
@@ -84,6 +91,14 @@ def _stack(profiles: Sequence[PercentileProfile], grid: tuple[int, ...]) -> np.n
     return np.stack([p.as_array() for p in profiles])
 
 
+def _difference(a: np.ndarray, b) -> np.ndarray:
+    """a - b, with equal entries, equal infinities included, exactly 0."""
+    with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
+        d = a - b
+    d[a == b] = 0.0
+    return d
+
+
 def profile_distance(
     a: PercentileProfile | Sequence[PercentileProfile],
     b: PercentileProfile | Sequence[PercentileProfile],
@@ -105,14 +120,37 @@ def profile_distance(
     grid = left[0].grid
     rows, cols = _stack(left, grid), _stack(right, grid)
     out = np.empty((len(left), len(right)))
-    with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
-        for i, row in enumerate(rows):
-            d = row - cols
-            d[row == cols] = 0.0
-            # A stacked vector.vector matmul runs the same dot as
-            # np.linalg.norm, so each entry is bit-equal to it.
-            out[i] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    for i, row in enumerate(rows):
+        d = _difference(row, cols)
+        # A stacked vector.vector matmul runs the same dot as np.linalg.norm,
+        # so each entry is bit-equal to it.
+        out[i] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     return float(out[0, 0]) if single else out
+
+
+def family_tail_stats(
+    families: Sequence[str],
+    summaries: Sequence[SummarySet],
+    profiles: Sequence[PercentileProfile],
+) -> list[tuple[str, int, float, float]]:
+    """(family, checkpoints, mean, spread) of the standardized tail point
+    (p95 - p50) / IQR, per family in name order.
+
+    ``summaries[i]`` carries p95, belongs to ``families[i]`` and has profile
+    ``profiles[i]``. The spread is the population standard deviation; a tail
+    equal to the mean, +inf included, deviates by exactly 0, so +inf tails
+    alone have spread 0 and +inf mixed with finite tails has spread inf.
+    """
+    tails: dict[str, list[float]] = {}
+    for family, s, p in zip(families, summaries, profiles):
+        tails.setdefault(family, []).append((s.percentiles[95] - s.percentiles[50]) / p.iqr)
+    stats = []
+    for family in sorted(tails):
+        t = np.array(tails[family])
+        mean = t.mean()
+        d = _difference(t, mean)
+        stats.append((family, t.size, float(mean), float(np.sqrt((d * d).mean()))))
+    return stats
 
 
 @dataclass(frozen=True)

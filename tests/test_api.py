@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import lossdiag
-from lossdiag import PercentileProfile, cli, distill, render, store
+from lossdiag import BandTable, PercentileProfile, SummarySet, cli, distill, render, store
 from lossdiag.sketch import QuantileSketch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,3 +104,21 @@ def test_benchmark_tracer_patches_resolve_and_restore():
         tracer.restore()
     assert [dict(vars(owner)) for owner in owners] == before
     assert tracing.aggregate(tracer.spans)["shape.profile_distance.calls"] == 1
+
+
+def test_benchmark_tracer_sees_the_family_tail_statistic():
+    # The tail statistic moved from cli into shape; the tracer wraps the
+    # names cli imports, so the benchmark still times it.
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    selected, scans = [], []
+    for i, cid in enumerate("abc"):
+        selected.append(store.CheckpointMeta(cid, "fam", i, "token-ce", Path(f"{cid}.bin")))
+        summary = SummarySet(cid, 1.0, {25: 1.0, 50: 2.0, 75: 3.0, 95: 4.0 + i}, 1)
+        scans.append((summary, BandTable(cid, (1.0,), (50.0, 50.0))))
+    try:
+        tracing.install_cli(tracer)
+        cli._shape_tables(selected, scans, (25, 50, 75), 6)
+    finally:
+        tracer.restore()
+    assert tracing.aggregate(tracer.spans)["shape.family_tail_stats.calls"] == 1

@@ -724,6 +724,51 @@ class TestReport:
         assert rc == 2
         assert message in stderr_payload(err)["message"]
 
+    @pytest.mark.parametrize("command", ["report", "shape"])
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("0,25,50,75", "percentile 0 outside 1..99"),
+         ("10,10,25,50,75", "duplicate percentiles requested")],
+        ids=["out-of-range-grid", "duplicate-grid"],
+    )
+    def test_bad_grid_fails_before_any_dump_is_streamed(
+        self, capsys, demo_dir, tmp_path, monkeypatch, command, grid, message
+    ):
+        streams = []
+
+        def counted(path, *args, **kwargs):
+            streams.append(path)
+            return store.iter_loss_chunks(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "iter_loss_chunks", counted)
+        rc, _, err = run(
+            capsys, command, "--manifest", str(demo_dir / "manifest.yaml"),
+            "--out-dir", str(tmp_path / "out"), "--grid", grid,
+        )
+        assert rc == 2
+        assert stderr_payload(err)["message"] == message
+        assert streams == []
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_format_list_is_refused_before_the_manifest_is_read(
+        self, capsys, demo_dir, tmp_path, monkeypatch
+    ):
+        loads = []
+
+        def counted(path):
+            loads.append(path)
+            return load_manifest(path)
+
+        monkeypatch.setattr(cli, "load_manifest", counted)
+        rc, out, err = run(
+            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
+            "--out-dir", str(tmp_path / "out"), "--formats", "",
+        )
+        assert rc == 1
+        assert stderr_payload(err)["error"] == "UsageError"
+        assert loads == [] and out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_reads_each_dump_once(self, capsys, demo_dir, tmp_path, monkeypatch):
         checkpoints = load_manifest(demo_dir / "manifest.yaml").checkpoints
         reads, whole_reads, summaries, peeks = [], [], [], []

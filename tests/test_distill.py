@@ -28,7 +28,8 @@ from lossdiag import (
     true_chain,
     zipf_weights,
 )
-from lossdiag.distill import _teacher_targets, _train_batch, check_distribution
+from lossdiag import distill
+from lossdiag.distill import _teacher_targets, _train_batch, check_distribution, lab_checkpoints
 from lossdiag.store import LossVector
 
 import oracles
@@ -490,6 +491,38 @@ class TestDoseResponse:
         # The signature effect survives even at this tiny scale.
         assert oracle_by_k[2].median < oracle_by_k["full"].median
         assert oracle_by_k[2].mean > oracle_by_k["full"].mean
+
+
+class TestLabCheckpoints:
+    def test_one_ce_vector_per_item_pulled(self, monkeypatch):
+        result = dose_response(TINY)
+        calls = []
+
+        def counted(model, stream):
+            calls.append(model)
+            return per_token_ce(model, stream)
+
+        monkeypatch.setattr(distill, "per_token_ce", counted)
+        items = lab_checkpoints(result)
+        assert calls == []
+        cid, family, step, objective, losses, metrics = next(items)
+        assert len(calls) == 1 and calls[0] is result.teacher
+        assert (cid, family, step, objective) == ("teacher", "teacher", 0, "token-ce")
+        assert losses.checkpoint_id == cid and losses.losses.dtype == np.float32
+        assert summarize_exact(losses) == result.teacher_summary
+        assert set(metrics) == {"accuracy", "fidelity"}
+        rest = list(items)
+        assert len(calls) == 1 + len(rest) == 1 + 2 * len(TINY.ks)
+        # The dumps carry the CE the dose-response rows summarize.
+        assert [(r[0], r[1], r[2], r[3]) for r in rest] == [
+            ("student-k2-trained", "trained", TINY.steps, "topk-kl:2"),
+            ("student-k2-oracle", "oracle", 0, "topk-kl:2"),
+            ("student-kfull-trained", "trained", TINY.steps, "topk-kl:full"),
+            ("student-kfull-oracle", "oracle", 0, "topk-kl:full"),
+        ]
+        for row, item in zip(result.rows, rest):
+            s = summarize_exact(item[4])
+            assert (row.mean, row.median, row.p95) == (s.mean, s.value("median"), s.value("p95"))
 
 
 class TestSamplerMatchesSearchsorted:

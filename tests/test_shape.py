@@ -18,7 +18,9 @@ from lossdiag import (
     ValidationError,
     band_delta,
     band_masses,
+    family_tail_stats,
     profile_distance,
+    profile_percentiles,
     standardize_profile,
     summarize_exact,
 )
@@ -169,6 +171,55 @@ class TestProfileDistance:
             assert profile_distance([tail, finite], [tail, finite]).tolist() == [
                 [0.0, math.inf], [math.inf, 0.0]
             ]
+
+
+class TestProfilePercentiles:
+    def test_adds_p95_once(self):
+        assert profile_percentiles((5, 25, 50, 75)) == (5, 25, 50, 75, 95)
+        assert profile_percentiles([75, 50, 25]) == (75, 50, 25, 95)
+        assert profile_percentiles(PROFILE_GRID) == PROFILE_GRID
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [((0, 25, 50, 75), "percentile 0 outside 1..99"),
+         ((25, 50, 75, 100), "percentile 100 outside 1..99"),
+         ((10, 10, 25, 50, 75), "duplicate percentiles requested"),
+         ((25, 50, 75, 95, 95), "duplicate percentiles requested")],
+    )
+    def test_bad_grid_is_refused(self, grid, message):
+        with pytest.raises(ValidationError) as info:
+            profile_percentiles(grid)
+        assert str(info.value) == message
+
+
+def _tail_inputs(families, p95s):
+    # p25, p50, p75 = 1, 2, 3, so each standardized tail is (p95 - 2) / 2.
+    summaries = [
+        _summary(f"c{i}", {25: 1.0, 50: 2.0, 75: 3.0, 95: p95}) for i, p95 in enumerate(p95s)
+    ]
+    profiles = [standardize_profile(s, (25, 50, 75)) for s in summaries]
+    return list(families), summaries, profiles
+
+
+class TestFamilyTailStats:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(3.0, 1e12), min_size=1, max_size=12))
+    def test_finite_tails_match_numpy(self, p95s):
+        stats = family_tail_stats(*_tail_inputs(["fam"] * len(p95s), p95s))
+        tails = np.array([(p95 - 2.0) / 2.0 for p95 in p95s])
+        assert stats == [("fam", len(p95s), float(tails.mean()), float(tails.std()))]
+
+    def test_all_inf_tails_have_zero_spread(self):
+        stats = family_tail_stats(*_tail_inputs("fff", [math.inf] * 3))
+        assert stats == [("f", 3, math.inf, 0.0)]
+
+    def test_inf_and_finite_tails_have_inf_spread(self):
+        stats = family_tail_stats(*_tail_inputs("fff", [math.inf, 4.0, math.inf]))
+        assert stats == [("f", 3, math.inf, math.inf)]
+
+    def test_families_come_out_in_name_order(self):
+        stats = family_tail_stats(*_tail_inputs("bcab", [4.0, 6.0, 8.0, 10.0]))
+        assert stats == [("a", 1, 3.0, 0.0), ("b", 2, 2.5, 1.5), ("c", 1, 2.0, 0.0)]
 
 
 def _band_fixture():
