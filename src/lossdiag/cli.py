@@ -13,8 +13,10 @@ the dump in chunks and yields its summary over every percentile the run
 uses and, where bands are wanted, its band table, and all tables are built
 from those results. The scan takes the dump's value count from the
 manifest check (a positional dump is counted once, before any scan), so
-no dump is counted twice. Flags, a bad --grid included, are refused before
-any dump is streamed. An empty --family list means every family.
+no dump is counted twice. Flags are checked once, after the manifest
+check and before any dump is streamed: --ks, --grid and --bands by the
+library's own checks, summary names against the percentiles they are read
+from, and --metric against the manifest's metrics. An empty --family list means every family.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
 worker processes that train distill-demo's students (workers.worker_count:
 one per task, at most 8 and at most the usable CPUs).
@@ -40,6 +42,8 @@ from .quantiles import (
     DEFAULT_KS,
     EXACT_PATH_MAX,
     SummarySet,
+    _check_ks,
+    _check_summary_names,
     summarize_chunks,
     summarize_sorted,
 )
@@ -47,6 +51,7 @@ from .shape import (
     DEFAULT_BAND_BOUNDS,
     PROFILE_GRID,
     BandCounter,
+    _check_bounds,
     bands_of_sorted,
     family_tail_stats,
     profile_percentiles,
@@ -181,8 +186,17 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(Path(out), text)
 
 
+def _metric_names(manifest: Manifest, families) -> list[str]:
+    return sorted({n for c in manifest.select(families) for n in c.metrics})
+
+
+def _check_columns(columns, ks, metric_names) -> None:
+    """Refuse a selection column that is neither a metric nor a summary over ``ks``."""
+    _check_summary_names([c for c in columns if c not in metric_names], ks)
+
+
 def _selection_result(manifest: Manifest, families, table, columns):
-    metric_names = sorted({n for c in manifest.select(families) for n in c.metrics})
+    metric_names = _metric_names(manifest, families)
     metrics = {
         name: _metric_series(manifest, name, None, families)
         for name in metric_names
@@ -217,10 +231,11 @@ def _cmd_summarize(args) -> None:
         raise UsageError("--family requires --manifest")
     if not args.paths and not checkpoints:
         raise UsageError("give dump paths and/or --manifest")
+    ks = _check_ks(args.ks)
     paths = [Path(p) for p in args.paths]
     entries = [(p, p.stem, peek_dump_count(p)) for p in paths] + _entries(checkpoints)
     mode = "exact" if args.exact else "sketch" if args.sketch else "auto"
-    scans = _scan_many(entries, tuple(args.ks), None, mode, args.epsilon)
+    scans = _scan_many(entries, ks, None, mode, args.epsilon)
     _emit(render.summary_table([s for s, _ in scans], args.precision), args.out)
 
 
@@ -244,11 +259,13 @@ def _cmd_concord(args) -> None:
     if len(args.summaries) < 2:
         raise UsageError("--summaries needs at least two names")
     manifest = load_manifest(args.manifest)
+    ks = _check_ks(args.ks)
+    _check_summary_names(args.summaries, ks)
     families = args.family or _families_with_pairs(manifest.checkpoints)
     if not families:
         raise ValidationError("no family holds two or more checkpoints")
     selected = [c for family in families for c in manifest.select([family])]
-    table = _summary_table(selected, tuple(args.ks))
+    table = _summary_table(selected, ks)
     reports = _concordance_reports(manifest, families, table, args.summaries)
     _emit(render.concordance_table(reports, args.precision), args.out)
 
@@ -284,8 +301,9 @@ _SHAPE_TITLES = {
 def _cmd_shape(args) -> None:
     manifest = load_manifest(args.manifest)
     ks = profile_percentiles(args.grid)
+    bounds = _check_bounds(args.bands)
     selected = manifest.select(args.family)
-    scans = _scan_many(_entries(selected), ks, tuple(args.bands))
+    scans = _scan_many(_entries(selected), ks, bounds)
     tables = _shape_tables(selected, scans, args.grid, args.precision)
     if args.out_dir is None:
         for name, text in tables.items():
@@ -311,10 +329,12 @@ def _cmd_correlate(args) -> None:
         raise UsageError("--select needs at least one column")
     if args.crossing and args.reference is None:
         raise UsageError("--crossing requires --reference")
+    ks = _check_ks(args.ks)
 
     if args.crossing:
+        _check_summary_names([args.summary], ks)
         groups = [(f, manifest.select([f])) for f in args.family or manifest.families()]
-        table = _summary_table([c for _, cs in groups for c in cs], tuple(args.ks))
+        table = _summary_table([c for _, cs in groups for c in cs], ks)
         rows = []
         for family, cs in groups:
             series = [(c.step, table[c.checkpoint_id].value(args.summary)) for c in cs]
@@ -326,12 +346,14 @@ def _cmd_correlate(args) -> None:
         _emit(render.crossing_table(rows, args.precision), args.out)
         return
 
-    table = _summary_table(manifest.select(args.family), tuple(args.ks))
+    selected = manifest.select(args.family)
     if args.sweep:
         metric = _metric_series(manifest, args.metric, args.metric_file, args.family)
-        rows = percentile_sweep(table, metric)
+        rows = percentile_sweep(_summary_table(selected, ks), metric)
         _emit(render.sweep_table(rows, args.precision), args.out)
     else:
+        _check_columns(args.select, ks, _metric_names(manifest, args.family))
+        table = _summary_table(selected, ks)
         result = _selection_result(manifest, args.family, table, args.select)
         _emit(render.selection_table(result, args.precision), args.out)
 
@@ -410,8 +432,13 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     manifest = load_manifest(args.manifest)
     families, grid, precision = args.family, args.grid, args.precision
     ks = sorted(set(DEFAULT_KS).union(profile_percentiles(grid)))
+    bounds = _check_bounds(args.bands)
+    _check_columns(args.summaries, DEFAULT_KS, _metric_names(manifest, families))
+    metric = None
+    if args.metric is not None:
+        metric = _metric_series(manifest, args.metric, None, families)
     selected = manifest.select(families)
-    scans = _scan_many(_entries(selected), ks, tuple(args.bands))
+    scans = _scan_many(_entries(selected), ks, bounds)
 
     summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
     sections = {"summary.csv": render.summary_table(summaries, precision)}
@@ -430,8 +457,7 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     )
 
     sweep_rows = []
-    if args.metric is not None and len(table) >= 3:
-        metric = _metric_series(manifest, args.metric, None, families)
+    if metric is not None and len(table) >= 3:
         sweep_rows = percentile_sweep(table, metric)
         sections["sweep.csv"] = render.sweep_table(sweep_rows, precision)
 

@@ -8,6 +8,7 @@ implementation guards the case where both bracketing order statistics are
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -41,6 +42,26 @@ def _check_ks(ks: Sequence[int]) -> tuple[int, ...]:
     if len(set(out)) != len(out):
         raise ValidationError("duplicate percentiles requested")
     return tuple(out)
+
+
+def _percentile_of(name: str) -> int | None:
+    """The percentile a summary name "median" or "pK" stands for, else None."""
+    if name == "median":
+        return 50
+    if name.startswith("p"):
+        try:
+            return int(name[1:])
+        except ValueError:
+            pass
+    return None
+
+
+def _check_summary_names(names: Iterable[str], ks: Sequence[int]) -> None:
+    """ValidationError for the first of ``names`` that no summary over ``ks``
+    has: SummarySet.value resolves "mean", "median" and "pK" for K in ``ks``."""
+    for name in names:
+        if name != "mean" and _percentile_of(name) not in ks:
+            raise ValidationError(f"no summary named {name!r} over percentiles {list(ks)}")
 
 
 def percentiles_of_sorted(sorted_values: np.ndarray, ks: Sequence[int]) -> np.ndarray:
@@ -98,23 +119,26 @@ class SummarySet:
         return tuple(self.percentiles)
 
     def restrict(self, ks: Sequence[int]) -> "SummarySet":
-        """The same summary over ``ks``, which must all be among its percentiles."""
-        pct = {k: self.percentiles[k] for k in _check_ks(ks)}
-        return SummarySet(self.checkpoint_id, self.mean, pct, self.count)
+        """The same summary over ``ks``; ValidationError naming those of ``ks``
+        it lacks. A subset of checked percentiles needs no new check."""
+        ks = _check_ks(ks)
+        missing = [k for k in ks if k not in self.percentiles]
+        if missing:
+            raise ValidationError(
+                f"{self.checkpoint_id}: summary lacks percentiles {missing}"
+            )
+        out = copy.copy(self)
+        pct = {k: v for k, v in self.percentiles.items() if k in ks}
+        object.__setattr__(out, "percentiles", pct)
+        return out
 
     def value(self, name: str) -> float:
         """Resolve a summary by name: "mean", "median", or "pK" (e.g. "p95")."""
         if name == "mean":
             return self.mean
-        if name == "median":
-            name = "p50"
-        if name.startswith("p"):
-            try:
-                k = int(name[1:])
-            except ValueError:
-                k = -1
-            if k in self.percentiles:
-                return self.percentiles[k]
+        k = _percentile_of(name)
+        if k in self.percentiles:
+            return self.percentiles[k]
         raise ValidationError(
             f"checkpoint {self.checkpoint_id!r} has no summary named {name!r}"
         )

@@ -92,7 +92,11 @@ class QuantileSketch:
         arr = arr.ravel()
         if arr.size == 0:
             return
-        if np.isnan(arr).any():
+        # A NaN makes the sum NaN; so does +inf with -inf, the one case
+        # that needs the scan for NaN.
+        with np.errstate(invalid="ignore"):
+            total = float(float64_sum(arr))
+        if math.isnan(total) and np.isnan(arr).any():
             raise ValidationError("sketch input contains NaN")
         # Feed at most one capacity's worth at a time so level 0 never grows
         # past 2 * capacity regardless of the chunk size handed to us. A full
@@ -102,7 +106,7 @@ class QuantileSketch:
             part = arr[off : off + self._cap]
             self._push(0, part if part.size == self._cap else part.copy())
         self.count += int(arr.size)
-        self.total += float(float64_sum(arr))
+        self.total += total
 
     def _push(self, level: int, arr: np.ndarray) -> None:
         while level >= len(self._levels):
@@ -116,7 +120,8 @@ class QuantileSketch:
             level += 1
 
     def _compact(self, level: int) -> None:
-        buf = np.sort(np.concatenate(self._levels[level]))
+        buf = np.concatenate(self._levels[level])
+        buf.sort()
         if buf.size % 2:
             core, leftover = buf[:-1], buf[-1:]
         else:

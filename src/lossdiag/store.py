@@ -16,10 +16,11 @@ each non-blank line, stripped, must be something float() reads. Files that
 begin with b"CELOSSv" followed by any other version byte are rejected as
 bad magic rather than parsed as text.
 
-Each reader opens a dump once and tells binary from text by its first
-bytes. A text dump is read in blocks of whole lines. A block whose lines
-are all plain tokens (no whitespace, no blank line, only the bytes of
-decimal numbers, "inf" and "nan") is counted by its newlines and parsed
+The writer hands the file the payload array's own buffer. Each reader
+opens a dump once and tells binary from text by its first bytes. A text
+dump is read in blocks of whole lines. A block whose lines are all plain
+tokens (no whitespace, no blank line, only the bytes of decimal numbers,
+"inf" and "nan") is counted by its newlines and parsed
 by one numpy call that reads each line with float(), so both give what a
 loop over the stripped lines gives. At any other block the dump goes back
 to its first byte and through that per-line loop, which skips blank lines
@@ -130,13 +131,16 @@ class LossVector:
 
 
 def write_loss_dump(vector: LossVector, path: str | Path) -> None:
-    """Serialize ``vector`` to the binary dump format at ``path``."""
+    """Serialize ``vector`` to the binary dump format at ``path``.
+
+    The payload is written from the array's own buffer, with no bytes copy
+    of it (on a little-endian host; a big-endian one writes a swapped copy).
+    """
     path = Path(path)
     arr = vector.losses.astype("<f4", copy=False)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", arr.size))
-        fh.write(arr.tobytes())
+        fh.write(MAGIC + struct.pack("<Q", arr.size))
+        fh.write(memoryview(arr).cast("B"))
 
 
 def _header_count(head: bytes, path: Path) -> int:

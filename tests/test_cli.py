@@ -316,6 +316,76 @@ class TestScan:
                 cli._scan(path, path.stem, 40 + off, DEFAULT_KS, (1.0,), mode)
 
 
+class TestFlagsBeforeStreams:
+    """A bad flag is refused with exit 2 before any dump is streamed."""
+
+    @pytest.fixture
+    def refused(self, capsys, demo_dir, tmp_path, monkeypatch):
+        streams = []
+
+        def counted(path, *args, **kwargs):
+            streams.append(path)
+            return store.iter_loss_chunks(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "iter_loss_chunks", counted)
+
+        def check(command, *flags, message):
+            out_dir = tmp_path / "out"
+            argv = [*command, "--manifest", str(demo_dir / "manifest.yaml"), *flags]
+            if command[0] in ("report", "shape"):
+                argv += ["--out-dir", str(out_dir)]
+            rc, _, err = run(capsys, *argv)
+            assert rc == 2
+            assert stderr_payload(err)["message"] == message
+            assert streams == []
+            assert not out_dir.exists()
+
+        return check
+
+    @pytest.mark.parametrize(
+        "command",
+        [("summarize",), ("concord",), ("correlate", "--sweep", "--metric", "fidelity")],
+        ids=["summarize", "concord", "correlate"],
+    )
+    @pytest.mark.parametrize(
+        "ks, message",
+        [("0,50", "percentile 0 outside 1..99"),
+         ("50,50", "duplicate percentiles requested")],
+        ids=["out-of-range", "duplicate"],
+    )
+    def test_bad_ks(self, refused, command, ks, message):
+        refused(command, "--ks", ks, message=message)
+
+    @pytest.mark.parametrize("command", ["shape", "report"])
+    @pytest.mark.parametrize(
+        "bands, message",
+        [("0,1", "band bounds must be positive"),
+         ("2,1", "band bounds must be strictly increasing")],
+        ids=["non-positive", "decreasing"],
+    )
+    def test_bad_bands(self, refused, command, bands, message):
+        refused((command,), "--bands", bands, message=message)
+
+    @pytest.mark.parametrize(
+        "command",
+        [("concord", "--summaries", "mean,p97"),
+         ("report", "--summaries", "mean,p97"),
+         ("correlate", "--crossing", "--summary", "p97", "--reference", "1"),
+         ("correlate", "--select", "mean,p97")],
+        ids=["concord", "report", "crossing", "select"],
+    )
+    def test_unknown_summary_name(self, refused, command):
+        message = f"no summary named 'p97' over percentiles {list(DEFAULT_KS)}"
+        refused(command, message=message)
+
+    @pytest.mark.parametrize(
+        "command", [("report",), ("correlate", "--sweep")], ids=["report", "sweep"]
+    )
+    def test_unknown_metric(self, refused, command):
+        refused(command, "--metric", "nosuch",
+                message="no checkpoint carries metric 'nosuch'")
+
+
 class TestDistillDemo:
     ARGS = ("--vocab", "16", "--length", "10000", "--eval-length", "10000",
             "--steps", "300", "--k", "2,full")
@@ -797,6 +867,27 @@ class TestReport:
         assert whole_reads == []  # the exact path fills its buffer from the stream
         assert Counter(summaries) == Counter(c.checkpoint_id for c in checkpoints)
         assert Counter(peeks) == Counter(c.loss_path for c in checkpoints)
+
+    def test_builds_one_summary_set_per_checkpoint(
+        self, capsys, demo_dir, tmp_path, monkeypatch
+    ):
+        # summary.csv's grid is a subset of the scanned one, so restricting a
+        # summary to it makes no new SummarySet and checks nothing again.
+        built = []
+        post_init = SummarySet.__post_init__
+
+        def counted(self):
+            built.append(self.checkpoint_id)
+            post_init(self)
+
+        monkeypatch.setattr(SummarySet, "__post_init__", counted)
+        rc, _, _ = run(
+            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
+            "--out-dir", str(tmp_path / "report"), "--metric", "fidelity",
+        )
+        assert rc == 0
+        checkpoints = load_manifest(demo_dir / "manifest.yaml").checkpoints
+        assert Counter(built) == Counter(c.checkpoint_id for c in checkpoints)
 
     def test_empty_family_list_reports_every_family(self, capsys, demo_dir, tmp_path):
         written = {}

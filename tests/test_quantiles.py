@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from lossdiag import (
+    DEFAULT_KS,
     DegenerateInputError,
     LossVector,
     SummarySet,
@@ -173,6 +174,31 @@ class TestSummarySet:
             SummarySet("c", mean=1.0, percentiles={50: 1.0}, count=0)
         with pytest.raises(ValidationError):
             SummarySet("c", mean=-0.5, percentiles={50: 1.0}, count=1)
+
+    def test_restrict_to_missing_percentiles_names_them(self):
+        s = SummarySet("c", mean=1.0, percentiles={25: 0.5, 50: 1.0, 75: 2.0}, count=4)
+        with pytest.raises(ValidationError, match=r"^c: summary lacks percentiles \[90\]$"):
+            s.restrict([50, 90])
+        with pytest.raises(ValidationError, match=r"lacks percentiles \[95, 5\]$"):
+            s.restrict([95, 50, 5])
+        with pytest.raises(ValidationError, match="duplicate percentiles requested"):
+            s.restrict([50, 50])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 50.0, width=32) | st.just(np.inf), min_size=1, max_size=80),
+        ks=st.lists(st.sampled_from(DEFAULT_KS), min_size=1, unique=True),
+    )
+    def test_restricted_summary_equals_one_built_directly(self, values, ks):
+        losses = _vector(values)
+        full = summarize_exact(losses)
+        restricted = full.restrict(ks)
+        direct = summarize_exact(losses, ks)
+        assert restricted == direct
+        assert restricted.ks == direct.ks == tuple(sorted(ks))
+        built = SummarySet("v", full.mean, {k: full.percentiles[k] for k in ks}, full.count)
+        assert restricted == built and restricted.ks == built.ks
+        assert full.ks == DEFAULT_KS  # the original keeps its grid
 
     def test_report_row_rendering(self):
         s = SummarySet("student-top5", mean=1.708, percentiles={50: 0.525, 95: 7.82}, count=4)

@@ -212,6 +212,26 @@ class TestValidation:
         with pytest.raises(ValidationError, match="NaN"):
             sk.extend([1.0, float("nan")])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extra", [(), (np.inf,), (np.inf, -np.inf)])
+    def test_nan_rejected_in_either_dtype_and_leaves_the_sketch_as_it_was(
+        self, dtype, extra
+    ):
+        sk = QuantileSketch(1e-2)
+        sk.extend(np.array([0.5, 2.0], dtype))
+        with pytest.raises(ValidationError, match="sketch input contains NaN"):
+            sk.extend(np.array([1.0, np.nan, *extra, 3.0], dtype))
+        assert (sk.count, sk.total, sk.memory_values()) == (2, 2.5, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plus_and_minus_inf_in_one_chunk_are_accepted(self, dtype):
+        # Their sum is NaN, as a NaN's would be; the chunk holds no NaN.
+        sk = QuantileSketch(1e-2)
+        sk.extend(np.array([np.inf, 1.0, -np.inf], dtype))
+        assert sk.count == 3 and sk.memory_values() == 3
+        assert math.isnan(sk.total)
+        assert list(sk.query([0, 50, 100])) == [-np.inf, 1.0, np.inf]
+
     def test_query_bounds_and_empty(self):
         sk = QuantileSketch(1e-2)
         with pytest.raises(ValidationError, match="empty"):

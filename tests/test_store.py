@@ -377,6 +377,33 @@ class TestChunkedReads:
             assert v.losses.tobytes() == vals.tobytes()
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+class TestCopyFreeIO:
+    """The writer's bytes are those of the plain copying implementation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from((-0.0, 0.0, _F32_TINY, 1e-40, 1.1754942e-38, np.inf, _F32_MAX))
+            | st.floats(min_value=0.0, width=32),
+            min_size=1,
+            max_size=300,
+        ),
+        dtype=st.sampled_from((np.float32, np.float64)),
+    )
+    @example(values=[-0.0, _F32_TINY, np.inf, _F32_MAX], dtype=np.float32)
+    def test_written_bytes_are_the_header_and_little_endian_values(self, values, dtype):
+        arr = np.array(values, dtype=dtype)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.bin"
+            write_loss_dump(LossVector("d", arr), path)
+            data = path.read_bytes()
+        assert data == MAGIC + struct.pack("<Q", arr.size) + arr.astype("<f4").tobytes()
+
+
 def _write_manifest(tmp_path, body):
     tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "manifest.yaml"
