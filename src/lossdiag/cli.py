@@ -13,10 +13,13 @@ the dump in chunks and yields its summary over every percentile the run
 uses and, where bands are wanted, its band table, and all tables are built
 from those results. The scan takes the dump's value count from the
 manifest check (a positional dump is counted once, before any scan), so
-no dump is counted twice. Flags are checked once, after the manifest
-check and before any dump is streamed: --ks, --grid and --bands by the
-library's own checks, summary names against the percentiles they are read
-from, and --metric against the manifest's metrics. An empty --family list means every family.
+no dump is counted twice. What the flags and the manifest decide (--precision,
+--ks, --grid, --bands, --epsilon, summary names, a metric missing a selected
+checkpoint, what concordance, the sweep and --crossing refuse) is refused by
+the library's own rules before any dump is streamed or student trained. Only
+what dump values decide fails in or after the scan: a value that is not a
+valid loss, an undefined IQR, a non-finite or constant correlation column, a
+dump changed since it was counted. An empty --family list means every family.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
 worker processes that train distill-demo's students (workers.worker_count:
 one per task, at most 8 and at most the usable CPUs).
@@ -35,8 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from . import render
-from .concordance import concordance
-from .correlate import MetricSeries, crossing_step, default_rules, percentile_sweep, select
+from .concordance import _check_rankings, concordance
+from .correlate import MetricSeries, _check_steps, _check_sweep_size, crossing_step
+from .correlate import default_rules, percentile_sweep, select
 from .errors import DivergenceError, StoreFormatError, UsageError, ValidationError
 from .quantiles import (
     DEFAULT_KS,
@@ -57,6 +61,7 @@ from .shape import (
     profile_percentiles,
     standardize_profile,
 )
+from .sketch import QuantileSketch
 from .store import (
     CheckpointMeta,
     Manifest,
@@ -186,38 +191,25 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(Path(out), text)
 
 
-def _metric_names(manifest: Manifest, families) -> list[str]:
-    return sorted({n for c in manifest.select(families) for n in c.metrics})
-
-
-def _check_columns(columns, ks, metric_names) -> None:
-    """Refuse a selection column that is neither a metric nor a summary over ``ks``."""
-    _check_summary_names([c for c in columns if c not in metric_names], ks)
-
-
-def _selection_result(manifest: Manifest, families, table, columns):
-    metric_names = _metric_names(manifest, families)
-    metrics = {
-        name: _metric_series(manifest, name, None, families)
-        for name in metric_names
-        if name in columns
-    }
-    return select(table, default_rules(columns, metric_names), metrics)
-
-
-def _metric_series(
-    manifest: Manifest, name: str, metric_file: str | None, families=None
-) -> MetricSeries:
+def _metric_series(selected, name: str, metric_file: str | None = None) -> MetricSeries:
+    """Metric ``name`` of the selected checkpoints, refused unless it covers them all."""
     if metric_file is not None:
-        return MetricSeries(name, read_metric_file(metric_file))
-    values = {
-        c.checkpoint_id: c.metrics[name]
-        for c in manifest.select(families)
-        if name in c.metrics
-    }
-    if not values:
-        raise ValidationError(f"no checkpoint carries metric {name!r}")
-    return MetricSeries(name, values)
+        values = read_metric_file(metric_file)
+    else:
+        values = {c.checkpoint_id: c.metrics[name] for c in selected if name in c.metrics}
+        if not values:
+            raise ValidationError(f"no checkpoint carries metric {name!r}")
+    series = MetricSeries(name, values)
+    series.aligned(sorted(c.checkpoint_id for c in selected))
+    return series
+
+
+def _column_metrics(selected, columns, ks) -> dict[str, MetricSeries]:
+    """The series of each column a selected checkpoint carries as a metric;
+    every other column must be a summary over ``ks``."""
+    carried = {name for c in selected for name in c.metrics}
+    _check_summary_names([c for c in columns if c not in carried], ks)
+    return {name: _metric_series(selected, name) for name in columns if name in carried}
 
 
 # --- summarize ---------------------------------------------------------
@@ -232,6 +224,7 @@ def _cmd_summarize(args) -> None:
     if not args.paths and not checkpoints:
         raise UsageError("give dump paths and/or --manifest")
     ks = _check_ks(args.ks)
+    QuantileSketch(args.epsilon)  # the sketch's own epsilon rule, whichever path runs
     paths = [Path(p) for p in args.paths]
     entries = [(p, p.stem, peek_dump_count(p)) for p in paths] + _entries(checkpoints)
     mode = "exact" if args.exact else "sketch" if args.sketch else "auto"
@@ -242,12 +235,19 @@ def _cmd_summarize(args) -> None:
 # --- concord -----------------------------------------------------------
 
 
-def _concordance_reports(manifest, families, table, summaries):
-    reports = []
-    for family in families:
-        ids = [c.checkpoint_id for c in manifest.select([family])]
-        reports.append(concordance({i: table[i] for i in ids}, summaries, family))
-    return reports
+def _family_groups(manifest, families, summaries):
+    """Each family's checkpoints, refused here if concordance would refuse them."""
+    groups = [(family, manifest.select([family])) for family in families]
+    for _, checkpoints in groups:
+        _check_rankings(summaries, len(checkpoints))
+    return groups
+
+
+def _concordance_reports(groups, table, summaries):
+    return [
+        concordance({c.checkpoint_id: table[c.checkpoint_id] for c in cs}, summaries, family)
+        for family, cs in groups
+    ]
 
 
 def _families_with_pairs(checkpoints) -> list[str]:
@@ -264,9 +264,9 @@ def _cmd_concord(args) -> None:
     families = args.family or _families_with_pairs(manifest.checkpoints)
     if not families:
         raise ValidationError("no family holds two or more checkpoints")
-    selected = [c for family in families for c in manifest.select([family])]
-    table = _summary_table(selected, ks)
-    reports = _concordance_reports(manifest, families, table, args.summaries)
+    groups = _family_groups(manifest, families, args.summaries)
+    table = _summary_table([c for _, cs in groups for c in cs], ks)
+    reports = _concordance_reports(groups, table, args.summaries)
     _emit(render.concordance_table(reports, args.precision), args.out)
 
 
@@ -334,27 +334,30 @@ def _cmd_correlate(args) -> None:
     if args.crossing:
         _check_summary_names([args.summary], ks)
         groups = [(f, manifest.select([f])) for f in args.family or manifest.families()]
+        for family, cs in groups:
+            try:
+                _check_steps(c.step for c in cs)
+            except ValidationError as exc:
+                raise ValidationError(f"family {family!r}: {exc}") from exc
         table = _summary_table([c for _, cs in groups for c in cs], ks)
         rows = []
         for family, cs in groups:
             series = [(c.step, table[c.checkpoint_id].value(args.summary)) for c in cs]
-            try:
-                step = crossing_step(series, args.reference)
-            except ValidationError as exc:
-                raise ValidationError(f"family {family!r}: {exc}") from exc
+            step = crossing_step(series, args.reference)
             rows.append((family, args.summary, args.reference, step))
         _emit(render.crossing_table(rows, args.precision), args.out)
         return
 
     selected = manifest.select(args.family)
     if args.sweep:
-        metric = _metric_series(manifest, args.metric, args.metric_file, args.family)
+        _check_sweep_size(len(selected))
+        metric = _metric_series(selected, args.metric, args.metric_file)
         rows = percentile_sweep(_summary_table(selected, ks), metric)
         _emit(render.sweep_table(rows, args.precision), args.out)
     else:
-        _check_columns(args.select, ks, _metric_names(manifest, args.family))
+        metrics = _column_metrics(selected, args.select, ks)
         table = _summary_table(selected, ks)
-        result = _selection_result(manifest, args.family, table, args.select)
+        result = select(table, default_rules(args.select, metrics), metrics)
         _emit(render.selection_table(result, args.precision), args.out)
 
 
@@ -433,32 +436,30 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     families, grid, precision = args.family, args.grid, args.precision
     ks = sorted(set(DEFAULT_KS).union(profile_percentiles(grid)))
     bounds = _check_bounds(args.bands)
-    _check_columns(args.summaries, DEFAULT_KS, _metric_names(manifest, families))
-    metric = None
-    if args.metric is not None:
-        metric = _metric_series(manifest, args.metric, None, families)
     selected = manifest.select(families)
+    columns = list(args.summaries)
+    metrics = _column_metrics(selected, columns, DEFAULT_KS)
+    if args.metric is not None:
+        columns.append(args.metric)
+        if args.metric not in metrics:
+            metrics[args.metric] = _metric_series(selected, args.metric)
+    groups = _family_groups(manifest, _families_with_pairs(selected), args.summaries)
+    if groups:
+        _check_summary_names(args.summaries, DEFAULT_KS)
     scans = _scan_many(_entries(selected), ks, bounds)
 
     summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
     sections = {"summary.csv": render.summary_table(summaries, precision)}
     table = {s.checkpoint_id: s for s in summaries}
-
-    pair_families = _families_with_pairs(selected)
-    if pair_families:
-        reports = _concordance_reports(manifest, pair_families, table, args.summaries)
+    if groups:
+        reports = _concordance_reports(groups, table, args.summaries)
         sections["concordance.csv"] = render.concordance_table(reports, precision)
-
-    columns = list(args.summaries)
-    if args.metric is not None:
-        columns.append(args.metric)
-    sections["selection.csv"] = render.selection_table(
-        _selection_result(manifest, families, table, columns), precision
-    )
+    result = select(table, default_rules(columns, metrics), metrics)
+    sections["selection.csv"] = render.selection_table(result, precision)
 
     sweep_rows = []
-    if metric is not None and len(table) >= 3:
-        sweep_rows = percentile_sweep(table, metric)
+    if args.metric is not None and len(table) >= 3:
+        sweep_rows = percentile_sweep(table, metrics[args.metric])
         sections["sweep.csv"] = render.sweep_table(sweep_rows, precision)
 
     sections.update(_shape_tables(selected, scans, grid, precision))
@@ -547,8 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated family tags (with --manifest)")
     p.add_argument("--ks", type=_int_list, default=list(DEFAULT_KS),
                    help="percentiles to report")
-    p.add_argument("--exact", action="store_true", help="force the exact path")
-    p.add_argument("--sketch", action="store_true", help="force the sketch path")
+    path = p.add_mutually_exclusive_group()
+    path.add_argument("--exact", action="store_true", help="force the exact path")
+    path.add_argument("--sketch", action="store_true", help="force the sketch path")
     p.add_argument("--epsilon", type=float, default=1e-3,
                    help="sketch rank-error budget")
     common(p)
@@ -627,6 +629,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("a subcommand is required (see --help)")
+        render.fmt(0.0, args.precision)  # render's own precision rule, before any work
         args.func(args)
         return 0
     except UsageError as exc:

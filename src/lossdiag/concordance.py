@@ -38,6 +38,16 @@ def _sign_matrix(values: np.ndarray) -> np.ndarray:
     return (col > row).astype(np.int8) - (col < row)
 
 
+def _check_rankings(names: Sequence[str], n_checkpoints: int) -> None:
+    """What concordance refuses before it reads a summary value."""
+    if len(names) < 2:
+        raise ValidationError("need at least two summaries to compare rankings")
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate summary names")
+    if n_checkpoints < 2:
+        raise ValidationError("need at least two checkpoints")
+
+
 def concordance(
     table: Mapping[str, SummarySet],
     summaries: Sequence[str],
@@ -49,13 +59,8 @@ def concordance(
     never exceed the smallest of those.
     """
     names = tuple(summaries)
-    if len(names) < 2:
-        raise ValidationError("need at least two summaries to compare rankings")
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate summary names")
     ids = tuple(sorted(table))
-    if len(ids) < 2:
-        raise ValidationError("need at least two checkpoints")
+    _check_rankings(names, len(ids))
 
     # value() raises with the checkpoint and summary name if one is missing.
     cols = np.array([[table[cid].value(name) for name in names] for cid in ids])

@@ -100,6 +100,11 @@ class SweepRow:
     spearman_rho: float
 
 
+def _check_sweep_size(n_checkpoints: int) -> None:
+    if n_checkpoints < 3:
+        raise ValidationError("sweep needs at least three checkpoints")
+
+
 def percentile_sweep(table: Mapping[str, SummarySet], metric: MetricSeries) -> list[SweepRow]:
     """Correlate the metric against mean CE and against each percentile.
 
@@ -109,8 +114,7 @@ def percentile_sweep(table: Mapping[str, SummarySet], metric: MetricSeries) -> l
     message prefixed with the summary and the metric name.
     """
     ids = sorted(table)
-    if len(ids) < 3:
-        raise ValidationError("sweep needs at least three checkpoints")
+    _check_sweep_size(len(ids))
     y = metric.aligned(ids)
     rows = []
     for name in ("mean", *(f"p{k}" for k in table[ids[0]].ks)):
@@ -150,17 +154,6 @@ class SelectionTable:
     rows: tuple[SelectionRow, ...]
 
 
-def _column_value(
-    cid: str,
-    column: str,
-    table: Mapping[str, SummarySet],
-    metrics: Mapping[str, MetricSeries],
-) -> float:
-    if column in metrics:
-        return metrics[column].aligned([cid])[0]
-    return table[cid].value(column)
-
-
 def select(
     table: Mapping[str, SummarySet],
     rules: Sequence[SelectionRule],
@@ -181,31 +174,23 @@ def select(
         raise ValidationError("empty summary table")
     rows = []
     for rule in rules:
-        best_id = None
-        best_value = None
-        for cid in ids:
-            value = _column_value(cid, rule.column, table, metrics)
-            better = (
-                best_value is None
-                or (rule.direction == "min" and value < best_value)
-                or (rule.direction == "max" and value > best_value)
-            )
-            if better:
-                best_id, best_value = cid, value
+        if rule.column in metrics:
+            values = metrics[rule.column].aligned(ids)
+        else:
+            values = [table[cid].value(rule.column) for cid in ids]
+        # min and max return the first of equal values: ties keep the smaller id.
+        pick = min if rule.direction == "min" else max
+        best = pick(range(len(ids)), key=values.__getitem__)
+        best_id, best_value = ids[best], values[best]
         summary = table[best_id]
         row_values: dict[str, float] = {"mean": summary.mean}
         for k in summary.ks:
             row_values[f"p{k}"] = summary.percentiles[k]
         for name in sorted(metrics):
             row_values[name] = metrics[name].aligned([best_id])[0]
-        rows.append(
-            SelectionRow(
-                rule=rule.name,
-                checkpoint_id=best_id,
-                value=float(best_value),
-                summary_row=row_values,
-            )
-        )
+        rows.append(SelectionRow(
+            rule=rule.name, checkpoint_id=best_id, value=float(best_value), summary_row=row_values
+        ))
     return SelectionTable(rules=tuple(rules), rows=tuple(rows))
 
 
@@ -233,6 +218,14 @@ def normalize_series(values: Sequence[float]) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
+def _check_steps(steps) -> None:
+    """ValidationError for the smallest step that occurs more than once."""
+    ordered = sorted(steps)
+    for step, following in zip(ordered, ordered[1:]):
+        if step == following:
+            raise ValidationError(f"duplicate step {step} in series")
+
+
 def crossing_step(
     series: Sequence[tuple[int, float]], reference: float
 ) -> int | None:
@@ -244,9 +237,7 @@ def crossing_step(
     if not series:
         raise ValidationError("empty series")
     ordered = sorted((int(s), float(v)) for s, v in series)
-    for (step, _), (following, _) in zip(ordered, ordered[1:]):
-        if step == following:
-            raise ValidationError(f"duplicate step {step} in series")
+    _check_steps(s for s, _ in ordered)
     for step, value in ordered:
         if value < reference:
             return step

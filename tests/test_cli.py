@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from lossdiag import (
     summarize_exact,
     write_loss_dump,
 )
-from lossdiag import cli, render, store
+from lossdiag import cli, distill, render, store
 from lossdiag.cli import main
 from lossdiag.workers import worker_count
 
@@ -317,30 +318,49 @@ class TestScan:
 
 
 class TestFlagsBeforeStreams:
-    """A bad flag is refused with exit 2 before any dump is streamed."""
+    """What the flags and the manifest decide is refused before any dump is
+    streamed (and before distill-demo trains anything): exit 2 for bad data,
+    1 for bad usage."""
 
     @pytest.fixture
     def refused(self, capsys, demo_dir, tmp_path, monkeypatch):
-        streams = []
+        streams, labs = [], []
 
         def counted(path, *args, **kwargs):
             streams.append(path)
             return store.iter_loss_chunks(path, *args, **kwargs)
 
         monkeypatch.setattr(cli, "iter_loss_chunks", counted)
+        monkeypatch.setattr(distill, "dose_response", lambda config: labs.append(config))
 
-        def check(command, *flags, message):
+        def check(command, *flags, message, code=2, manifest=demo_dir / "manifest.yaml"):
             out_dir = tmp_path / "out"
-            argv = [*command, "--manifest", str(demo_dir / "manifest.yaml"), *flags]
+            argv = [*command, *flags]
+            if manifest is not None and command[0] != "distill-demo":
+                argv += ["--manifest", str(manifest)]
             if command[0] in ("report", "shape"):
                 argv += ["--out-dir", str(out_dir)]
+            if command[0] == "distill-demo":
+                argv += ["--out", str(out_dir / "dose.csv")]
             rc, _, err = run(capsys, *argv)
-            assert rc == 2
+            assert rc == code
             assert stderr_payload(err)["message"] == message
-            assert streams == []
+            assert streams == [] and labs == []
             assert not out_dir.exists()
 
         return check
+
+    @pytest.fixture
+    def edited_manifest(self, demo_dir, tmp_path):
+        """Writes the demo manifest's checkpoints, edited, to a new manifest."""
+        checkpoints = load_manifest(demo_dir / "manifest.yaml").checkpoints
+
+        def write(edit):
+            path = tmp_path / "edited.yaml"
+            dump_manifest(Manifest(version=1, checkpoints=tuple(edit(checkpoints))), path)
+            return path
+
+        return write
 
     @pytest.mark.parametrize(
         "command",
@@ -367,15 +387,16 @@ class TestFlagsBeforeStreams:
         refused((command,), "--bands", bands, message=message)
 
     @pytest.mark.parametrize(
-        "command",
-        [("concord", "--summaries", "mean,p97"),
-         ("report", "--summaries", "mean,p97"),
-         ("correlate", "--crossing", "--summary", "p97", "--reference", "1"),
-         ("correlate", "--select", "mean,p97")],
-        ids=["concord", "report", "crossing", "select"],
+        "command, name",
+        [(("concord", "--summaries", "mean,p97"), "p97"),
+         (("report", "--summaries", "mean,p97"), "p97"),
+         (("correlate", "--crossing", "--summary", "p97", "--reference", "1"), "p97"),
+         (("correlate", "--select", "mean,p97"), "p97"),
+         (("concord", "--summaries", "mean,pxx"), "pxx")],
+        ids=["concord", "report", "crossing", "select", "not-a-percentile"],
     )
-    def test_unknown_summary_name(self, refused, command):
-        message = f"no summary named 'p97' over percentiles {list(DEFAULT_KS)}"
+    def test_unknown_summary_name(self, refused, command, name):
+        message = f"no summary named {name!r} over percentiles {list(DEFAULT_KS)}"
         refused(command, message=message)
 
     @pytest.mark.parametrize(
@@ -384,6 +405,79 @@ class TestFlagsBeforeStreams:
     def test_unknown_metric(self, refused, command):
         refused(command, "--metric", "nosuch",
                 message="no checkpoint carries metric 'nosuch'")
+
+    @pytest.mark.parametrize(
+        "command",
+        [("report", "--metric", "judge"),
+         ("correlate", "--sweep", "--metric", "judge"),
+         ("correlate", "--select", "mean,judge")],
+        ids=["report", "sweep", "select"],
+    )
+    def test_metric_missing_a_selected_checkpoint(self, refused, edited_manifest, command):
+        # Every checkpoint but the teacher carries judge.
+        manifest = edited_manifest(lambda checkpoints: [
+            c if c.checkpoint_id == "teacher" else replace(c, metrics={"judge": 1.0})
+            for c in checkpoints
+        ])
+        refused(command, manifest=manifest,
+                message="metric 'judge' missing checkpoints ['teacher']")
+
+    @pytest.mark.parametrize(
+        "command",
+        [("summarize",), ("concord",), ("shape",), ("report",), ("distill-demo",),
+         ("correlate", "--sweep", "--metric", "fidelity")],
+        ids=["summarize", "concord", "shape", "report", "distill-demo", "correlate"],
+    )
+    def test_precision_below_one(self, refused, command):
+        refused(command, "--precision", "0", message="precision must be >= 1")
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [(("concord", "--summaries", "mean,mean"), "duplicate summary names"),
+         (("report", "--summaries", "mean,mean"), "duplicate summary names"),
+         (("report", "--summaries", "mean,fidelity"),
+          f"no summary named 'fidelity' over percentiles {list(DEFAULT_KS)}"),
+         (("concord", "--family", "teacher"), "need at least two checkpoints"),
+         (("correlate", "--sweep", "--metric", "fidelity", "--family", "teacher"),
+          "sweep needs at least three checkpoints")],
+        ids=["concord-duplicate", "report-duplicate", "report-metric", "concord-single",
+             "sweep-single"],
+    )
+    def test_what_the_analysis_would_refuse(self, refused, command, message):
+        refused(command, message=message)
+
+    def test_no_family_of_two_to_concord(self, refused, edited_manifest):
+        manifest = edited_manifest(lambda checkpoints: checkpoints[:1])
+        refused(("concord",), manifest=manifest,
+                message="no family holds two or more checkpoints")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--epsilon", "0.5"), "epsilon must be in (0, 0.01], got 0.5"),
+         (("--epsilon", "0", "--exact"), "epsilon must be in (0, 0.01], got 0.0")],
+        ids=["auto", "exact"],
+    )
+    def test_epsilon_whichever_path_runs(self, refused, flags, message):
+        refused(("summarize",), *flags, message=message)
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [(("summarize", "--exact", "--sketch"),
+          "argument --sketch: not allowed with argument --exact"),
+         (("summarize", "--ks", "5,x"), "bad integer list '5,x'"),
+         (("shape", "--bands", "1,x"), "bad float list '1,x'"),
+         (("report", "--summaries", "mean"), "report needs at least two summary names"),
+         (("distill-demo", "--k", "2,x"), "bad K value 'x'"),
+         (("distill-demo", "--k", ","), "--k needs at least one value")],
+        ids=["exact-and-sketch", "int-list", "float-list", "report-one-summary",
+             "k-token", "k-empty"],
+    )
+    def test_usage_errors(self, refused, command, message):
+        refused(command, code=1, message=message)
+
+    def test_summarize_needs_paths_or_manifest(self, refused):
+        refused(("summarize",), code=1, manifest=None,
+                message="give dump paths and/or --manifest")
 
 
 class TestDistillDemo:
@@ -658,9 +752,14 @@ class TestCorrelate:
         assert payload["error"] == "ValidationError"
         assert f"{metric_file}: not UTF-8 text" in payload["message"]
 
-    def test_crossing_on_demo_manifest_names_family_and_step(self, capsys, demo_dir):
+    def test_crossing_on_demo_manifest_names_family_and_step(
+        self, capsys, demo_dir, monkeypatch
+    ):
         # Every trained student of the demo sits at step --steps (2000), so
-        # the "trained" series repeats a step; the error must say where.
+        # the "trained" series repeats a step; the error must say where, and
+        # the manifest alone decides it, so no dump is streamed.
+        streams = []
+        monkeypatch.setattr(cli, "iter_loss_chunks", lambda path, *a: streams.append(path))
         rc, out, err = run(
             capsys, "correlate", "--manifest", str(demo_dir / "manifest.yaml"),
             "--crossing", "--reference", "1.5",
@@ -670,6 +769,7 @@ class TestCorrelate:
         payload = stderr_payload(err)
         assert payload["error"] == "ValidationError"
         assert payload["message"] == "family 'trained': duplicate step 2000 in series"
+        assert streams == []
 
     def test_crossing_needs_reference(self, capsys, demo_dir):
         rc, _, _ = run(
@@ -776,6 +876,25 @@ class TestReport:
         assert rc == 0
         assert (out_dir / "summary.csv").is_file()
         assert not (out_dir / "concordance.csv").exists()
+
+    def test_single_checkpoint_family_takes_any_selection_columns(
+        self, capsys, demo_dir, tmp_path
+    ):
+        # With no family to concord, --summaries only names selection columns:
+        # a repeated one, or a metric, is accepted.
+        out_dir = tmp_path / "teacher-only"
+        rc, _, err = run(
+            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
+            "--out-dir", str(out_dir), "--family", "teacher",
+            "--summaries", "mean,mean,accuracy", "--formats", "csv",
+        )
+        assert rc == 0, err
+        rows = (out_dir / "selection.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["mean", "mean", "min", "teacher"],
+            ["mean", "mean", "min", "teacher"],
+            ["accuracy", "accuracy", "max", "teacher"],
+        ]
 
     @pytest.mark.parametrize(
         "flags, message",

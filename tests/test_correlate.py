@@ -224,7 +224,16 @@ class TestSelection:
         assert [(r.column, r.direction) for r in rules] == [
             ("mean", "min"), ("p50", "min"), ("judge", "max")]
 
+    def test_metric_missing_several_checkpoints_names_them_all(self):
+        table = {cid: SummarySet(cid, 1.0, {50: 0.5}, 10) for cid in ("c", "a", "b", "d")}
+        metric = MetricSeries("judge", {"b": 1.0, "x": 2.0})
+        with pytest.raises(ValidationError) as exc:
+            select(table, [SelectionRule("j", "judge", "max")], metrics={"judge": metric})
+        assert str(exc.value) == "metric 'judge' missing checkpoints ['a', 'c', 'd']"
+
     def test_validation(self):
+        with pytest.raises(ValidationError, match="metric 'm' has no entries"):
+            MetricSeries("m", {})
         with pytest.raises(ValidationError):
             select({}, [SelectionRule("a", "mean", "min")])
         with pytest.raises(ValidationError):

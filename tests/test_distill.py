@@ -302,6 +302,14 @@ class TestDistillStudent:
         assert (oracles.distill_loss(small_world, long, 4)
                 <= oracles.distill_loss(small_world, short, 4) + 1e-12)
 
+    def test_teacher_without_context_weights_weights_rows_uniformly(self, small_world):
+        bare = TabularLM(logits=small_world.logits)
+        uniform = TabularLM(logits=small_world.logits, context_weights=np.full(8, 1 / 8))
+        student = distill_student(bare, 2, steps=10, learning_rate=1.0)
+        assert np.array_equal(student.context_weights, uniform.context_weights)
+        expected = distill_student(uniform, 2, steps=10, learning_rate=1.0)
+        assert np.array_equal(student.logits, expected.logits)
+
     def test_seed_has_no_effect(self, small_world):
         a = distill_student(small_world, 2, steps=10, learning_rate=1.0, seed=1)
         b = distill_student(small_world, 2, steps=10, learning_rate=1.0, seed=2)

@@ -599,6 +599,35 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [("- a\n", "top level must be a mapping"),
+         ("version: 1\ncheckpoints: [a]\n", "checkpoints[0]: must be a mapping"),
+         ("version: 1\ncheckpoints:\n  - {id: a, family: f, step: 0, objective: o,"
+          " loss: a.bin, metrics: [1]}\n", "checkpoints[0]: metrics must be a mapping"),
+         ("version: 1\ncheckpoints:\n  - {id: a, family: f, step: true, objective: o,"
+          " loss: a.bin}\n", "checkpoints[0]: key 'step' must be an integer"),
+         ("version: 1\ncheckpoints:\n  - {id: a, family: f, step: '5', objective: o,"
+          " loss: a.bin}\n", "checkpoints[0]: key 'step' has type str")],
+        ids=["top-level", "entry", "metrics", "bool-step", "string-step"],
+    )
+    def test_malformed_structure_names_where(self, tmp_path, body, message):
+        path = _write_manifest(tmp_path, body)
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path, check_dumps=False)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_dump_outside_the_manifest_directory_keeps_its_absolute_path(self, tmp_path):
+        _seed_dump(tmp_path, "a")
+        dump = (tmp_path / "dumps" / "a.bin").resolve()
+        m = Manifest(version=1, checkpoints=(CheckpointMeta("a", "f", 0, "o", dump),))
+        out = tmp_path / "elsewhere" / "manifest.yaml"
+        out.parent.mkdir()
+        dump_manifest(m, out)
+        entry = yaml.safe_load(out.read_text(encoding="utf-8"))["checkpoints"][0]
+        assert entry["loss"] == str(dump)
+        assert load_manifest(out).checkpoints[0].loss_path == dump
+
 
 # Strings PyYAML's two emitters disagree on: libyaml wraps long
 # double-quoted (non-ASCII) scalars and lays out empty or long mapping keys
@@ -704,6 +733,18 @@ class TestMetricFiles:
         path.write_text("checkpoint_id,judge\na,1.0\nb,nan\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"nan\.csv:3: metric of 'b' is NaN"):
             read_metric_file(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("\n  \n", "empty metric file"), ("checkpoint_id,judge\n", "no metric rows")],
+        ids=["blank", "header-only"],
+    )
+    def test_no_rows(self, tmp_path, body, message):
+        path = tmp_path / "judge.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            read_metric_file(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "cols.csv"
