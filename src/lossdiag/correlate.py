@@ -195,13 +195,13 @@ def select(
 
 
 def default_rules(names: Sequence[str], metric_names: Sequence[str]) -> list[SelectionRule]:
-    """Build rules with the conventional directions: CE summaries are
-    minimized, anything that is a known metric is maximized."""
-    rules = []
-    for name in names:
-        direction = "max" if name in metric_names else "min"
-        rules.append(SelectionRule(name=name, column=name, direction=direction))
-    return rules
+    """One rule per distinct name, in first-seen order, with the conventional
+    directions: CE summaries are minimized, anything that is a known metric
+    is maximized."""
+    return [
+        SelectionRule(name=name, column=name, direction="max" if name in metric_names else "min")
+        for name in dict.fromkeys(names)
+    ]
 
 
 def normalize_series(values: Sequence[float]) -> np.ndarray:

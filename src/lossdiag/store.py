@@ -18,14 +18,13 @@ bad magic rather than parsed as text.
 
 The writer hands the file the payload array's own buffer. Each reader
 opens a dump once and tells binary from text by its first bytes. A text
-dump is read in blocks of whole lines. A block whose lines are all plain
-tokens (no whitespace, no blank line, only the bytes of decimal numbers,
-"inf" and "nan") is counted by its newlines and parsed
-by one numpy call that reads each line with float(), so both give what a
-loop over the stripped lines gives. At any other block the dump goes back
-to its first byte and through that per-line loop, which skips blank lines
-and names the first line float() refuses; counts, values and error
-messages are the same either way.
+dump is read forward once, in blocks of whole lines. A block of plain
+tokens (only the bytes of decimal numbers, "inf" and "nan"; no blank line)
+is counted by its newlines and parsed by one numpy call that reads each
+line with float(). Any other block goes through a loop over its lines,
+split where a text open splits them. Either way the counts, values and
+errors are those of float() on each stripped non-blank line of the file
+opened as UTF-8 text, and an error names its line.
 
 Readers are safe to use from multiple threads on distinct files; the
 returned containers are immutable (the numpy buffers are marked read-only).
@@ -37,7 +36,6 @@ import csv
 import io
 import os
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -65,15 +63,12 @@ DEFAULT_CHUNK = 1 << 20
 
 # Text dumps are read in blocks of whole lines of about this many bytes.
 _TEXT_BLOCK = 1 << 16
-# A text-mode file decodes this many bytes at a time (CPython's
-# TextIOWrapper), so a bad byte anywhere in them fails the first line read.
-_DECODE_STEP = 8192
 
 # The bytes of a decimal loss as float() reads it with nothing to strip:
 # digits, '.', exponent and sign characters and the letters of "inf",
 # "infinity" and "nan". A block of such lines, none empty, holds one token
 # per line; any other byte (whitespace, CR, '#', '_', non-ASCII) or an
-# empty line sends the dump through the per-line loop.
+# empty line sends the block through the per-line loop.
 _NUMERIC = b"0123456789.eE+-infinityan\n"
 
 # libyaml's parser when PyYAML was built with it: the same documents as
@@ -163,7 +158,6 @@ def _iter_binary(fh, path: Path, count: int, chunk: int) -> Iterator[np.ndarray]
             raise TruncatedDumpError(
                 f"{path}: payload ends after {seen + block.size} of {count} values"
             )
-        block = _checked_losses(block, str(path), seen)
         seen += block.size
         yield block
     if fh.read(1):
@@ -202,71 +196,59 @@ def _plain_lines(block: bytes) -> int | None:
     return int(np.count_nonzero(newline)) + (not newline[-1])
 
 
-def _text_lines(fh, path: Path) -> Iterator[str]:
-    """The lines of ``fh`` from its first byte, decoded as ``open(path, "r")`` would.
+def _lines(block: bytes) -> list[str]:
+    """The stripped lines of ``block``, split only where a text open splits.
 
-    A fresh buffer over the raw handle reads in the same steps as a text
-    open, so a UnicodeDecodeError names the same position.
+    That is at "\\n", "\\r\\n" and "\\r", not also at "\\x0b", "\\x1c"-"\\x1e",
+    "\\x85" and U+2028 as str.splitlines would. A byte that is not UTF-8
+    decodes to a lone surrogate. The last item follows the last line end.
     """
-    fh.seek(0)
+    text = block.decode("utf-8", "surrogateescape")
+    return list(map(str.strip, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+
+
+def _check_utf8(path: Path, lineno: int, line: str) -> None:
+    """Raise StoreFormatError if ``line`` holds a byte that is not UTF-8."""
     try:
-        yield from io.TextIOWrapper(io.BufferedReader(fh), encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise StoreFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        line.encode()
+    except UnicodeEncodeError:
+        raise StoreFormatError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
-def _parse_lines(fh, path: Path, chunk: int) -> Iterator[list[float]]:
-    """The per-line loop: float() of each non-blank stripped line, ``chunk`` at a time."""
-    buf: list[float] = []
-    for lineno, line in enumerate(_text_lines(fh, path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            buf.append(float(line))
-        except ValueError:
-            raise StoreFormatError(f"{path}:{lineno}: not a decimal loss: {line!r}")
-        if len(buf) >= chunk:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
-
-
-def _text_values(fh, path: Path, chunk: int) -> Iterator[np.ndarray]:
-    """A text dump's values as float64 arrays of any size, as the per-line loop reads them.
+def _text_values(fh, path: Path) -> Iterator[np.ndarray]:
+    """A text dump's values as float64 arrays of any size, a block at a time.
 
     A plain block is split on its newlines and converted in one numpy call,
-    which reads each bytes token with float(). At the first other block the
-    per-line loop restarts from the first byte, so every error keeps its
-    text, line number and order, and the values already passed on are
-    skipped. The per-line loop decodes _DECODE_STEP bytes ahead of the line
-    it reads, so a block's values are passed on only once the blocks after
-    it are known to hold no undecodable byte in that reach.
+    which reads each bytes token with float(). Any other block goes through
+    the per-line loop; at a line float() refuses, the values above it in the
+    block are passed on before the error is raised, so the chunks they
+    complete are checked first.
     """
-    passed = read = 0
-    held: deque[tuple[np.ndarray, int]] = deque()  # values, read position that frees them
+    lineno = 0  # lines before the block
     for block in _line_blocks(fh):
-        if _plain_lines(block) is None:
-            break
-        try:
-            values = np.array(block.split(), dtype=np.float64)
-        except ValueError:  # "1e", "in" and the like
-            break
-        read += len(block)
-        held.append((values, -(-read // _DECODE_STEP) * _DECODE_STEP))
-        while held and held[0][1] <= read:
-            values = held.popleft()[0]
-            passed += values.size
-            yield values
-    else:
-        for values, _ in held:
-            yield values
-        return
-    for buf in _parse_lines(fh, path, chunk):
-        if passed < len(buf):
-            yield np.array(buf[passed:], dtype=np.float64)
-        passed = max(passed - len(buf), 0)
+        plain = _plain_lines(block)
+        if plain is not None:
+            try:
+                values = np.array(block.split(), dtype=np.float64)
+            except ValueError:  # "1e", "in" and the like
+                pass
+            else:
+                lineno += plain
+                yield values
+                continue
+        lines = _lines(block)
+        parsed: list[float] = []
+        for n, line in enumerate(lines, start=lineno + 1):
+            if not line:
+                continue
+            try:
+                parsed.append(float(line))
+            except ValueError:
+                yield np.array(parsed, dtype=np.float64)
+                _check_utf8(path, n, line)
+                raise StoreFormatError(f"{path}:{n}: not a decimal loss: {line!r}") from None
+        lineno += len(lines) - 1
+        yield np.array(parsed, dtype=np.float64)
 
 
 def _rechunk(arrays: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
@@ -288,25 +270,33 @@ def _rechunk(arrays: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
 
 def _count_text(fh, path: Path) -> int:
     """Non-blank lines of a text dump: newlines of plain blocks, else the per-line loop."""
-    count = 0
+    count = lineno = 0  # lines before the block
     for block in _line_blocks(fh):
-        lines = _plain_lines(block)
-        if lines is None:
-            return sum(1 for line in _text_lines(fh, path) if line.strip())
-        count += lines
+        plain = _plain_lines(block)
+        if plain is not None:
+            count += plain
+            lineno += plain
+            continue
+        lines = _lines(block)
+        count += len(lines) - lines.count("")
+        if not block.isascii():
+            for n, line in enumerate(lines, start=lineno + 1):
+                _check_utf8(path, n, line)
+        lineno += len(lines) - 1
     return count
 
 
 def _iter_dump(fh, path: Path, chunk: int) -> Iterator[np.ndarray]:
-    """The chunks of the open dump ``fh``, binary or text by its first bytes."""
+    """The checked chunks of the open dump ``fh``, binary or text by its first bytes."""
     with fh:
         head = fh.read(HEADER_BYTES)
         if head.startswith(MAGIC_PREFIX):
-            yield from _iter_binary(fh, path, _header_count(head, path), chunk)
-            return
-        fh.seek(0)
+            arrays = _iter_binary(fh, path, _header_count(head, path), chunk)
+        else:
+            fh.seek(0)
+            arrays = _rechunk(_text_values(fh, path), chunk)
         seen = 0
-        for values in _rechunk(_text_values(fh, path, chunk), chunk):
+        for values in arrays:
             yield _checked_losses(values, str(path), seen)
             seen += values.size
 

@@ -279,12 +279,16 @@ def float_by_format(value, precision):
 
 
 def _text_lines(path):
-    """The lines of a text dump, opened as UTF-8 text; yields from the open file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from fh
-    except UnicodeDecodeError as exc:
-        raise StoreFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    """The lines of a text dump, opened as UTF-8 text; yields from the open file.
+
+    A byte that is not UTF-8 is read as a lone surrogate, so the error names
+    the first line that holds one.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+                raise StoreFormatError(f"{path}:{lineno}: not UTF-8 text")
+            yield line
 
 
 def text_chunks_by_lines(path, chunk):

@@ -892,9 +892,28 @@ class TestReport:
         rows = (out_dir / "selection.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[:4] for row in rows] == [
             ["mean", "mean", "min", "teacher"],
-            ["mean", "mean", "min", "teacher"],
             ["accuracy", "accuracy", "max", "teacher"],
         ]
+
+    @pytest.mark.parametrize(
+        "command, rules",
+        [(("report", "--family", "teacher", "--summaries", "mean,fidelity",
+           "--metric", "fidelity"), ["mean", "fidelity"]),
+         (("report", "--family", "teacher", "--summaries", "mean,mean"), ["mean"]),
+         (("correlate", "--select", "mean,mean"), ["mean"])],
+        ids=["report-metric-in-summaries", "report-summaries", "correlate"],
+    )
+    def test_a_repeated_selection_column_writes_one_row(
+        self, capsys, demo_dir, tmp_path, command, rules
+    ):
+        argv = [*command, "--manifest", str(demo_dir / "manifest.yaml")]
+        if command[0] == "report":
+            argv += ["--out-dir", str(tmp_path), "--formats", "csv"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+        if command[0] == "report":
+            out = (tmp_path / "selection.csv").read_text(encoding="utf-8")
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == rules
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -1,6 +1,7 @@
 """Loss-dump format, manifest parsing, and metric files."""
 
 import builtins
+import io
 import json
 import math
 import struct
@@ -217,12 +218,14 @@ class TestTextFallback:
 
 # Text-dump lines: numbers as writers print them, and what a hand-edited or
 # foreign dump holds (whitespace, blank lines, comments, underscores,
-# non-ASCII digits, two numbers on a line, bytes that are not UTF-8).
+# non-ASCII digits, two numbers on a line, line breaks that a text open does
+# not split at, bytes that are not UTF-8).
 _ODD_LINES = (
     "0", "1.5", "-0.0", "1e5", "2.5E-3", "1e400", "1e-400", "+.5", "5.", "0001",
     "inf", "Infinity", "INF", "-inf", "nan", "NaN", "1_0", "١٢",
     " 1.5", "1.5 ", "\t2", "\x0c3", "", "", "  ", "\t", "1.5 2.5", "#", "# 1",
     "1e", "in", "infinit", "e5", "1..2", "-1", "1.5\x00", " ",
+    "1\x0b2", "1\x1c2", "1\x852", "1\u20282",
 )
 _TEXT_LINES = st.one_of(
     st.floats(0, 1e39).map(lambda v: repr(v).encode()),
@@ -276,7 +279,11 @@ class TestTextDumpProperties:
     @example(data=b"\n1.5\n", chunk=1, block=1)
     @example(data=b"1.5\r\n2.5", chunk=3, block=2)
     @example(data=b"1.5\n2.5\xff\n", chunk=1, block=3)
-    @example(data=b"3.40282357e+38\n\xff\n", chunk=1, block=1)  # decoded before parsed
+    @example(data=b"3.40282357e+38\n\xff\n", chunk=1, block=1)  # checked before the bad byte
+    @example(data=b"0.5\nhello\n\xff\n", chunk=1, block=16)  # junk above a bad byte
+    @example(data=b"nan\n1\nhello\n", chunk=1, block=16)  # a full chunk's NaN first
+    @example(data=b"nan\n1\nhello\n", chunk=7, block=16)  # the junk line first
+    @example(data=b"0.5\n1.5\r", chunk=1, block=16)  # ends in a lone CR
     def test_blocks_read_like_the_per_line_loop(self, data, chunk, block):
         # Small read blocks put block boundaries at every place in the dump.
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -291,9 +298,8 @@ class TestTextDumpProperties:
     ])
     @pytest.mark.parametrize("at", [0, 9000, 70000, None])
     def test_a_late_odd_line_keeps_the_per_line_error(self, tmp_path, tail, at):
-        # Past the first read block and the text decoder's first chunk, an
-        # odd line sends the dump back through the per-line loop; the error
-        # names the same line, index or byte position.
+        # Past the first read block, an odd line sends its block through the
+        # per-line loop; the error names the same line or index.
         rng = np.random.default_rng(5)
         plain = b"".join(repr(float(v)).encode() + b"\n" for v in rng.random(8000))
         cut = len(plain) if at is None else plain.index(b"\n", at) + 1 if at else 0
@@ -318,6 +324,31 @@ class TestTextDumpProperties:
             assert peek_dump_count(tmp_path / name) == 2
             assert sum(c.size for c in iter_loss_chunks(tmp_path / name)) == 2
             assert opened == [name, name]
+
+    def test_each_reader_reads_a_text_dump_once(self, tmp_path, monkeypatch):
+        read = []
+
+        class CountedFileIO(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+            def readinto(self, buffer):
+                size = super().readinto(buffer)
+                read.append(size)
+                return size
+
+        monkeypatch.setattr(store, "open", lambda file, *a, **k: CountedFileIO(file), raising=False)
+        rng = np.random.default_rng(5)
+        plain = b"".join(repr(float(v)).encode() + b"\n" for v in rng.random(8000))
+        cut = plain.index(b"\n", 70000) + 1  # past the first read block
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(plain[:cut] + b"1.5\r\n" + plain[cut:])
+        for reader in (peek_dump_count, lambda p: sum(c.size for c in iter_loss_chunks(p))):
+            read.clear()
+            assert reader(path) == 8001
+            assert sum(read) <= path.stat().st_size + store.HEADER_BYTES
 
     def test_missing_dump_raises_when_the_stream_is_made(self, tmp_path):
         with pytest.raises(FileNotFoundError):
