@@ -19,7 +19,8 @@ checkpoint, what concordance, the sweep and --crossing refuse) is refused by
 the library's own rules before any dump is streamed or student trained. Only
 what dump values decide fails in or after the scan: a value that is not a
 valid loss, an undefined IQR, a non-finite or constant correlation column, a
-dump changed since it was counted. An empty --family list means every family.
+dump changed since it was counted. Usage errors come before the manifest is
+read. An empty --family list means every family; a repeated name counts once.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
 worker processes that train distill-demo's students (workers.worker_count:
 one per task, at most 8 and at most the usable CPUs).
@@ -102,7 +103,7 @@ def _str_list(text: str) -> list[str]:
 
 
 def _families(text: str) -> list[str] | None:
-    return _str_list(text) or None  # an empty list selects every family
+    return list(dict.fromkeys(_str_list(text))) or None  # each once; [] is all
 
 
 def _grid(text: str) -> tuple[int, ...]:
@@ -322,13 +323,13 @@ def _cmd_correlate(args) -> None:
     modes = [bool(args.sweep), args.select is not None, bool(args.crossing)]
     if sum(modes) != 1:
         raise UsageError("pick exactly one of --sweep, --select, --crossing")
-    manifest = load_manifest(args.manifest)
     if args.sweep and not args.metric:
         raise UsageError("--sweep requires --metric")
     if args.select is not None and not args.select:
         raise UsageError("--select needs at least one column")
     if args.crossing and args.reference is None:
         raise UsageError("--crossing requires --reference")
+    manifest = load_manifest(args.manifest)
     ks = _check_ks(args.ks)
 
     if args.crossing:

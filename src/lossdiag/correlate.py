@@ -71,18 +71,11 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with ties sharing their average rank: a tie group ending at
+    cumulative count ``end`` averages ``end - (count - 1) / 2``, exactly."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[group]
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:

@@ -222,7 +222,7 @@ def synth_corpus(
         raise ValidationError("concentration must be >= 0")
     base, rows = true_chain(seed, vocab, zipf_exponent, concentration)
     cum = np.cumsum(rows, axis=1)
-    cum[:, -1] = 1.0  # guard against rounding at the top end
+    cum[:, -1] = 1.0  # so bisect_right of a draw from [0, 1) is below vocab
     start_cum = np.cumsum(base)
     start_cum[-1] = 1.0
 
@@ -233,14 +233,12 @@ def synth_corpus(
     # overhead. Uniforms are drawn, and out written, a block at a time to
     # bound memory; block draws give the same numbers as one whole draw.
     rows_cum = cum.tolist()
-    token = min(bisect_right(start_cum.tolist(), sampler.random()), vocab - 1)
+    token = bisect_right(start_cum.tolist(), sampler.random())
     out[0] = token
     for lo in range(1, length, _SAMPLE_BLOCK):
         block = []
         for x in sampler.random(min(_SAMPLE_BLOCK, length - lo)).tolist():
             token = bisect_right(rows_cum[token], x)
-            if token >= vocab:
-                token = vocab - 1
             block.append(token)
         out[lo:lo + len(block)] = block
     return out
@@ -276,13 +274,11 @@ def _teacher_targets(teacher: TabularLM, k: int) -> np.ndarray:
     return np.stack([topk_renormalize(row, k) for row in probs])
 
 
-def _resolve_k(teacher: TabularLM, k) -> int:
+def _resolve_k(vocab: int, k) -> int:
     if k == "full":
-        return teacher.vocab_size
-    if int(k) != k or not 1 <= k <= teacher.vocab_size:
-        raise ValidationError(
-            f"K must be 'full' or an integer in 1..{teacher.vocab_size}, got {k!r}"
-        )
+        return vocab
+    if int(k) != k or not 1 <= k <= vocab:
+        raise ValidationError(f"K must be 'full' or an integer in 1..{vocab}, got {k!r}")
     return int(k)
 
 
@@ -414,16 +410,14 @@ def distill_student(
     k,
     steps: int,
     learning_rate: float,
-    seed: int | None = None,
 ) -> TabularLM:
     """Train a student on top-K renormalized teacher rows.
 
-    Full-batch and zero-initialized, hence deterministic; ``seed`` is
-    accepted for interface stability but has no stochastic path to feed.
-    Context rows are weighted by the teacher's stored empirical context
-    frequencies (uniform if the teacher carries none).
+    Full-batch and zero-initialized, hence deterministic. Context rows are
+    weighted by the teacher's stored empirical context frequencies (uniform
+    if the teacher carries none).
     """
-    k_eff = _resolve_k(teacher, k)
+    k_eff = _resolve_k(teacher.vocab_size, k)
     targets = _teacher_targets(teacher, k_eff)[None]
     weights = teacher.context_weights
     if weights is None:
@@ -442,7 +436,7 @@ def converged_student(teacher: TabularLM, k, epsilon_q: float = 1e-9) -> Tabular
     """
     if not 0.0 < epsilon_q <= 1e-6:
         raise ValidationError(f"epsilon_q must be in (0, 1e-6], got {epsilon_q!r}")
-    k_eff = _resolve_k(teacher, k)
+    k_eff = _resolve_k(teacher.vocab_size, k)
     rows = _teacher_targets(teacher, k_eff)
     floored = np.where(rows == 0.0, epsilon_q, rows)
     floored /= floored.sum(axis=1, keepdims=True)
@@ -529,8 +523,7 @@ class LabConfig:
             raise ValidationError("ks must not be empty")
         seen = set()
         for k in self.ks:
-            if k != "full" and (int(k) != k or not 1 <= k <= self.vocab):
-                raise ValidationError(f"bad K {k!r} for vocab {self.vocab}")
+            _resolve_k(self.vocab, k)
             if k in seen:
                 raise ValidationError(f"duplicate K {k!r}")
             seen.add(k)
@@ -592,7 +585,7 @@ def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
         config.concentration, split=1,
     )
 
-    k_effs = [_resolve_k(teacher, k) for k in config.ks]
+    k_effs = [_resolve_k(teacher.vocab_size, k) for k in config.ks]
     targets = np.stack([_teacher_targets(teacher, k_eff) for k_eff in k_effs])
     logits = _train_batch(
         targets, teacher.context_weights, config.steps, config.learning_rate

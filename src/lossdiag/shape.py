@@ -57,14 +57,8 @@ def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID)
     for needed in (25, 50, 75):
         if needed not in grid:
             raise ValidationError(f"profile grid must contain {needed}")
-    missing = [k for k in grid if k not in summary.percentiles]
-    if missing:
-        raise ValidationError(
-            f"{summary.checkpoint_id}: summary lacks percentiles {missing}"
-        )
-    p25 = summary.percentiles[25]
-    p50 = summary.percentiles[50]
-    p75 = summary.percentiles[75]
+    pct = summary.restrict(grid).percentiles
+    p25, p50, p75 = pct[25], pct[50], pct[75]
     iqr = p75 - p25
     if not iqr > 0 or not math.isfinite(iqr):
         # Name the quartiles: with both at +inf, p75 - p25 is nan.
@@ -73,7 +67,7 @@ def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID)
             f"{summary.checkpoint_id}: {quartiles}, no finite positive IQR; "
             "profile undefined"
         )
-    values = {k: (summary.percentiles[k] - p50) / iqr for k in grid}
+    values = {k: (pct[k] - p50) / iqr for k in grid}
     # Pin the anchors so the defining identities hold bitwise: the formula
     # can miss p75-tilde - p25-tilde == 1 by one ulp.
     values[50] = 0.0

@@ -21,7 +21,7 @@ float32 and any other input is cast to float64. The cast from float32 is
 exact and keeps order, so both dtypes store and answer the same values;
 only the answers of query() are cast to float64. A level that holds both
 dtypes, as after merging a float32 sketch with a float64 one, is promoted
-to float64 when it is next compacted or queried.
+to float64 when its arrays are next joined, compacted or queried.
 
 Memory is bounded by capacity * (number of occupied levels) values, i.e.
 independent of n up to the log factor. The bound is the worst case, a full
@@ -67,7 +67,7 @@ def float64_sum(values: np.ndarray) -> np.float64:
 class QuantileSketch:
     """Bounded-memory quantile summary; build with extend(), combine with merge()."""
 
-    __slots__ = ("epsilon", "count", "total", "_cap", "_levels", "_sizes", "_parity")
+    __slots__ = ("epsilon", "count", "total", "_cap", "_levels", "_parity")
 
     def __init__(self, epsilon: float):
         if not 0.0 < epsilon <= 0.01:
@@ -78,7 +78,6 @@ class QuantileSketch:
         self.total = 0.0
         self._cap = math.ceil(MAX_LEVELS / self.epsilon) + 1
         self._levels: list[list[np.ndarray]] = [[]]
-        self._sizes: list[int] = [0]
         self._parity: list[int] = [0]
 
     def extend(self, values) -> None:
@@ -111,29 +110,23 @@ class QuantileSketch:
     def _push(self, level: int, arr: np.ndarray) -> None:
         while level >= len(self._levels):
             self._levels.append([])
-            self._sizes.append(0)
             self._parity.append(0)
-        self._levels[level].append(arr)
-        self._sizes[level] += int(arr.size)
-        while level < len(self._levels) and self._sizes[level] >= self._cap:
+        arrays = self._levels[level]
+        arrays.append(arr)
+        if len(arrays) > 8:  # join small chunks, so the size below stays a short sum
+            arrays[:] = [np.concatenate(arrays)]
+        while level < len(self._levels) and sum(map(len, self._levels[level])) >= self._cap:
             self._compact(level)
             level += 1
 
     def _compact(self, level: int) -> None:
         buf = np.concatenate(self._levels[level])
         buf.sort()
-        if buf.size % 2:
-            core, leftover = buf[:-1], buf[-1:]
-        else:
-            core, leftover = buf, buf[:0]
-        promoted = core[self._parity[level] :: 2].copy()
+        even = buf.size - buf.size % 2
+        # An odd last value stays behind; the rest is halved and promoted.
+        self._levels[level] = [buf[even:].copy()] if even < buf.size else []
+        promoted = buf[self._parity[level] : even : 2].copy()
         self._parity[level] ^= 1
-        if leftover.size:
-            self._levels[level] = [leftover.copy()]
-            self._sizes[level] = 1
-        else:
-            self._levels[level] = []
-            self._sizes[level] = 0
         self._push(level + 1, promoted)
 
     def query(self, k: float | Sequence[float]) -> float | np.ndarray:
@@ -186,7 +179,7 @@ class QuantileSketch:
 
     def memory_values(self) -> int:
         """Number of stored values (for the fixed-memory contract tests)."""
-        return int(sum(self._sizes))
+        return sum(a.size for arrays in self._levels for a in arrays)
 
 
 def build_sketch(chunks: Iterable, epsilon: float) -> QuantileSketch:

@@ -439,7 +439,7 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
     The count it returns is kept as ``CheckpointMeta.count``, so a reader of
     the manifest need not count again; without ``check_dumps`` it is None.
     It is measured, not declared, so ``dump_manifest`` does not write it.
-    NaN metric values are rejected.
+    Version 1 is the only version; NaN metric values are rejected.
     """
     path = Path(path)
     try:
@@ -450,6 +450,8 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: top level must be a mapping")
     version = _require(doc, "version", int, str(path))
+    if version != 1:
+        raise ManifestError(f"{path}: unsupported manifest version {version}")
     entries = _require(doc, "checkpoints", list, str(path))
     if not entries:
         raise ManifestError(f"{path}: checkpoints list is empty")

@@ -468,12 +468,17 @@ class TestFlagsBeforeStreams:
          (("shape", "--bands", "1,x"), "bad float list '1,x'"),
          (("report", "--summaries", "mean"), "report needs at least two summary names"),
          (("distill-demo", "--k", "2,x"), "bad K value 'x'"),
-         (("distill-demo", "--k", ","), "--k needs at least one value")],
+         (("distill-demo", "--k", ","), "--k needs at least one value"),
+         (("correlate", "--sweep"), "--sweep requires --metric"),
+         (("correlate", "--select="), "--select needs at least one column"),
+         (("correlate", "--crossing"), "--crossing requires --reference")],
         ids=["exact-and-sketch", "int-list", "float-list", "report-one-summary",
-             "k-token", "k-empty"],
+             "k-token", "k-empty", "sweep-no-metric", "select-empty",
+             "crossing-no-reference"],
     )
-    def test_usage_errors(self, refused, command, message):
-        refused(command, code=1, message=message)
+    def test_usage_errors(self, refused, tmp_path, command, message):
+        # The manifest does not exist: usage errors come before it is read.
+        refused(command, code=1, manifest=tmp_path / "missing.yaml", message=message)
 
     def test_summarize_needs_paths_or_manifest(self, refused):
         refused(("summarize",), code=1, manifest=None,
@@ -914,6 +919,18 @@ class TestReport:
         if command[0] == "report":
             out = (tmp_path / "selection.csv").read_text(encoding="utf-8")
         assert [row.split(",")[0] for row in out.splitlines()[1:]] == rules
+
+    @pytest.mark.parametrize(
+        "command",
+        [("concord", "--family", "trained,trained"),
+         ("correlate", "--crossing", "--reference", "5", "--family", "teacher,teacher")],
+        ids=["concord", "crossing"],
+    )
+    def test_a_repeated_family_writes_one_row(self, capsys, demo_dir, command):
+        rc, out, err = run(capsys, *command, "--manifest", str(demo_dir / "manifest.yaml"))
+        assert rc == 0, err
+        family = command[-1].split(",")[0]
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == [family]
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -1,10 +1,13 @@
 """Cross-summary ranking agreement: concordance and its tie conventions."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lossdiag import SummarySet, ValidationError, concordance, kendall_tau
 
@@ -165,6 +168,23 @@ class TestKendallTau:
             b = rng.permutation(n).astype(float)
             ref = scipy.stats.kendalltau(a, b).statistic
             assert abs(kendall_tau(a, b) - ref) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda m: st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), min_size=m, max_size=m),
+        min_size=2, max_size=2,
+    )))
+    @example([[math.inf, math.inf, 1.0], [2.0, 2.0, 1.0]])
+    @example([[1.0, 1.0], [1.0, 1.0]])
+    def test_tau_and_concordance_count_the_oracles_agreeing_pairs(self, cols):
+        # Few distinct values, so ties and equal +inf values are common.
+        n, agree, _ = oracles.concordance_by_pairs(cols)
+        tau = kendall_tau(*cols)
+        assert tau == (2 * agree - n) / n
+        rep = concordance(_table(cols), ("mean", "p50"))
+        assert (rep.total_pairs, rep.concordant_pairs) == (n, agree)
+        assert round((1 + tau) * n / 2) == agree
+        assert round(rep.pairwise[("mean", "p50")] * n) == agree
 
     def test_tied_inf_pair_in_identical_rankings(self):
         assert kendall_tau([np.inf, np.inf, 1.0], [2.0, 2.0, 1.0]) == 1.0

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lossdiag import (
     DegenerateInputError,
@@ -21,8 +23,21 @@ from lossdiag import (
     select,
     spearman,
 )
+from lossdiag.correlate import _average_ranks
 
 import helpers
+
+
+@st.composite
+def _tied_values(draw):
+    """A shuffled list in which each of a few values, 0.0 and -0.0 among the
+    candidates, appears one to four times: ties at any rank."""
+    pool = draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0]) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=12,
+    ))
+    values = [v for v in pool for _ in range(draw(st.integers(1, 4)))]
+    return draw(st.permutations(values))
 
 
 class TestCorrelations:
@@ -57,6 +72,15 @@ class TestCorrelations:
             assert spearman(x, y) == pytest.approx(
                 scipy.stats.spearmanr(x, y).statistic, abs=1e-12
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_values())
+    @example([0.0, -0.0, 0.0, -0.0, 1.0])
+    @example([2.0] * 7)
+    def test_average_ranks_are_scipys_bit_for_bit(self, values):
+        x = np.array(values, dtype=np.float64)
+        want = scipy.stats.rankdata(x, method="average")
+        assert _average_ranks(x).tobytes() == want.astype(np.float64).tobytes()
 
     def test_affine_and_monotone_invariance(self):
         rng = np.random.default_rng(67)

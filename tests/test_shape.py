@@ -99,6 +99,17 @@ class TestStandardize:
         with pytest.raises(ValidationError, match="sparse"):
             standardize_profile(s, grid=PROFILE_GRID)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [((25, 50, 50, 75), "duplicate percentiles requested"),
+         ((0, 25, 50, 75), "percentile 0 outside 1..99")],
+        ids=["repeated", "out-of-range"],
+    )
+    def test_grid_is_checked_like_a_percentile_list(self, grid, message):
+        s = _summary("s", {k: float(k) for k in (25, 50, 75)})
+        with pytest.raises(ValidationError, match=message):
+            standardize_profile(s, grid=grid)
+
 
 class TestProfileDistance:
     def test_metric_properties(self):

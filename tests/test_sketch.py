@@ -200,6 +200,16 @@ class TestMemory:
             sk.extend(rng.random(n // 20))
         assert sk.memory_values() <= cap * (math.log2(n) + 2)
 
+    def test_one_value_chunks_leave_few_arrays_per_level(self):
+        # A level's size is the sum over its arrays, taken on every push; a
+        # level holding one array per tiny chunk would make that quadratic.
+        sk = QuantileSketch(1e-2)
+        values = np.random.default_rng(4).random(20_000)
+        for v in values:
+            sk.extend([v])
+        assert max(len(arrays) for arrays in sk._levels) <= 8
+        assert abs(sk.query(50) - np.median(values)) <= 0.02
+
 
 class TestValidation:
     def test_epsilon_range(self):

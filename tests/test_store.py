@@ -737,6 +737,24 @@ class TestManifestYaml:
             assert cli.main(["summarize", "--manifest", str(path)]) == 2
             assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
+    @pytest.mark.parametrize("version", [0, 2, 7])
+    def test_only_version_1_loads(self, tmp_path, capsys, version):
+        path = _write_manifest(
+            tmp_path,
+            f"""\
+            version: {version}
+            checkpoints:
+            - {{id: a, family: f, step: 0, objective: o, loss: a.bin}}
+            """,
+        )
+        message = f"{path}: unsupported manifest version {version}"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path, check_dumps=False)
+        assert str(info.value) == message
+        assert cli.main(["summarize", "--manifest", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["error"], payload["message"]) == ("ManifestError", message)
+
 
 class TestMetricFiles:
     def test_round_trip_and_header_skip(self, tmp_path):
