@@ -14,9 +14,10 @@ uses and, where bands are wanted, its band table, and all tables are built
 from those results. The scan takes the dump's value count from the
 manifest check (a positional dump is counted once, before any scan), so
 no dump is counted twice. What the flags and the manifest decide (--precision,
---ks, --grid, --bands, --epsilon, summary names, a metric missing a selected
-checkpoint, what concordance, the sweep and --crossing refuse) is refused by
-the library's own rules before any dump is streamed or student trained. Only
+--ks, --grid, --bands, --epsilon, --k, --epsilon-q, summary names, a metric
+missing a selected checkpoint, what concordance, the sweep and --crossing
+refuse, a NaN --reference among them) is refused by the library's own rules
+before any dump is streamed or student trained. Only
 what dump values decide fails in or after the scan: a value that is not a
 valid loss, an undefined IQR, a non-finite or constant correlation column, a
 dump changed since it was counted. Usage errors come before the manifest is
@@ -40,8 +41,8 @@ import numpy as np
 
 from . import render
 from .concordance import _check_rankings, concordance
-from .correlate import MetricSeries, _check_steps, _check_sweep_size, crossing_step
-from .correlate import default_rules, percentile_sweep, select
+from .correlate import MetricSeries, _check_reference, _check_steps, _check_sweep_size
+from .correlate import crossing_step, default_rules, percentile_sweep, select
 from .errors import DivergenceError, StoreFormatError, UsageError, ValidationError
 from .quantiles import (
     DEFAULT_KS,
@@ -320,9 +321,6 @@ def _cmd_shape(args) -> None:
 
 
 def _cmd_correlate(args) -> None:
-    modes = [bool(args.sweep), args.select is not None, bool(args.crossing)]
-    if sum(modes) != 1:
-        raise UsageError("pick exactly one of --sweep, --select, --crossing")
     if args.sweep and not args.metric:
         raise UsageError("--sweep requires --metric")
     if args.select is not None and not args.select:
@@ -334,6 +332,7 @@ def _cmd_correlate(args) -> None:
 
     if args.crossing:
         _check_summary_names([args.summary], ks)
+        _check_reference(args.reference)
         groups = [(f, manifest.select([f])) for f in args.family or manifest.families()]
         for family, cs in groups:
             try:
@@ -577,12 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="summary-vs-metric relationships")
     p.add_argument("--manifest", required=True)
     p.add_argument("--family", type=_families, default=None)
-    p.add_argument("--sweep", action="store_true",
-                   help="correlate every summary against --metric")
-    p.add_argument("--select", type=_str_list, default=None,
-                   help="pick best checkpoints by these columns")
-    p.add_argument("--crossing", action="store_true",
-                   help="first step a summary drops below --reference")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--sweep", action="store_true",
+                      help="correlate every summary against --metric")
+    mode.add_argument("--select", type=_str_list, default=None,
+                      help="pick best checkpoints by these columns")
+    mode.add_argument("--crossing", action="store_true",
+                      help="first step a summary drops below --reference")
     p.add_argument("--metric", default=None)
     p.add_argument("--metric-file", default=None,
                    help="two-column checkpoint_id,value file overriding manifest metrics")

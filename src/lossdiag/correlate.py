@@ -138,7 +138,6 @@ class SelectionRow:
     rule: str
     checkpoint_id: str
     value: float
-    summary_row: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -174,16 +173,7 @@ def select(
         # min and max return the first of equal values: ties keep the smaller id.
         pick = min if rule.direction == "min" else max
         best = pick(range(len(ids)), key=values.__getitem__)
-        best_id, best_value = ids[best], values[best]
-        summary = table[best_id]
-        row_values: dict[str, float] = {"mean": summary.mean}
-        for k in summary.ks:
-            row_values[f"p{k}"] = summary.percentiles[k]
-        for name in sorted(metrics):
-            row_values[name] = metrics[name].aligned([best_id])[0]
-        rows.append(SelectionRow(
-            rule=rule.name, checkpoint_id=best_id, value=float(best_value), summary_row=row_values
-        ))
+        rows.append(SelectionRow(rule.name, ids[best], float(values[best])))
     return SelectionTable(rules=tuple(rules), rows=tuple(rows))
 
 
@@ -219,14 +209,21 @@ def _check_steps(steps) -> None:
             raise ValidationError(f"duplicate step {step} in series")
 
 
+def _check_reference(reference: float) -> None:
+    if math.isnan(reference):
+        raise ValidationError("crossing reference is NaN")
+
+
 def crossing_step(
     series: Sequence[tuple[int, float]], reference: float
 ) -> int | None:
     """First step whose value drops strictly below ``reference``.
 
     The series is ordered by step before scanning; no interpolation between
-    evaluation points. Returns None when the series never crosses.
+    evaluation points. Returns None when the series never crosses; a NaN
+    reference, which no value is below, is a ValidationError.
     """
+    _check_reference(reference)
     if not series:
         raise ValidationError("empty series")
     ordered = sorted((int(s), float(v)) for s, v in series)

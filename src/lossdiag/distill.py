@@ -76,17 +76,14 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def topk_renormalize(p, k: int) -> np.ndarray:
+def topk_renormalize(p, k) -> np.ndarray:
     """Keep the K most probable entries, renormalized to sum to one.
 
-    Ties at the K-th rank break toward the lower index (stable sort), so the
-    kept set is deterministic.
+    K as _resolve_k takes it ("full" keeps all). Ties at the K-th rank break
+    toward the lower index (stable sort), so the kept set is deterministic.
     """
     arr = check_distribution(p)
-    if int(k) != k or not 1 <= k <= arr.size:
-        raise ValidationError(f"K must be an integer in 1..{arr.size}, got {k!r}")
-    order = np.argsort(-arr, kind="stable")
-    keep = order[: int(k)]
+    keep = np.argsort(-arr, kind="stable")[: _resolve_k(arr.size, k)]
     out = np.zeros_like(arr)
     out[keep] = arr[keep] / arr[keep].sum()
     return out
@@ -275,11 +272,15 @@ def _teacher_targets(teacher: TabularLM, k: int) -> np.ndarray:
 
 
 def _resolve_k(vocab: int, k) -> int:
-    if k == "full":
+    """The lab's one K rule: "full", or an integral number (not a bool) in 1..vocab."""
+    if isinstance(k, str) and k == "full":
         return vocab
-    if int(k) != k or not 1 <= k <= vocab:
-        raise ValidationError(f"K must be 'full' or an integer in 1..{vocab}, got {k!r}")
-    return int(k)
+    try:
+        if not isinstance(k, (bool, np.bool_)) and int(k) == k and 1 <= k <= vocab:
+            return int(k)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
+        pass
+    raise ValidationError(f"K must be 'full' or an integer in 1..{vocab}, got {k!r}")
 
 
 # Steps between divergence checks in _descend_rows.
@@ -586,6 +587,11 @@ def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
     )
 
     k_effs = [_resolve_k(teacher.vocab_size, k) for k in config.ks]
+    # Oracles first: they own the epsilon_q rule, refused before any training.
+    oracles = {
+        k: converged_student(teacher, k_eff, config.epsilon_q)
+        for k, k_eff in zip(config.ks, k_effs)
+    }
     targets = np.stack([_teacher_targets(teacher, k_eff) for k_eff in k_effs])
     logits = _train_batch(
         targets, teacher.context_weights, config.steps, config.learning_rate
@@ -593,10 +599,6 @@ def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
 
     weights = teacher.context_weights
     students = {k: TabularLM(logits[i], weights) for i, k in enumerate(config.ks)}
-    oracles = {
-        k: converged_student(teacher, k_eff, config.epsilon_q)
-        for k, k_eff in zip(config.ks, k_effs)
-    }
     summaries = [
         (k, family, summarize_exact(
             LossVector(cid, per_token_ce(model, held_out).astype(np.float32))))

@@ -488,10 +488,10 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
                 )
         count = None
         if check_dumps:
-            if not loss_path.exists():
-                raise ManifestError(f"{where}: loss dump not found: {loss_path}")
             try:
                 count = peek_dump_count(loss_path)
+            except (FileNotFoundError, NotADirectoryError) as exc:
+                raise ManifestError(f"{where}: loss dump not found: {loss_path}") from exc
             except StoreFormatError as exc:
                 raise ManifestError(f"{where}: bad loss dump: {exc}") from exc
         checkpoints.append(

@@ -439,9 +439,11 @@ class TestFlagsBeforeStreams:
           f"no summary named 'fidelity' over percentiles {list(DEFAULT_KS)}"),
          (("concord", "--family", "teacher"), "need at least two checkpoints"),
          (("correlate", "--sweep", "--metric", "fidelity", "--family", "teacher"),
-          "sweep needs at least three checkpoints")],
+          "sweep needs at least three checkpoints"),
+         (("correlate", "--crossing", "--reference", "nan", "--family", "teacher"),
+          "crossing reference is NaN")],
         ids=["concord-duplicate", "report-duplicate", "report-metric", "concord-single",
-             "sweep-single"],
+             "sweep-single", "crossing-nan-reference"],
     )
     def test_what_the_analysis_would_refuse(self, refused, command, message):
         refused(command, message=message)
@@ -471,10 +473,13 @@ class TestFlagsBeforeStreams:
          (("distill-demo", "--k", ","), "--k needs at least one value"),
          (("correlate", "--sweep"), "--sweep requires --metric"),
          (("correlate", "--select="), "--select needs at least one column"),
-         (("correlate", "--crossing"), "--crossing requires --reference")],
+         (("correlate", "--crossing"), "--crossing requires --reference"),
+         (("correlate",), "one of the arguments --sweep --select --crossing is required"),
+         (("correlate", "--sweep", "--crossing"),
+          "argument --crossing: not allowed with argument --sweep")],
         ids=["exact-and-sketch", "int-list", "float-list", "report-one-summary",
              "k-token", "k-empty", "sweep-no-metric", "select-empty",
-             "crossing-no-reference"],
+             "crossing-no-reference", "no-mode", "two-modes"],
     )
     def test_usage_errors(self, refused, tmp_path, command, message):
         # The manifest does not exist: usage errors come before it is read.

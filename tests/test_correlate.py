@@ -233,14 +233,13 @@ class TestSelection:
         with pytest.raises(ValidationError, match="'j' of checkpoint 'a' is NaN"):
             MetricSeries("j", {"a": np.nan, "b": 5.0})
 
-    def test_row_carries_full_summary(self):
+    def test_row_carries_pick_and_metric_value(self):
         table = _sweep_table(np.random.default_rng(83), m=4)
         metric = MetricSeries("judge", {cid: 1.0 + i for i, cid in enumerate(sorted(table))})
         result = select(table, [SelectionRule("j", "judge", "max")],
                         metrics={"judge": metric})
         row = result.rows[0]
         assert row.checkpoint_id == "c03"
-        assert set(row.summary_row) == {"mean", "p50", "p95", "judge"}
         assert row.value == 4.0
 
     def test_default_rule_directions(self):
@@ -328,6 +327,8 @@ class TestCrossingStep:
             crossing_step([], 1.0)
         with pytest.raises(ValidationError, match="duplicate step 1 in series"):
             crossing_step([(2, 0.3), (1, 0.5), (1, 0.4)], 1.0)
+        with pytest.raises(ValidationError, match="^crossing reference is NaN$"):
+            crossing_step([(1, 0.5), (2, 0.4)], math.nan)
 
     def test_frozen_training_trajectory(self):
         series = helpers.load_trajectory_fixture(

@@ -1,6 +1,8 @@
 """Tabular top-K distillation lab: math helpers, training, oracle, sweep."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,11 +70,20 @@ class TestSoftmax:
         assert np.isfinite(log_softmax(z)).all()
 
 
+# K values of the wrong kind: a string, None, NaN, inf and bools. Every K check refuses them.
+BAD_K_KINDS = ("x", None, math.nan, math.inf, True, np.True_)
+
+
+def _names_k(k):
+    return rf"^K must be 'full' or an integer in 1\.\.\d+, got {re.escape(repr(k))}$"
+
+
 class TestTopKRenormalize:
     def test_full_k_is_identity(self):
         rng = np.random.default_rng(11)
         p = _random_dist(rng, 10)
         assert np.allclose(topk_renormalize(p, 10), p, atol=1e-14)
+        assert np.array_equal(topk_renormalize(p, "full"), topk_renormalize(p, 10))
 
     def test_hand_case(self):
         out = topk_renormalize([0.5, 0.3, 0.2], 2)
@@ -106,6 +117,9 @@ class TestTopKRenormalize:
         p = [0.5, 0.5]
         for k in (0, 3, 1.5, -1):
             with pytest.raises(ValidationError):
+                topk_renormalize(p, k)
+        for k in BAD_K_KINDS:
+            with pytest.raises(ValidationError, match=_names_k(k)):
                 topk_renormalize(p, k)
 
 
@@ -453,6 +467,9 @@ class TestLabConfig:
             LabConfig(ks=(128, "full"))
         with pytest.raises(ValidationError):
             LabConfig(ks=(4, 4, "full"))
+        for k in BAD_K_KINDS:
+            with pytest.raises(ValidationError, match=_names_k(k)):
+                LabConfig(ks=(k, "full"))
 
     def test_defaults_are_frozen(self):
         config = LabConfig()
@@ -472,6 +489,18 @@ class TestDoseResponse:
     def test_requires_teacher_anchor(self):
         with pytest.raises(ValidationError, match="full"):
             dose_response(LabConfig(ks=(2, 4)))
+
+    def test_bad_epsilon_q_is_refused_before_any_training(self, monkeypatch):
+        trainings = []
+
+        def counted(*args):
+            trainings.append(args)
+            return _train_batch(*args)
+
+        monkeypatch.setattr(distill, "_train_batch", counted)
+        with pytest.raises(ValidationError, match=r"^epsilon_q must be in \(0, 1e-6\], got 0\.5$"):
+            dose_response(replace(TINY, epsilon_q=0.5))
+        assert trainings == []
 
     def test_vocab_sized_k_counts_as_full(self):
         dose_response(LabConfig(

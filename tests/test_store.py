@@ -563,6 +563,10 @@ class TestManifest:
             load_manifest(path)
         # Metadata-only callers can skip the dump check.
         assert load_manifest(path, check_dumps=False).ids() == ["a"]
+        # A path through a file (NotADirectoryError) is not found either.
+        (tmp_path / "dumps").write_bytes(b"")
+        with pytest.raises(ManifestError, match="loss dump not found: .*a.bin$"):
+            load_manifest(path)
 
     def test_keeps_the_measured_dump_count(self, tmp_path):
         _seed_dump(tmp_path, "a", (0.5, 1.0, 2.0))
