@@ -45,6 +45,7 @@ from .correlate import MetricSeries, _check_reference, _check_steps, _check_swee
 from .correlate import crossing_step, default_rules, percentile_sweep, select
 from .errors import DivergenceError, StoreFormatError, UsageError, ValidationError
 from .quantiles import (
+    DEFAULT_EPSILON,
     DEFAULT_KS,
     EXACT_PATH_MAX,
     SummarySet,
@@ -122,7 +123,7 @@ def _grid(text: str) -> tuple[int, ...]:
 _BUFFERS = threading.local()
 
 
-def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3):
+def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=DEFAULT_EPSILON):
     """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
 
     The dump is streamed once, each chunk copied into the thread's float32
@@ -164,7 +165,7 @@ def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=1e-3
     return summary, bands
 
 
-def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=1e-3):
+def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=DEFAULT_EPSILON):
     """_scan over (path, checkpoint_id, count) in one thread pool, order-preserving."""
     entries = list(entries)
     with ThreadPoolExecutor(max_workers=worker_count(len(entries))) as pool:
@@ -551,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     path = p.add_mutually_exclusive_group()
     path.add_argument("--exact", action="store_true", help="force the exact path")
     path.add_argument("--sketch", action="store_true", help="force the sketch path")
-    p.add_argument("--epsilon", type=float, default=1e-3,
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="sketch rank-error budget")
     common(p)
     p.set_defaults(func=_cmd_summarize)

@@ -26,8 +26,10 @@ DEFAULT_KS: tuple[int, ...] = (1,) + tuple(range(5, 100, 5)) + (99,)
 # Dumps at most this large are summarized exactly by default; the CLI falls
 # back to the sketch beyond it unless forced. The exact scan sorts a dump in
 # a float32 buffer each scan thread keeps, so at this size 8 scan threads
-# hold 2**26 values * 4 bytes * 8 = 2 GiB of sort buffers.
+# hold 2**26 values * 4 bytes * 8 = 2 GiB of sort buffers. The sketch's
+# rank-error budget is DEFAULT_EPSILON unless a caller sets one.
 EXACT_PATH_MAX = 1 << 26
+DEFAULT_EPSILON = 1e-3
 
 
 def _check_ks(ks: Sequence[int]) -> tuple[int, ...]:
@@ -202,7 +204,7 @@ def summarize_chunks(
     checkpoint_id: str,
     chunks: Iterable[np.ndarray],
     ks: Sequence[int] = DEFAULT_KS,
-    epsilon: float = 1e-3,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> SummarySet:
     """Sketch-backed summary of an iterable of loss chunks.
 

@@ -34,6 +34,8 @@ def _format_floats(values, precision: int) -> list[str]:
     """
     if precision < 1:
         raise ValidationError("precision must be >= 1")
+    if precision >= 1 << 31:  # '%' formatting takes a C int
+        raise ValidationError("precision must be < 2**31")
     values = tuple([float(v) + 0.0 for v in values])
     if any(map(math.isnan, values)):
         raise ValidationError("refusing to render NaN")

@@ -17,8 +17,9 @@ begin with b"CELOSSv" followed by any other version byte are rejected as
 bad magic rather than parsed as text.
 
 The writer hands the file the payload array's own buffer. Each reader
-opens a dump once and tells binary from text by its first bytes. A text
-dump is read forward once, in blocks of whole lines. A block of plain
+opens a dump once, tells binary from text by its first bytes and checks a
+binary header against the file size there, by one rule. A text dump is
+read forward once, in blocks of whole lines. A block of plain
 tokens (only the bytes of decimal numbers, "inf" and "nan"; no blank line)
 is counted by its newlines and parsed by one numpy call that reads each
 line with float(). Any other block goes through a loop over its lines,
@@ -138,32 +139,38 @@ def write_loss_dump(vector: LossVector, path: str | Path) -> None:
         fh.write(memoryview(arr).cast("B"))
 
 
-def _header_count(head: bytes, path: Path) -> int:
-    """The value count a binary dump's first HEADER_BYTES declare."""
+def _binary_count(fh, path: Path) -> int | None:
+    """The header's count of the binary dump ``fh``, checked against its size.
+
+    At least 1, or None for a text dump (``fh`` rewound; else past the header).
+    """
+    head = fh.read(HEADER_BYTES)
+    if not head.startswith(MAGIC_PREFIX):
+        fh.seek(0)
+        return None
     if len(head) < HEADER_BYTES or head[:8] != MAGIC:
         raise BadMagicError(f"{path}: bad or truncated magic {head[:8]!r}")
     (count,) = struct.unpack("<Q", head[8:])
     if count == 0:
         raise StoreFormatError(f"{path}: header declares zero values")
+    values, spare = divmod(os.fstat(fh.fileno()).st_size - HEADER_BYTES, VALUE_BYTES)
+    if values < count:
+        raise TruncatedDumpError(f"{path}: payload ends after {values} of {count} values")
+    if values > count or spare:
+        raise CountMismatchError(f"{path}: payload continues past the declared count {count}")
     return count
 
 
 def _iter_binary(fh, path: Path, count: int, chunk: int) -> Iterator[np.ndarray]:
     """Payload blocks of ``chunk`` values; ``fh`` is just past the header."""
-    seen = 0
-    while seen < count:
+    for seen in range(0, count, chunk):
         want = min(chunk, count - seen)
         block = np.fromfile(fh, dtype="<f4", count=want)
-        if block.size < want:
+        if block.size < want:  # the file shrank after its size was checked
             raise TruncatedDumpError(
                 f"{path}: payload ends after {seen + block.size} of {count} values"
             )
-        seen += block.size
         yield block
-    if fh.read(1):
-        raise CountMismatchError(
-            f"{path}: payload continues past the declared count {count}"
-        )
 
 
 def _line_blocks(fh) -> Iterator[bytes]:
@@ -289,12 +296,9 @@ def _count_text(fh, path: Path) -> int:
 def _iter_dump(fh, path: Path, chunk: int) -> Iterator[np.ndarray]:
     """The checked chunks of the open dump ``fh``, binary or text by its first bytes."""
     with fh:
-        head = fh.read(HEADER_BYTES)
-        if head.startswith(MAGIC_PREFIX):
-            arrays = _iter_binary(fh, path, _header_count(head, path), chunk)
-        else:
-            fh.seek(0)
-            arrays = _rechunk(_text_values(fh, path), chunk)
+        count = _binary_count(fh, path)
+        arrays = (_rechunk(_text_values(fh, path), chunk) if count is None
+                  else _iter_binary(fh, path, count, chunk))
         seen = 0
         for values in arrays:
             yield _checked_losses(values, str(path), seen)
@@ -307,7 +311,8 @@ def iter_loss_chunks(path: str | Path, chunk: int = DEFAULT_CHUNK) -> Iterator[n
     Works for both the binary format and the text fallback. This is the
     fixed-buffer path: peak memory does not depend on the dump size. The
     dump is opened here, so a missing file raises before any chunk is read,
-    and the stream closes it when it ends, fails or is closed.
+    and a bad binary size before the first. The stream closes the dump when
+    it ends, fails or is closed.
     """
     path = Path(path)
     if chunk < 1:
@@ -332,26 +337,12 @@ def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVe
 def peek_dump_count(path: str | Path) -> int:
     """Value count of a dump without parsing it.
 
-    A binary dump's header is checked against the file size; a text dump's
-    non-blank lines are counted.
+    A binary dump's header is checked against the file size, by the stream's
+    own rule; a text dump's non-blank lines are counted.
     """
     path = Path(path)
     with open(path, "rb", buffering=0) as fh:
-        head = fh.read(HEADER_BYTES)
-        if head.startswith(MAGIC_PREFIX):
-            count = _header_count(head, path)
-            payload = os.fstat(fh.fileno()).st_size - HEADER_BYTES
-            if payload < count * VALUE_BYTES:
-                raise TruncatedDumpError(
-                    f"{path}: payload holds {payload // VALUE_BYTES} of {count} values"
-                )
-            if payload > count * VALUE_BYTES:
-                raise CountMismatchError(
-                    f"{path}: payload continues past the declared count {count}"
-                )
-            return count
-        fh.seek(0)
-        count = _count_text(fh, path)
+        count = _binary_count(fh, path) or _count_text(fh, path)
     if count == 0:
         raise StoreFormatError(f"{path}: empty text dump")
     return count
@@ -418,7 +409,7 @@ def _require(entry: dict, key: str, kind, where: str):
     return value
 
 
-def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
+def load_manifest(path: str | Path) -> Manifest:
     """Parse and validate a checkpoint manifest (YAML; JSON is a subset).
 
     Layout::
@@ -433,13 +424,12 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
             metrics:          # optional
               judge: 2.01
 
-    Loss paths are resolved relative to the manifest's directory. With
-    ``check_dumps`` each dump is checked by ``peek_dump_count``: a binary
-    header against its payload size, a text dump by counting all its lines.
-    The count it returns is kept as ``CheckpointMeta.count``, so a reader of
-    the manifest need not count again; without ``check_dumps`` it is None.
-    It is measured, not declared, so ``dump_manifest`` does not write it.
-    Version 1 is the only version; NaN metric values are rejected.
+    Loss paths are resolved relative to the manifest's directory, and every
+    dump is checked and counted by ``peek_dump_count``. The count is kept as
+    ``CheckpointMeta.count``, so a reader need not count again; it is
+    measured, not declared, so ``dump_manifest`` does not write it. Version
+    1 is the only version. A bad loss path (a NUL byte, a symlink loop) or
+    dump, and a metric that is NaN or too large for a float, are refused.
     """
     path = Path(path)
     try:
@@ -473,7 +463,6 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
             raise ManifestError(f"{where}: step must be >= 0")
         objective = _require(entry, "objective", str, where)
         loss_rel = _require(entry, "loss", str, where)
-        loss_path = (base / loss_rel).resolve()
         metrics_raw = entry.get("metrics") or {}
         if not isinstance(metrics_raw, dict):
             raise ManifestError(f"{where}: metrics must be a mapping")
@@ -481,19 +470,24 @@ def load_manifest(path: str | Path, check_dumps: bool = True) -> Manifest:
         for name, value in metrics_raw.items():
             if not isinstance(name, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ManifestError(f"{where}: metric {name!r} must map a string to a number")
-            metrics[name] = float(value)
-            if np.isnan(metrics[name]):
-                raise ManifestError(
-                    f"{where}: metric {name!r} of checkpoint {cid!r} is NaN"
-                )
-        count = None
-        if check_dumps:
             try:
-                count = peek_dump_count(loss_path)
-            except (FileNotFoundError, NotADirectoryError) as exc:
-                raise ManifestError(f"{where}: loss dump not found: {loss_path}") from exc
-            except StoreFormatError as exc:
-                raise ManifestError(f"{where}: bad loss dump: {exc}") from exc
+                metrics[name] = float(value)
+            except OverflowError:
+                raise ManifestError(
+                    f"{where}: metric {name!r} of checkpoint {cid!r} is too large for a float"
+                ) from None
+            if np.isnan(metrics[name]):
+                raise ManifestError(f"{where}: metric {name!r} of checkpoint {cid!r} is NaN")
+        loss_path = base / loss_rel
+        try:
+            loss_path = loss_path.resolve()
+            count = peek_dump_count(loss_path)
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            raise ManifestError(f"{where}: loss dump not found: {loss_path}") from exc
+        except StoreFormatError as exc:
+            raise ManifestError(f"{where}: bad loss dump: {exc}") from exc
+        except (OSError, ValueError, RuntimeError) as exc:  # a NUL byte, a loop, a directory
+            raise ManifestError(f"{where}: bad loss path {loss_rel!r}: {exc}") from exc
         checkpoints.append(
             CheckpointMeta(
                 checkpoint_id=cid,

@@ -431,6 +431,10 @@ class TestFlagsBeforeStreams:
     def test_precision_below_one(self, refused, command):
         refused(command, "--precision", "0", message="precision must be >= 1")
 
+    def test_precision_past_what_formatting_takes(self, refused):
+        # '%' formatting refuses a precision past a C int; render refuses it first.
+        refused(("summarize",), "--precision", "2147483648", message="precision must be < 2**31")
+
     @pytest.mark.parametrize(
         "command, message",
         [(("concord", "--summaries", "mean,mean"), "duplicate summary names"),

@@ -1,13 +1,16 @@
 """Loss-dump format, manifest parsing, and metric files."""
 
 import builtins
+import contextlib
 import io
 import json
 import math
+import re
 import struct
 import tempfile
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +154,26 @@ class TestFormatErrors:
         path.write_bytes(MAGIC + struct.pack("<Q", 1 << 50) + struct.pack("<ff", 1.0, 2.0))
         with pytest.raises(TruncatedDumpError, match=f"after 2 of {1 << 50} values"):
             read_loss_dump(path)
+
+    @pytest.mark.parametrize(
+        "count, payload, error, message",
+        [(10, 9 * 4, TruncatedDumpError, "payload ends after 9 of 10 values"),
+         (10, 9 * 4 + 3, TruncatedDumpError, "payload ends after 9 of 10 values"),
+         (10, 11 * 4, CountMismatchError, "payload continues past the declared count 10"),
+         (10, 10 * 4 + 1, CountMismatchError, "payload continues past the declared count 10")],
+        ids=["short", "short-ragged", "long", "long-ragged"],
+    )
+    def test_both_readers_refuse_a_bad_size_alike_at_open(
+        self, tmp_path, count, payload, error, message
+    ):
+        path = tmp_path / "sized.bin"
+        path.write_bytes(MAGIC + struct.pack("<Q", count) + b"\0" * payload)
+        with pytest.raises(error) as peeked:
+            peek_dump_count(path)
+        stream = iter_loss_chunks(path, chunk=1)
+        with pytest.raises(error) as streamed:
+            next(stream)  # refused before the first chunk
+        assert str(peeked.value) == str(streamed.value) == f"{path}: {message}"
 
     def test_nan_payload_rejected_on_read(self, tmp_path):
         path = tmp_path / "nan.bin"
@@ -510,7 +533,7 @@ class TestManifest:
             """,
         )
         with pytest.raises(ManifestError, match=r"checkpoints\[0\].*objective"):
-            load_manifest(path, check_dumps=False)
+            load_manifest(path)
 
     def test_negative_step(self, tmp_path):
         path = _write_manifest(
@@ -522,7 +545,7 @@ class TestManifest:
             """,
         )
         with pytest.raises(ManifestError, match="step"):
-            load_manifest(path, check_dumps=False)
+            load_manifest(path)
 
     def test_boolean_metric_rejected(self, tmp_path):
         path = _write_manifest(
@@ -535,7 +558,7 @@ class TestManifest:
             """,
         )
         with pytest.raises(ManifestError, match="metric"):
-            load_manifest(path, check_dumps=False)
+            load_manifest(path)
 
     def test_nan_metric_names_checkpoint_and_metric(self, tmp_path):
         path = _write_manifest(
@@ -548,7 +571,7 @@ class TestManifest:
             """,
         )
         with pytest.raises(ManifestError, match="metric 'judge' of checkpoint 'a' is NaN"):
-            load_manifest(path, check_dumps=False)
+            load_manifest(path)
 
     def test_missing_dump_checked(self, tmp_path):
         path = _write_manifest(
@@ -561,12 +584,33 @@ class TestManifest:
         )
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(path)
-        # Metadata-only callers can skip the dump check.
-        assert load_manifest(path, check_dumps=False).ids() == ["a"]
         # A path through a file (NotADirectoryError) is not found either.
         (tmp_path / "dumps").write_bytes(b"")
         with pytest.raises(ManifestError, match="loss dump not found: .*a.bin$"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "loss, reason",
+        [("a\0b.bin", "embedded null byte"), ("loop.bin", "(?i)symlink loop|symbolic links")],
+        ids=["nul-byte", "symlink-loop"],
+    )
+    def test_unresolvable_loss_path_is_manifest_error_exit_2(self, tmp_path, capsys, loss, reason):
+        (tmp_path / "loop.bin").symlink_to("loop.bin")
+        path = _write_manifest(
+            tmp_path,
+            f"""\
+            version: 1
+            checkpoints:
+              - {{id: a, family: f, step: 0, objective: o, loss: {json.dumps(loss)}}}
+            """,
+        )
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        where = f"{path}: checkpoints[0]: bad loss path {loss!r}: "
+        assert str(info.value).startswith(where)
+        assert re.search(reason, str(info.value)[len(where):])
+        assert cli.main(["summarize", "--manifest", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
     def test_keeps_the_measured_dump_count(self, tmp_path):
         _seed_dump(tmp_path, "a", (0.5, 1.0, 2.0))
@@ -582,8 +626,6 @@ class TestManifest:
         )
         m = load_manifest(path)
         assert [c.count for c in m.checkpoints] == [3, 2]
-        unchecked = load_manifest(path, check_dumps=False)
-        assert [c.count for c in unchecked.checkpoints] == [None, None]
         # Measured, not declared: a written manifest does not carry it.
         out = tmp_path / "written.yaml"
         dump_manifest(m, out)
@@ -643,13 +685,16 @@ class TestManifest:
          ("version: 1\ncheckpoints:\n  - {id: a, family: f, step: true, objective: o,"
           " loss: a.bin}\n", "checkpoints[0]: key 'step' must be an integer"),
          ("version: 1\ncheckpoints:\n  - {id: a, family: f, step: '5', objective: o,"
-          " loss: a.bin}\n", "checkpoints[0]: key 'step' has type str")],
-        ids=["top-level", "entry", "metrics", "bool-step", "string-step"],
+          " loss: a.bin}\n", "checkpoints[0]: key 'step' has type str"),
+         (f"version: 1\ncheckpoints:\n  - {{id: a, family: f, step: 0, objective: o,"
+          f" loss: a.bin, metrics: {{judge: {10**400}}}}}\n",
+          "checkpoints[0]: metric 'judge' of checkpoint 'a' is too large for a float")],
+        ids=["top-level", "entry", "metrics", "bool-step", "string-step", "huge-int-metric"],
     )
     def test_malformed_structure_names_where(self, tmp_path, body, message):
         path = _write_manifest(tmp_path, body)
         with pytest.raises(ManifestError) as exc:
-            load_manifest(path, check_dumps=False)
+            load_manifest(path)
         assert str(exc.value) == f"{path}: {message}"
 
     def test_dump_outside_the_manifest_directory_keeps_its_absolute_path(self, tmp_path):
@@ -662,6 +707,92 @@ class TestManifest:
         entry = yaml.safe_load(out.read_text(encoding="utf-8"))["checkpoints"][0]
         assert entry["loss"] == str(dump)
         assert load_manifest(out).checkpoints[0].loss_path == dump
+
+
+# Dumps a generated manifest entry can point at: two good ones and every
+# way a dump can be bad. Loss paths are relative to the manifest.
+_DUMP_BYTES = {
+    "good.bin": MAGIC + struct.pack("<Q", 2) + struct.pack("<2f", 0.5, math.inf),
+    "good.txt": b"0.5\n\n1.5\n",
+    "truncated.bin": MAGIC + struct.pack("<Q", 3) + struct.pack("<2f", 0.5, 1.0),
+    "longer.bin": MAGIC + struct.pack("<Q", 1) + struct.pack("<2f", 0.5, 1.0),
+    "zero.bin": MAGIC + struct.pack("<Q", 0),
+    "v9.bin": b"CELOSSv9" + struct.pack("<Q", 1) + struct.pack("<f", 1.0),
+    "nan.bin": MAGIC + struct.pack("<Q", 1) + struct.pack("<f", math.nan),
+    "empty.txt": b"",
+    "blank.txt": b"\n \n",
+    "junk.txt": b"0.5\nx\n",
+}
+_LOSS_PATHS = (*_DUMP_BYTES, "missing.bin", "loop.bin", "nul\0.bin", "", "sub",
+               "good.bin/x", "sub/../good.bin")
+_HUGE_INTS = (2**64, 10**400, -(10**400))
+_ODD = (st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(_HUGE_INTS)
+        | st.floats() | st.text("ab./\0 ", max_size=3) | st.lists(st.integers(0, 1), max_size=1))
+_DROP = object()
+
+
+@st.composite
+def _manifest_entries(draw):
+    """A well-formed entry, or one with a key missing or holding an odd value."""
+    entry = {
+        "id": draw(st.text("ab", min_size=1, max_size=2)),
+        "family": draw(st.sampled_from("fg")),
+        "step": draw(st.integers(0, 3)),
+        "objective": "o",
+        "loss": draw(st.sampled_from(_LOSS_PATHS)),
+    }
+    metrics = draw(st.dictionaries(
+        st.sampled_from(("judge", "n") * 4 + (1, None)),
+        st.floats() | st.integers(-3, 3) | st.sampled_from((*_HUGE_INTS, True)),
+        max_size=2,
+    ))
+    if metrics:
+        entry["metrics"] = metrics
+    odd = draw(st.sampled_from((None,) * 12 + (*entry, "metrics")))
+    if odd is not None:
+        value = draw(_ODD | st.just(_DROP))
+        if value is _DROP:
+            entry.pop(odd, None)
+        else:
+            entry[odd] = value
+    return entry
+
+
+@pytest.fixture(scope="module")
+def dump_dir(tmp_path_factory):
+    """Every dump of _DUMP_BYTES, a symlink loop and a subdirectory."""
+    root = tmp_path_factory.mktemp("dumps")
+    for name, data in _DUMP_BYTES.items():
+        (root / name).write_bytes(data)
+    (root / "loop.bin").symlink_to("loop.bin")
+    (root / "sub").mkdir()
+    return root
+
+
+class TestManifestDataNeverInternalError:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_manifest_entries(), min_size=1, max_size=3))
+    @example([{"id": "a", "family": "f", "step": 0, "objective": "o", "loss": "nul\0.bin"}])
+    @example([{"id": "a", "family": "f", "step": 0, "objective": "o", "loss": "loop.bin"}])
+    @example([{"id": "a", "family": "f", "step": 0, "objective": "o", "loss": "good.bin",
+               "metrics": {"judge": 10**400}}])
+    def test_summarize_exits_0_or_names_the_bad_entry_or_dump(self, dump_dir, entries):
+        manifest = dump_dir / "manifest.yaml"
+        with open(manifest, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({"version": 1, "checkpoints": entries}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["summarize", "--manifest", str(manifest)])
+        assert rc in (0, 2), err.getvalue()
+        if rc == 2:
+            message = json.loads(err.getvalue())["message"]
+            names = [f"checkpoints[{i}]" for i in range(len(entries))]
+            for entry in entries:
+                try:
+                    names.append(str((dump_dir / entry["loss"]).resolve()))
+                except (KeyError, TypeError, ValueError, RuntimeError):
+                    pass  # the entry's own error names it
+            assert any(name in message for name in names), message
 
 
 # Strings PyYAML's two emitters disagree on: libyaml wraps long
@@ -714,6 +845,8 @@ class TestManifestYaml:
 
     def test_pure_python_loader_gives_equal_manifest(self, tmp_path, monkeypatch):
         m = _awkward_manifest(tmp_path)
+        for i in range(len(_AWKWARD_IDS)):
+            _seed_dump(tmp_path, f"d{i}")
         block = tmp_path / "manifest.yaml"
         dump_manifest(m, block)
         flow = _write_manifest(
@@ -724,11 +857,12 @@ class TestManifestYaml:
                "loss": "../dumps/d0.bin", "metrics": {"judge": 2.5e-3, "n": 3}}]}
             """,
         )
-        fast = [load_manifest(p, check_dumps=False) for p in (block, flow)]
+        fast = [load_manifest(p) for p in (block, flow)]
         monkeypatch.setattr(store, "_YAML_LOADER", yaml.SafeLoader)
-        slow = [load_manifest(p, check_dumps=False) for p in (block, flow)]
+        slow = [load_manifest(p) for p in (block, flow)]
         assert fast == slow
-        assert fast[0] == m
+        # A loaded manifest carries each dump's measured count.
+        assert fast[0] == replace(m, checkpoints=tuple(replace(c, count=2) for c in m.checkpoints))
 
     def test_unparseable_is_manifest_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "manifest.yaml"
@@ -753,7 +887,7 @@ class TestManifestYaml:
         )
         message = f"{path}: unsupported manifest version {version}"
         with pytest.raises(ManifestError) as info:
-            load_manifest(path, check_dumps=False)
+            load_manifest(path)
         assert str(info.value) == message
         assert cli.main(["summarize", "--manifest", str(path)]) == 2
         payload = json.loads(capsys.readouterr().err)
