@@ -40,7 +40,7 @@ print("header says:", peek_dump_count(path), "values")
 # Full read is bit-exact; chunked iteration never holds the whole payload.
 back = read_loss_dump(path)
 assert back.losses.tobytes() == vector.losses.tobytes()
-total = sum(part.size for part in iter_loss_chunks(path, chunk=16_384))
+total = sum(part.size for part in iter_loss_chunks(path))
 print("chunked read saw:", total, "values")
 
 # The mean is dragged by the tail (and here pinned to +inf by the sentinel),

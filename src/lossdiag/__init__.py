@@ -71,7 +71,6 @@ from .store import (
     read_loss_dump,
     read_metric_file,
     write_loss_dump,
-    write_metric_file,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,7 @@ __all__ = [
     # store
     "LossVector", "write_loss_dump", "read_loss_dump", "iter_loss_chunks",
     "peek_dump_count", "CheckpointMeta", "Manifest", "load_manifest",
-    "dump_manifest", "read_metric_file", "write_metric_file",
+    "dump_manifest", "read_metric_file",
     # quantiles
     "DEFAULT_KS", "EXACT_PATH_MAX", "SummarySet", "summarize_exact",
     "summarize_sorted", "summarize_chunks", "GroupedMeans", "grouped_summary",

@@ -27,14 +27,14 @@ split where a text open splits them. Either way the counts, values and
 errors are those of float() on each stripped non-blank line of the file
 opened as UTF-8 text, and an error names its line.
 
-Readers are safe to use from multiple threads on distinct files; the
-returned containers are immutable (the numpy buffers are marked read-only).
+A stream checks DEFAULT_CHUNK values at a time, and a whole read joins the
+checked chunks. Readers are thread-safe on distinct files; the returned
+containers are immutable (the numpy buffers are marked read-only).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -305,8 +305,9 @@ def _iter_dump(fh, path: Path, chunk: int) -> Iterator[np.ndarray]:
             seen += values.size
 
 
-def iter_loss_chunks(path: str | Path, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """Stream a dump as float32 chunks of at most ``chunk`` values.
+def iter_loss_chunks(path: str | Path) -> Iterator[np.ndarray]:
+    """Stream a dump as checked float32 chunks of DEFAULT_CHUNK values, read
+    when the stream is made; the last chunk may be shorter.
 
     Works for both the binary format and the text fallback. This is the
     fixed-buffer path: peak memory does not depend on the dump size. The
@@ -315,9 +316,7 @@ def iter_loss_chunks(path: str | Path, chunk: int = DEFAULT_CHUNK) -> Iterator[n
     it ends, fails or is closed.
     """
     path = Path(path)
-    if chunk < 1:
-        raise ValidationError("chunk size must be >= 1")
-    return _iter_dump(open(path, "rb", buffering=0), path, chunk)
+    return _iter_dump(open(path, "rb", buffering=0), path, DEFAULT_CHUNK)
 
 
 def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVector:
@@ -331,7 +330,11 @@ def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVe
         raise StoreFormatError(f"{path}: empty text dump")
     if checkpoint_id is None:
         checkpoint_id = path.stem
-    return LossVector(checkpoint_id=checkpoint_id, losses=np.concatenate(chunks))
+    losses = np.concatenate(chunks)
+    losses.flags.writeable = False
+    vector = object.__new__(LossVector)  # no __post_init__: each chunk was checked as read
+    vector.__dict__.update(checkpoint_id=checkpoint_id, losses=losses)
+    return vector
 
 
 def peek_dump_count(path: str | Path) -> int:
@@ -366,21 +369,12 @@ class Manifest:
     version: int
     checkpoints: tuple[CheckpointMeta, ...]
 
-    def ids(self) -> list[str]:
-        return [c.checkpoint_id for c in self.checkpoints]
-
     def families(self) -> list[str]:
         seen: list[str] = []
         for c in self.checkpoints:
             if c.family not in seen:
                 seen.append(c.family)
         return seen
-
-    def get(self, checkpoint_id: str) -> CheckpointMeta:
-        for c in self.checkpoints:
-            if c.checkpoint_id == checkpoint_id:
-                return c
-        raise ManifestError(f"unknown checkpoint id {checkpoint_id!r}")
 
     def select(self, families: Iterable[str] | None = None) -> tuple[CheckpointMeta, ...]:
         """Checkpoints whose family tag is in ``families`` (None = all).
@@ -529,27 +523,27 @@ def dump_manifest(manifest: Manifest, path: str | Path) -> None:
 def read_metric_file(path: str | Path) -> dict[str, float]:
     """Parse a two-column ``checkpoint_id,value`` file into a mapping.
 
-    A first row whose second column is not numeric is treated as a header.
-    NaN values are rejected.
+    Blank rows are skipped; a first other row whose second column is not
+    numeric is a header. NaN values are rejected. Errors name the file line.
     """
     path = Path(path)
     out: dict[str, float] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise ValidationError(f"{path}: empty metric file")
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) != 2:
             raise ValidationError(f"{path}:{lineno}: expected two columns, got {len(row)}")
         cid, raw = row[0].strip(), row[1].strip()
         try:
             value = float(raw)
         except ValueError:
-            if lineno == 1:
+            if lineno == rows[0][0]:  # a header
                 continue
             raise ValidationError(f"{path}:{lineno}: not a number: {raw!r}")
         if np.isnan(value):
@@ -560,11 +554,3 @@ def read_metric_file(path: str | Path) -> dict[str, float]:
     if not out:
         raise ValidationError(f"{path}: no metric rows")
     return out
-
-
-def write_metric_file(values: Mapping[str, float], path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for cid in values:
-        writer.writerow([cid, repr(float(values[cid]))])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")

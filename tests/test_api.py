@@ -74,6 +74,36 @@ def test_every_demo_import_resolves():
     assert [i for i in imports if not _resolves(i[1], i[2])] == []
 
 
+# Exports that no code outside the tests reads, and why each stays.
+_EXPORTS_READ_BY_TESTS_ONLY = {
+    "distill_student": "the equality tests of _train_batch compare against it",
+    "kl_grad_logits": "release criterion 6 imports it",
+}
+
+
+def _names_read(paths):
+    """Every name the files ``paths`` import, read, or read as an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_read_outside_the_tests():
+    # The package itself (its __init__ aside), the demos or the benchmark
+    # must read each exported name; a name only tests read is not surface.
+    package = [p for p in (ROOT / "src" / "lossdiag").glob("*.py") if p.name != "__init__.py"]
+    read = _names_read([*package, *DEMOS.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    unread = {n for n in lossdiag.__all__ if not n.startswith("__") and n not in read}
+    assert unread == set(_EXPORTS_READ_BY_TESTS_ONLY)
+
+
 def _load_tracing():
     """perfbench/tracing.py, loaded by file path: perfbench is not a package
     the tests import."""

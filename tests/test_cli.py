@@ -272,7 +272,7 @@ class TestScan:
         # Chunks of 7 values fill each dump's slice of the thread's buffers,
         # which grow to the largest dump so far; every call runs in this one
         # thread, so a smaller dump must not see an older dump's values.
-        monkeypatch.setattr(cli, "iter_loss_chunks", lambda p: store.iter_loss_chunks(p, 7))
+        monkeypatch.setattr(store, "DEFAULT_CHUNK", 7)
         for path in dumps:
             losses = read_loss_dump(path)
             summary, bands = cli._scan(
@@ -326,9 +326,9 @@ class TestFlagsBeforeStreams:
     def refused(self, capsys, demo_dir, tmp_path, monkeypatch):
         streams, labs = [], []
 
-        def counted(path, *args, **kwargs):
+        def counted(path):
             streams.append(path)
-            return store.iter_loss_chunks(path, *args, **kwargs)
+            return store.iter_loss_chunks(path)
 
         monkeypatch.setattr(cli, "iter_loss_chunks", counted)
         monkeypatch.setattr(distill, "dose_response", lambda config: labs.append(config))
@@ -654,8 +654,8 @@ class TestCorrelate:
         manifest = str(demo_dir / "manifest.yaml")
         metric_file = tmp_path / "judge.csv"
         lines = ["checkpoint_id,judge"]
-        ids = load_manifest(manifest).ids()
-        for i, cid in enumerate(sorted(ids)):
+        ids = sorted(c.checkpoint_id for c in load_manifest(manifest).checkpoints)
+        for i, cid in enumerate(ids):
             lines.append(f"{cid},{1.5 + 0.1 * i}")
         metric_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -773,7 +773,7 @@ class TestCorrelate:
         # the "trained" series repeats a step; the error must say where, and
         # the manifest alone decides it, so no dump is streamed.
         streams = []
-        monkeypatch.setattr(cli, "iter_loss_chunks", lambda path, *a: streams.append(path))
+        monkeypatch.setattr(cli, "iter_loss_chunks", streams.append)
         rc, out, err = run(
             capsys, "correlate", "--manifest", str(demo_dir / "manifest.yaml"),
             "--crossing", "--reference", "1.5",
@@ -970,9 +970,9 @@ class TestReport:
     ):
         streams = []
 
-        def counted(path, *args, **kwargs):
+        def counted(path):
             streams.append(path)
-            return store.iter_loss_chunks(path, *args, **kwargs)
+            return store.iter_loss_chunks(path)
 
         monkeypatch.setattr(cli, "iter_loss_chunks", counted)
         rc, _, err = run(

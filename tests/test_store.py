@@ -38,7 +38,6 @@ from lossdiag import (
     read_loss_dump,
     read_metric_file,
     write_loss_dump,
-    write_metric_file,
 )
 from lossdiag import cli, store
 from lossdiag.store import MAGIC
@@ -164,13 +163,14 @@ class TestFormatErrors:
         ids=["short", "short-ragged", "long", "long-ragged"],
     )
     def test_both_readers_refuse_a_bad_size_alike_at_open(
-        self, tmp_path, count, payload, error, message
+        self, tmp_path, monkeypatch, count, payload, error, message
     ):
         path = tmp_path / "sized.bin"
         path.write_bytes(MAGIC + struct.pack("<Q", count) + b"\0" * payload)
         with pytest.raises(error) as peeked:
             peek_dump_count(path)
-        stream = iter_loss_chunks(path, chunk=1)
+        monkeypatch.setattr(store, "DEFAULT_CHUNK", 1)
+        stream = iter_loss_chunks(path)
         with pytest.raises(error) as streamed:
             next(stream)  # refused before the first chunk
         assert str(peeked.value) == str(streamed.value) == f"{path}: {message}"
@@ -284,7 +284,9 @@ def _assert_reads_like_lines(path, chunk):
     """The store's chunks and count equal the per-line references, value,
     error type and message alike; the count matches the values parsed (a
     dump with none is an empty dump to both)."""
-    got = _outcome(lambda: _chunk_bytes(iter_loss_chunks(path, chunk)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(store, "DEFAULT_CHUNK", chunk)
+        got = _outcome(lambda: _chunk_bytes(iter_loss_chunks(path)))
     want = _outcome(lambda: _chunk_bytes(oracles.text_chunks_by_lines(path, chunk)))
     assert got == want
     count = _outcome(lambda: peek_dump_count(path))
@@ -379,22 +381,24 @@ class TestTextDumpProperties:
 
 
 class TestChunkedReads:
-    def test_chunks_preserve_values_and_bound_size(self, tmp_path):
+    def test_chunks_preserve_values_and_bound_size(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
         vals = _random_losses(rng, 100)
         path = tmp_path / "c.bin"
         write_loss_dump(LossVector("c", vals), path)
-        chunks = list(iter_loss_chunks(path, chunk=7))
+        monkeypatch.setattr(store, "DEFAULT_CHUNK", 7)
+        chunks = list(iter_loss_chunks(path))
         assert all(c.size <= 7 for c in chunks)
         np.testing.assert_array_equal(np.concatenate(chunks), vals)
 
-    def test_text_chunks(self, tmp_path):
+    def test_text_chunks(self, tmp_path, monkeypatch):
         path = tmp_path / "c.txt"
         path.write_text("".join(f"{i}.5\n" for i in range(25)), encoding="utf-8")
-        chunks = list(iter_loss_chunks(path, chunk=10))
+        monkeypatch.setattr(store, "DEFAULT_CHUNK", 10)
+        chunks = list(iter_loss_chunks(path))
         assert [c.size for c in chunks] == [10, 10, 5]
 
-    def test_errors_name_the_index_in_the_dump(self, tmp_path):
+    def test_errors_name_the_index_in_the_dump(self, tmp_path, monkeypatch):
         # Past the first 1 Mi-value chunk, the index counts from the dump's start.
         vals = np.ones(3_000_000, dtype=np.float32)
         vals[2_500_000] = np.nan
@@ -406,14 +410,30 @@ class TestChunkedReads:
             list(iter_loss_chunks(path))
         text = tmp_path / "late-negative.txt"
         text.write_text("0.5\n" * 25 + "-1.0\n", encoding="utf-8")
+        monkeypatch.setattr(store, "DEFAULT_CHUNK", 10)
         with pytest.raises(ValidationError, match="negative loss at index 25$"):
-            list(iter_loss_chunks(text, chunk=10))
+            list(iter_loss_chunks(text))
 
-    def test_bad_chunk_size(self, tmp_path):
-        path = tmp_path / "c.bin"
-        write_loss_dump(LossVector("c", np.array([1.0])), path)
-        with pytest.raises(ValidationError):
-            list(iter_loss_chunks(path, chunk=0))
+    @pytest.mark.parametrize("name", ["d.bin", "d.txt"])
+    def test_a_whole_read_checks_each_value_once(self, tmp_path, monkeypatch, name):
+        values = np.arange(9999, dtype=np.float32) / 7
+        path = tmp_path / name
+        if path.suffix == ".bin":
+            write_loss_dump(LossVector("d", values), path)
+        else:
+            path.write_text("".join(f"{v!r}\n" for v in values.tolist()), encoding="utf-8")
+        checked, check = [], store._checked_losses
+
+        def counted(given, *args):
+            checked.append(np.asarray(given).size)
+            return check(given, *args)
+
+        monkeypatch.setattr(store, "_checked_losses", counted)
+        monkeypatch.setattr(store, "DEFAULT_CHUNK", 1000)
+        back = read_loss_dump(path)
+        assert back.losses.tobytes() == values.tobytes()
+        assert not back.losses.flags.writeable
+        assert checked == [1000] * 9 + [999]
 
     def test_parallel_reads_match_serial(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -498,10 +518,11 @@ class TestManifest:
         )
         m = load_manifest(path)
         assert m.version == 1
-        assert m.ids() == ["a", "b"]
+        a, b = m.checkpoints
+        assert (a.checkpoint_id, b.checkpoint_id) == ("a", "b")
         assert m.families() == ["distilled", "scratch"]
-        assert m.get("a").metrics == {"judge": 2.01}
-        assert m.get("a").loss_path == (tmp_path / "dumps" / "a.bin").resolve()
+        assert a.metrics == {"judge": 2.01}
+        assert a.loss_path == (tmp_path / "dumps" / "a.bin").resolve()
         assert [c.checkpoint_id for c in m.select(["scratch"])] == ["b"]
 
     def test_duplicate_id(self, tmp_path):
@@ -646,8 +667,6 @@ class TestManifest:
         m = load_manifest(path)
         with pytest.raises(ManifestError, match="ghost"):
             m.select(["ghost"])
-        with pytest.raises(ManifestError, match="unknown checkpoint"):
-            m.get("nope")
 
     def test_thirty_checkpoints_round_trip(self, tmp_path):
         for i in range(30):
@@ -665,7 +684,9 @@ class TestManifest:
         out = tmp_path / "copy.yaml"
         dump_manifest(m, out)
         back = load_manifest(out)
-        assert back.ids() == m.ids()
+        assert [c.checkpoint_id for c in back.checkpoints] == [
+            c.checkpoint_id for c in m.checkpoints
+        ]
         assert [c.loss_path for c in back.checkpoints] == [
             c.loss_path for c in m.checkpoints
         ]
@@ -897,7 +918,7 @@ class TestManifestYaml:
 class TestMetricFiles:
     def test_round_trip_and_header_skip(self, tmp_path):
         path = tmp_path / "judge.csv"
-        write_metric_file({"a": 2.01, "b": 1.92}, path)
+        path.write_text("a,2.01\nb,1.92\n", encoding="utf-8")
         assert read_metric_file(path) == {"a": 2.01, "b": 1.92}
         with_header = tmp_path / "judge2.csv"
         with_header.write_text("checkpoint_id,judge\na,2.01\n", encoding="utf-8")
@@ -920,6 +941,27 @@ class TestMetricFiles:
         path.write_text("checkpoint_id,judge\na,1.0\nb,nan\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"nan\.csv:3: metric of 'b' is NaN"):
             read_metric_file(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("checkpoint_id,judge\n\na,1\n\nb,x\n", "5: not a number: 'x'"),
+         ("a,1\n,\nb,nan\n", "3: metric of 'b' is NaN"),
+         ("\n\na,1\n \na,2\n", "5: duplicate checkpoint id 'a'"),
+         ("\n\na,1,2\n", "3: expected two columns, got 3")],
+        ids=["not-a-number", "nan", "duplicate", "columns"],
+    )
+    def test_errors_name_the_line_in_the_file(self, tmp_path, body, message):
+        # Blank rows above the one at fault still count as lines.
+        path = tmp_path / "m.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            read_metric_file(path)
+        assert str(exc.value) == f"{path}:{message}"
+
+    def test_header_is_the_first_non_blank_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n\ncheckpoint_id,judge\na,1\n", encoding="utf-8")
+        assert read_metric_file(path) == {"a": 1.0}
 
     @pytest.mark.parametrize(
         "body, message",
