@@ -10,6 +10,17 @@ top-K-trained students end to end.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# lossdiag's parallelism is its own workers and its one BLAS call is too small
+# to thread, so unless numpy is already loaded or a BLAS thread variable is set,
+# OpenBLAS runs single-threaded instead of starting a pool that only spins.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
+                     "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .concordance import ConcordanceReport, concordance, kendall_tau
 from .correlate import (
     MetricSeries,

@@ -356,7 +356,8 @@ def _train_batch(
     are cut into contiguous shards, one per worker (workers.worker_count),
     and each shard runs the whole step loop with no synchronisation. The
     calling process runs the first shard and a pool of spawned processes
-    the others; one worker means no pool. Spawned workers import the main
+    the others; one worker means no pool. Spawned workers inherit the
+    package's single-threaded BLAS rule (``__init__``) and import the main
     module, so a script that trains at import time needs the usual
     ``if __name__ == "__main__":`` guard.
 

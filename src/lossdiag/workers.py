@@ -3,7 +3,7 @@
 One policy serves the threads that scan checkpoints (``cli``) and the
 processes that train distillation students (``distill``): one worker per
 task, at most 8 and at most the CPUs this process may run on.
-LOSSDIAG_THREADS caps it.
+LOSSDIAG_THREADS caps it. BLAS itself runs single-threaded (``__init__``).
 """
 
 from __future__ import annotations

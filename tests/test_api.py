@@ -4,16 +4,20 @@ and what the benchmark's tracer patches.
 The demos are parsed, not run (several take seconds and one trains
 students), so a deleted or renamed export fails here rather than only when
 someone next runs the demo. Likewise a function the tracer patches by name
-fails here rather than in every traced benchmark run.
+fails here rather than in every traced benchmark run. Importing the
+package also sets OpenBLAS's thread count, unless the host chose it.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import lossdiag
 from lossdiag import BandTable, PercentileProfile, SummarySet, cli, distill, render, store
@@ -21,6 +25,10 @@ from lossdiag.sketch import QuantileSketch
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+# The variables the bundled OpenBLAS reads for its thread count.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+)
 
 
 def _resolves(module, name):
@@ -54,18 +62,61 @@ def test_every_exported_name_resolves():
     assert [n for n in lossdiag.__all__ if not hasattr(lossdiag, n)] == []
 
 
+def _run_fresh(code, **preset):
+    """Run ``code`` in a fresh interpreter that imports this tree's lossdiag,
+    with no BLAS thread variable set but those in ``preset``; its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_cli_imports_without_the_distillation_lab():
     # The lab loads on first use of one of its names, for the package too.
-    code = (
+    _run_fresh(
         "import sys, lossdiag.cli\n"
         "assert 'lossdiag.distill' not in sys.modules, 'imported by lossdiag.cli'\n"
         "import lossdiag\n"
         "assert lossdiag.dose_response is sys.modules['lossdiag.distill'].dose_response\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+def _blas_env_after(code, **preset):
+    """The four BLAS thread variables after ``code`` ran in a fresh
+    interpreter, and its OS thread count where that can be read."""
+    out = _run_fresh(
+        f"{code}\n"
+        "import json, os\n"
+        "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        f"print(json.dumps([{{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}, threads]))\n",
+        **preset,
+    )
+    return json.loads(out)
+
+
+_NO_BLAS_VARS = dict.fromkeys(BLAS_THREAD_VARS)
+
+
+def test_importing_lossdiag_runs_blas_single_threaded():
+    # The test process carries the rule itself (conftest imports lossdiag),
+    # so only a fresh interpreter shows it.
+    env, threads = _blas_env_after("import lossdiag.cli")
+    assert env == _NO_BLAS_VARS | {"OPENBLAS_NUM_THREADS": "1"}
+    if threads is not None and len(os.sched_getaffinity(0)) >= 2:
+        assert threads == 1  # no OpenBLAS pool thread beside the main one
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_preset_blas_thread_variable_is_left_alone(var):
+    env, _ = _blas_env_after("import lossdiag.cli", **{var: "2"})
+    assert env == _NO_BLAS_VARS | {var: "2"}
+
+
+def test_a_host_that_loaded_numpy_first_keeps_its_blas_threads():
+    env, _ = _blas_env_after("import numpy\nimport lossdiag")
+    assert env == _NO_BLAS_VARS
 
 
 def test_every_demo_import_resolves():
