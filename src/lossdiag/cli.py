@@ -52,6 +52,7 @@ from .quantiles import (
     SummarySet,
     _check_ks,
     _check_summary_names,
+    _percentile_of,
     summarize_chunks,
     summarize_sorted,
 )
@@ -424,8 +425,6 @@ def _cmd_distill_demo(args) -> None:
 
 # --- report ------------------------------------------------------------
 
-_FORMATS = ("csv", "md", "svg")
-
 
 def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     """All report CSVs, in report order, and SVG charts, keyed by file name.
@@ -465,9 +464,7 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
         sections["sweep.csv"] = render.sweep_table(sweep_rows, precision)
 
     sections.update(_shape_tables(selected, scans, grid, precision))
-    svg = "svg" in args.formats
-    charts = _report_charts(summaries, sweep_rows, precision) if svg else {}
-    return sections, charts
+    return sections, _report_charts(summaries, sweep_rows, precision)
 
 
 _REPORT_TITLES = {
@@ -488,7 +485,7 @@ def _report_charts(summaries, sweep_rows, precision: int) -> dict[str, str]:
     charts: dict[str, str] = {}
     rows = [r for r in sweep_rows if r.summary != "mean"]
     if rows:
-        ks = [float(r.summary[1:]) for r in rows]
+        ks = [float(_percentile_of(r.summary)) for r in rows]
         charts["sweep.svg"] = render.svg_chart(
             [
                 ("pearson_r", ks, [shown(r.pearson_r) for r in rows]),
@@ -513,15 +510,12 @@ def _report_charts(summaries, sweep_rows, precision: int) -> dict[str, str]:
 def _cmd_report(args) -> None:
     if len(args.summaries) < 2:
         raise UsageError("report needs at least two summary names")
-    if not args.formats or not set(args.formats) <= set(_FORMATS):
-        raise UsageError(f"--formats takes one or more of {_FORMATS}, got {args.formats}")
     sections, charts = _report_sections(args)
-    outputs = dict(sections) if "csv" in args.formats else {}
-    if "md" in args.formats:
-        outputs["report.md"] = render.markdown_report(
-            "Loss diagnostics report",
-            [(_REPORT_TITLES[name], text) for name, text in sections.items()],
-        )
+    outputs = dict(sections)
+    outputs["report.md"] = render.markdown_report(
+        "Loss diagnostics report",
+        [(_REPORT_TITLES[name], text) for name, text in sections.items()],
+    )
     outputs.update(sorted(charts.items()))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -611,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default=None)
     p.add_argument("--grid", type=_grid, default=PROFILE_GRID)
     p.add_argument("--bands", type=_float_list, default=list(DEFAULT_BAND_BOUNDS))
-    p.add_argument("--formats", type=_str_list, default=list(_FORMATS))
     p.add_argument("--precision", type=int, default=render.DEFAULT_PRECISION)
     p.set_defaults(func=_cmd_report)
 

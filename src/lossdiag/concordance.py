@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .quantiles import SummarySet
+from .quantiles import SummarySet, _percentile_of
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,11 @@ def _sign_matrix(values: np.ndarray) -> np.ndarray:
 
 
 def _check_rankings(names: Sequence[str], n_checkpoints: int) -> None:
-    """What concordance refuses before it reads a summary value."""
+    """What concordance refuses before it reads a summary value. Two names of
+    one summary are duplicates: "median,p50" and "p5,p05" as "mean,mean"."""
     if len(names) < 2:
         raise ValidationError("need at least two summaries to compare rankings")
-    if len(set(names)) != len(names):
+    if len({_percentile_of(name) or name for name in names}) != len(names):
         raise ValidationError("duplicate summary names")
     if n_checkpoints < 2:
         raise ValidationError("need at least two checkpoints")

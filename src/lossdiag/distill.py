@@ -118,9 +118,9 @@ def kl_grad_logits(p_target, logits) -> np.ndarray:
 class TabularLM:
     """A full conditional table: logits[c, x] scores token x after context c.
 
-    ``context_weights`` (optional) are the empirical context frequencies of
-    the stream the model was fitted on; distillation uses them to weight row
-    gradients the way the data would.
+    ``context_weights`` are the empirical context frequencies of the stream
+    the model was fitted on, uniform (1/V each) if none are given;
+    distillation and chain_fidelity weight rows by them.
     """
 
     logits: np.ndarray
@@ -134,14 +134,15 @@ class TabularLM:
             raise ValidationError("logits must not contain NaN or +inf")
         z.flags.writeable = False
         object.__setattr__(self, "logits", z)
-        if self.context_weights is not None:
-            w = np.ascontiguousarray(self.context_weights, dtype=np.float64)
-            if w.shape != (z.shape[0],):
-                raise ValidationError("context_weights must have one entry per row")
-            if (w < 0).any() or not np.isfinite(w).all():
-                raise ValidationError("context_weights must be finite and >= 0")
-            w.flags.writeable = False
-            object.__setattr__(self, "context_weights", w)
+        v = z.shape[0]
+        w = self.context_weights
+        w = np.full(v, 1.0 / v) if w is None else np.ascontiguousarray(w, dtype=np.float64)
+        if w.shape != (v,):
+            raise ValidationError("context_weights must have one entry per row")
+        if (w < 0).any() or not np.isfinite(w).all():
+            raise ValidationError("context_weights must be finite and >= 0")
+        w.flags.writeable = False
+        object.__setattr__(self, "context_weights", w)
 
     @property
     def vocab_size(self) -> int:
@@ -241,23 +242,30 @@ def synth_corpus(
     return out
 
 
-def fit_teacher(stream: np.ndarray, alpha: float, vocab: int | None = None) -> TabularLM:
-    """Add-alpha smoothed bigram model of ``stream``.
+def _token_ids(stream, vocab: int) -> np.ndarray:
+    """The lab's one token-stream rule: a 1-D integer array of at least two
+    ids in 0..vocab-1, as int64. A float stream is refused, not truncated."""
+    arr = np.asarray(stream)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValidationError("stream must be a 1-D array of at least two tokens")
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"token ids must be integers, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= vocab:
+        raise ValidationError(f"token id out of range for vocab {vocab}")
+    return arr.astype(np.int64, copy=False)
+
+
+def fit_teacher(stream: np.ndarray, alpha: float, vocab: int) -> TabularLM:
+    """Add-alpha smoothed bigram model of ``stream`` over ids 0..vocab-1.
 
     Row c is (count(c, x) + alpha) / (count(c, .) + alpha * V); alpha -> inf
-    degrades gracefully to uniform rows. The returned model carries the
-    stream's empirical context frequencies for distillation.
+    degrades gracefully to uniform rows. The stream must pass _token_ids.
+    The model carries the stream's empirical context frequencies.
     """
     if alpha <= 0:
         raise ValidationError("alpha must be > 0")
-    arr = np.asarray(stream, dtype=np.int64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError("stream must hold at least two tokens")
-    if (arr < 0).any():
-        raise ValidationError("negative token id in stream")
-    v = int(arr.max()) + 1 if vocab is None else int(vocab)
-    if (arr >= v).any():
-        raise ValidationError(f"token id out of range for vocab {v}")
+    v = int(vocab)
+    arr = _token_ids(stream, v)
     prev, nxt = arr[:-1], arr[1:]
     counts = np.bincount(prev * v + nxt, minlength=v * v).astype(np.float64).reshape(v, v)
     probs = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * v)
@@ -416,25 +424,22 @@ def distill_student(
     """Train a student on top-K renormalized teacher rows.
 
     Full-batch and zero-initialized, hence deterministic. Context rows are
-    weighted by the teacher's stored empirical context frequencies (uniform
-    if the teacher carries none).
+    weighted by the teacher's context_weights.
     """
     k_eff = _resolve_k(teacher.vocab_size, k)
     targets = _teacher_targets(teacher, k_eff)[None]
     weights = teacher.context_weights
-    if weights is None:
-        weights = np.full(teacher.vocab_size, 1.0 / teacher.vocab_size)
     logits = _train_batch(targets, weights, steps, learning_rate)
     return TabularLM(logits=logits[0], context_weights=weights)
 
 
-def converged_student(teacher: TabularLM, k, epsilon_q: float = 1e-9) -> TabularLM:
+def converged_student(teacher: TabularLM, k, epsilon_q: float) -> TabularLM:
     """Closed form of the student that training would converge to.
 
     Top-K renormalized teacher rows, with the exact zeros replaced by
-    epsilon_q and the row renormalized. epsilon_q keeps the mean CE finite
-    yet large, standing in for the residue a finite training run leaves
-    outside the top-K set.
+    epsilon_q in (0, 1e-6] (the lab's default is LabConfig's) and the row
+    renormalized. epsilon_q keeps the mean CE finite yet large, standing in
+    for the residue a finite training run leaves outside the top-K set.
     """
     if not 0.0 < epsilon_q <= 1e-6:
         raise ValidationError(f"epsilon_q must be in (0, 1e-6], got {epsilon_q!r}")
@@ -449,13 +454,10 @@ def per_token_ce(model: TabularLM, stream: np.ndarray) -> np.ndarray:
     """-log q(x_t | x_{t-1}) for every transition in the stream (float64).
 
     The first token has no context, so a stream of T tokens yields T - 1
-    losses. Zero-probability transitions yield +inf.
+    losses; the stream must pass _token_ids. Zero-probability transitions
+    yield +inf.
     """
-    arr = np.asarray(stream, dtype=np.int64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError("stream must hold at least two tokens")
-    if (arr < 0).any() or (arr >= model.vocab_size).any():
-        raise ValidationError("token id out of range for this model")
+    arr = _token_ids(stream, model.vocab_size)
     lp = model.log_probs()
     return -lp[arr[:-1], arr[1:]]
 
@@ -465,11 +467,10 @@ def next_token_accuracy(model: TabularLM, stream: np.ndarray) -> float:
 
     Every top-K truncation of a teacher keeps the teacher's argmax, so
     all students of one teacher share this number; it is the lab's stand-in
-    for a summary that is blind to the dose-response effect.
+    for a summary that is blind to the dose-response effect. The stream
+    must pass _token_ids, as per_token_ce's must.
     """
-    arr = np.asarray(stream, dtype=np.int64)
-    if arr.size < 2:
-        raise ValidationError("stream must hold at least two tokens")
+    arr = _token_ids(stream, model.vocab_size)
     pred = np.argmax(model.logits, axis=1)
     return float((pred[arr[:-1]] == arr[1:]).mean())
 
@@ -477,11 +478,11 @@ def next_token_accuracy(model: TabularLM, stream: np.ndarray) -> float:
 def chain_fidelity(model: TabularLM, rows: np.ndarray) -> float:
     """Agreement with ground-truth rows: 1 - weighted mean total variation.
 
-    Rows are weighted by the model's context_weights (uniform when absent),
-    so the score reflects how faithfully the model reproduces the chain
-    where it matters. 1 is a perfect match; truncation lowers it. This is
-    the lab's analogue of an external quality judge, possible only because
-    the generating chain is known.
+    Rows are weighted by the model's context_weights, so the score reflects
+    how faithfully the model reproduces the chain where it matters. 1 is a
+    perfect match; truncation lowers it. This is the lab's analogue of an
+    external quality judge, possible only because the generating chain is
+    known.
     """
     truth = np.asarray(rows, dtype=np.float64)
     if truth.shape != model.logits.shape:
@@ -490,11 +491,8 @@ def chain_fidelity(model: TabularLM, rows: np.ndarray) -> float:
         )
     for row in truth:
         check_distribution(row)
-    w = model.context_weights
-    if w is None:
-        w = np.full(model.vocab_size, 1.0 / model.vocab_size)
     tv = 0.5 * np.abs(model.probs() - truth).sum(axis=1)
-    return float(1.0 - (w * tv).sum())
+    return float(1.0 - (model.context_weights * tv).sum())
 
 
 @dataclass(frozen=True)

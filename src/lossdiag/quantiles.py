@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -46,16 +47,17 @@ def _check_ks(ks: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+_PERCENTILE_NAME = re.compile(r"p(0?[1-9]|[1-9][0-9])")
+
+
 def _percentile_of(name: str) -> int | None:
-    """The percentile a summary name "median" or "pK" stands for, else None."""
+    """The percentile a summary name stands for, else None: the one parser of
+    summary names. "median" is 50 and "pK" is K for one or two ASCII digits
+    naming 1..99, so "p5" and "p05" are one summary and "p050" is none."""
     if name == "median":
         return 50
-    if name.startswith("p"):
-        try:
-            return int(name[1:])
-        except ValueError:
-            pass
-    return None
+    match = _PERCENTILE_NAME.fullmatch(name)
+    return int(match[1]) if match else None
 
 
 def _check_summary_names(names: Iterable[str], ks: Sequence[int]) -> None:

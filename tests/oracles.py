@@ -161,12 +161,9 @@ def corpus_by_searchsorted(seed, vocab, zipf_exponent, length,
 
 def distill_loss(teacher, student, k):
     """The training objective, context-weighted KL(top-K teacher || student),
-    one Python loop step per context row. Contexts are weighted uniformly
-    when the teacher carries no frequencies."""
+    one Python loop step per context row."""
     vocab = teacher.vocab_size
     weights = teacher.context_weights
-    if weights is None:
-        weights = np.full(vocab, 1.0 / vocab)
     targets, rows = teacher.probs(), student.probs()
     total = 0.0
     for c in range(vocab):

@@ -392,8 +392,14 @@ class TestFlagsBeforeStreams:
          (("report", "--summaries", "mean,p97"), "p97"),
          (("correlate", "--crossing", "--summary", "p97", "--reference", "1"), "p97"),
          (("correlate", "--select", "mean,p97"), "p97"),
-         (("concord", "--summaries", "mean,pxx"), "pxx")],
-        ids=["concord", "report", "crossing", "select", "not-a-percentile"],
+         (("concord", "--summaries", "mean,pxx"), "pxx"),
+         (("concord", "--summaries", "mean,p050"), "p050"),
+         (("concord", "--summaries", "mean,p+50"), "p+50"),
+         (("concord", "--summaries", "mean,p 95"), "p 95"),
+         (("concord", "--summaries", "mean,p5_0"), "p5_0"),
+         (("concord", "--summaries", "mean,p\u0665\u0660"), "p\u0665\u0660")],
+        ids=["concord", "report", "crossing", "select", "not-a-percentile",
+             "three-digits", "signed", "inner-space", "underscore", "non-ascii-digits"],
     )
     def test_unknown_summary_name(self, refused, command, name):
         message = f"no summary named {name!r} over percentiles {list(DEFAULT_KS)}"
@@ -439,6 +445,10 @@ class TestFlagsBeforeStreams:
         "command, message",
         [(("concord", "--summaries", "mean,mean"), "duplicate summary names"),
          (("report", "--summaries", "mean,mean"), "duplicate summary names"),
+         (("concord", "--summaries", "mean,median,p50"), "duplicate summary names"),
+         (("report", "--summaries", "mean,median,p50"), "duplicate summary names"),
+         (("concord", "--summaries", "mean,p5,p05"), "duplicate summary names"),
+         (("report", "--summaries", "mean,p5,p05"), "duplicate summary names"),
          (("report", "--summaries", "mean,fidelity"),
           f"no summary named 'fidelity' over percentiles {list(DEFAULT_KS)}"),
          (("concord", "--family", "teacher"), "need at least two checkpoints"),
@@ -446,7 +456,9 @@ class TestFlagsBeforeStreams:
           "sweep needs at least three checkpoints"),
          (("correlate", "--crossing", "--reference", "nan", "--family", "teacher"),
           "crossing reference is NaN")],
-        ids=["concord-duplicate", "report-duplicate", "report-metric", "concord-single",
+        ids=["concord-duplicate", "report-duplicate", "concord-median-alias",
+             "report-median-alias", "concord-zero-padded", "report-zero-padded",
+             "report-metric", "concord-single",
              "sweep-single", "crossing-nan-reference"],
     )
     def test_what_the_analysis_would_refuse(self, refused, command, message):
@@ -851,24 +863,6 @@ class TestReport:
         printed = set(out.splitlines())
         assert str(out_dir / "report.md") in printed
 
-    def test_csv_only_format(self, capsys, demo_dir, tmp_path):
-        out_dir = tmp_path / "csv-only"
-        rc, _, _ = run(
-            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
-            "--out-dir", str(out_dir), "--formats", "csv",
-        )
-        assert rc == 0
-        assert not (out_dir / "report.md").exists()
-        assert not (out_dir / "scatter.svg").exists()
-        assert (out_dir / "summary.csv").is_file()
-
-    def test_unknown_format_is_usage_error(self, capsys, demo_dir, tmp_path):
-        rc, _, _ = run(
-            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
-            "--out-dir", str(tmp_path / "x"), "--formats", "pdf",
-        )
-        assert rc == 1
-
     def test_report_md_embeds_the_csvs(self, capsys, demo_dir, tmp_path):
         out_dir = tmp_path / "md"
         rc, _, _ = run(
@@ -900,7 +894,7 @@ class TestReport:
         rc, _, err = run(
             capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
             "--out-dir", str(out_dir), "--family", "teacher",
-            "--summaries", "mean,mean,accuracy", "--formats", "csv",
+            "--summaries", "mean,mean,accuracy",
         )
         assert rc == 0, err
         rows = (out_dir / "selection.csv").read_text(encoding="utf-8").splitlines()[1:]
@@ -922,7 +916,7 @@ class TestReport:
     ):
         argv = [*command, "--manifest", str(demo_dir / "manifest.yaml")]
         if command[0] == "report":
-            argv += ["--out-dir", str(tmp_path), "--formats", "csv"]
+            argv += ["--out-dir", str(tmp_path)]
         rc, out, err = run(capsys, *argv)
         assert rc == 0, err
         if command[0] == "report":
@@ -982,25 +976,6 @@ class TestReport:
         assert rc == 2
         assert stderr_payload(err)["message"] == message
         assert streams == []
-        assert not (tmp_path / "out").exists()
-
-    def test_empty_format_list_is_refused_before_the_manifest_is_read(
-        self, capsys, demo_dir, tmp_path, monkeypatch
-    ):
-        loads = []
-
-        def counted(path):
-            loads.append(path)
-            return load_manifest(path)
-
-        monkeypatch.setattr(cli, "load_manifest", counted)
-        rc, out, err = run(
-            capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
-            "--out-dir", str(tmp_path / "out"), "--formats", "",
-        )
-        assert rc == 1
-        assert stderr_payload(err)["error"] == "UsageError"
-        assert loads == [] and out == ""
         assert not (tmp_path / "out").exists()
 
     def test_reads_each_dump_once(self, capsys, demo_dir, tmp_path, monkeypatch):
@@ -1068,7 +1043,7 @@ class TestReport:
     def test_sketch_path_streams_and_keeps_exact_bands(
         self, capsys, demo_dir, tmp_path, monkeypatch
     ):
-        argv = ("report", "--manifest", str(demo_dir / "manifest.yaml"), "--formats", "csv")
+        argv = ("report", "--manifest", str(demo_dir / "manifest.yaml"))
         rc, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "exact"))
         assert rc == 0
         whole_reads = []

@@ -204,8 +204,10 @@ class TestValidation:
 
     def test_duplicate_summaries(self):
         cols = _random_columns(np.random.default_rng(0), 4, 2)
-        with pytest.raises(ValidationError, match="duplicate"):
-            concordance(_table(cols), ("mean", "mean"))
+        for names in (("mean", "mean"), ("mean", "median", "p50"), ("mean", "p5", "p05")):
+            # Two names of one summary are a duplicate, as one name twice is.
+            with pytest.raises(ValidationError, match="duplicate"):
+                concordance(_table(cols), names)
 
     def test_needs_two_checkpoints(self):
         table = {"only": SummarySet("only", 1.0, {50: 1.0}, count=5)}

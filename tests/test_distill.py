@@ -215,6 +215,12 @@ class TestTabularLM:
         with pytest.raises(ValidationError):
             TabularLM(logits=z, context_weights=np.array([math.inf, 0.0]))
 
+    def test_weights_default_to_uniform(self):
+        model = TabularLM(logits=np.zeros((4, 4)))
+        assert np.array_equal(model.context_weights, np.full(4, 0.25))
+        with pytest.raises(ValueError):
+            model.context_weights[0] = 1.0
+
     def test_arrays_frozen(self):
         model = TabularLM(logits=np.zeros((2, 2)), context_weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -274,25 +280,27 @@ class TestFitTeacher:
 
     def test_huge_alpha_approaches_uniform(self):
         stream = synth_corpus(2, 8, 1.1, 10_000)
-        model = fit_teacher(stream, alpha=1e9)
+        model = fit_teacher(stream, alpha=1e9, vocab=8)
         assert np.allclose(model.probs(), 1.0 / 8.0, atol=1e-6)
 
     def test_rows_are_distributions(self):
         stream = synth_corpus(3, 16, 1.1, 20_000)
-        model = fit_teacher(stream, alpha=0.1)
+        model = fit_teacher(stream, alpha=0.1, vocab=16)
         for row in model.probs():
             check_distribution(row)
         assert model.context_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            fit_teacher(np.array([0, 1]), alpha=0.0)
+            fit_teacher(np.array([0, 1]), alpha=0.0, vocab=4)
         with pytest.raises(ValidationError):
-            fit_teacher(np.array([3]), alpha=1.0)
+            fit_teacher(np.array([3]), alpha=1.0, vocab=4)
         with pytest.raises(ValidationError):
-            fit_teacher(np.array([0, -1]), alpha=1.0)
+            fit_teacher(np.array([0, -1]), alpha=1.0, vocab=4)
         with pytest.raises(ValidationError):
             fit_teacher(np.array([0, 5]), alpha=1.0, vocab=4)
+        with pytest.raises(ValidationError, match="token ids must be integers"):
+            fit_teacher(np.array([0.0, 1.6]), alpha=1.0, vocab=4)
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +355,7 @@ class TestConvergedStudent:
                 converged_student(small_world, 2, epsilon_q=eps)
 
     def test_full_k_equals_teacher(self, small_world):
-        student = converged_student(small_world, "full")
+        student = converged_student(small_world, "full", epsilon_q=1e-9)
         assert np.allclose(student.probs(), small_world.probs(), atol=1e-12)
 
     def test_rows_sum_to_one_with_floor(self, small_world):
@@ -390,8 +398,9 @@ class TestConvergedOracle:
         # same summary as K="full".
         teacher = _flat_teacher([0.5, 0.3, 0.12, 0.08])
         stream = np.random.default_rng(53).integers(0, 4, 1_000)
-        four = converged_student(teacher, 4)
-        assert np.array_equal(four.logits, converged_student(teacher, "full").logits)
+        four = converged_student(teacher, 4, epsilon_q=1e-9)
+        full = converged_student(teacher, "full", epsilon_q=1e-9)
+        assert np.array_equal(four.logits, full.logits)
         assert _oracle_summary(teacher, 4, stream) == _oracle_summary(teacher, "full", stream)
 
 
@@ -414,6 +423,8 @@ class TestPerTokenCE:
             per_token_ce(model, np.array([0, 2]))
         with pytest.raises(ValidationError):
             per_token_ce(model, np.array([0, -1]))
+        with pytest.raises(ValidationError, match="token ids must be integers"):
+            per_token_ce(model, np.array([0.7, 1.6]))
 
 
 class TestNextTokenAccuracy:
@@ -433,9 +444,12 @@ class TestNextTokenAccuracy:
             assert next_token_accuracy(student, stream) == reference
 
     def test_validation(self):
+        # per_token_ce's stream rule; each of these would otherwise score
+        # as a number (0.0 for the ids no row can predict).
         model = _flat_teacher([0.5, 0.5])
-        with pytest.raises(ValidationError):
-            next_token_accuracy(model, np.array([1]))
+        for stream in ([1], [0, -1], [0, 2], [[0, 1], [1, 0]], [0.7, 1.6]):
+            with pytest.raises(ValidationError):
+                next_token_accuracy(model, np.array(stream))
 
 
 class TestChainFidelity:
@@ -446,8 +460,8 @@ class TestChainFidelity:
 
     def test_truncation_lowers_fidelity(self, small_world):
         _, rows = true_chain(21, 8, 1.1)
-        full = chain_fidelity(converged_student(small_world, "full"), rows)
-        cut = chain_fidelity(converged_student(small_world, 2), rows)
+        full = chain_fidelity(converged_student(small_world, "full", epsilon_q=1e-9), rows)
+        cut = chain_fidelity(converged_student(small_world, 2, epsilon_q=1e-9), rows)
         assert cut < full
 
     def test_validation(self, small_world):
