@@ -14,7 +14,7 @@ uses and, where bands are wanted, its band table, and all tables are built
 from those results. The scan takes the dump's value count from the
 manifest check (a positional dump is counted once, before any scan), so
 no dump is counted twice. What the flags and the manifest decide (--precision,
---ks, --grid, --bands, --epsilon, --k, --epsilon-q, summary names, a metric
+--ks, --grid, --bands, --epsilon, --k and the lab's sizes, summary names, a metric
 missing a selected checkpoint, what concordance, the sweep and --crossing
 refuse, a NaN --reference among them) is refused by the library's own rules
 before any dump is streamed or student trained. Only
@@ -382,15 +382,9 @@ def _parse_k_list(text: str) -> tuple:
     return tuple(ks)
 
 
-# distill-demo's flags that set a LabConfig field, with the field's name and
-# type; an unset flag keeps the field's default.
-_LAB_FLAGS = (
-    ("--vocab", "vocab", int), ("--zipf", "zipf_exponent", float),
-    ("--length", "length", int), ("--alpha", "alpha", float),
-    ("--steps", "steps", int), ("--lr", "learning_rate", float),
-    ("--seed", "seed", int), ("--concentration", "concentration", float),
-    ("--eval-length", "eval_length", int), ("--epsilon-q", "epsilon_q", float),
-)
+# The LabConfig sizes distill-demo sets, each by the flag of its name; an
+# unset flag keeps the field's default. The other fields are LabConfig's own.
+_LAB_FLAGS = ("vocab", "length", "steps", "eval_length")
 
 
 def _cmd_distill_demo(args) -> None:
@@ -398,11 +392,7 @@ def _cmd_distill_demo(args) -> None:
     # needs the lab, and a tracer may have replaced them.
     from . import distill
 
-    given = {
-        field: getattr(args, field)
-        for _, field, _ in _LAB_FLAGS
-        if getattr(args, field) is not None
-    }
+    given = {f: getattr(args, f) for f in _LAB_FLAGS if getattr(args, f) is not None}
     result = distill.dose_response(distill.LabConfig(ks=_parse_k_list(args.k), **given))
     out = Path(args.out)
     _write_text(out, render.dose_table(result.rows, args.precision))
@@ -589,8 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("distill-demo", help="synthetic top-K distillation lab")
-    for flag, field, kind in _LAB_FLAGS:
-        p.add_argument(flag, dest=field, type=kind, help=f"default: LabConfig.{field}")
+    for field in _LAB_FLAGS:
+        p.add_argument("--" + field.replace("_", "-"), dest=field, type=int,
+                       help=f"default: LabConfig.{field}")
     p.add_argument("--k", default="2,4,8,16,full",
                    help="comma-separated truncation levels; include full")
     p.add_argument("--out", required=True, help="dose-response CSV path")

@@ -160,6 +160,7 @@ class TabularLM:
 
 def zipf_weights(vocab: int, exponent: float) -> np.ndarray:
     """Normalized 1/rank**exponent weights over token ids 0..vocab-1."""
+    vocab = _check_size("vocab", vocab, 2)
     if exponent <= 0:
         raise ValidationError("zipf exponent must be > 0")
     w = np.arange(1, vocab + 1, dtype=np.float64) ** (-exponent)
@@ -212,10 +213,8 @@ def synth_corpus(
     same chain, which is how train and held-out streams share one world.
     Fixed arguments reproduce the stream bit-identically.
     """
-    if vocab < 8:
-        raise ValidationError("vocab must be >= 8")
-    if length < 10_000:
-        raise ValidationError("length must be >= 10000")
+    vocab = _check_size("vocab", vocab, 8)
+    length = _check_size("length", length, 10_000)
     if concentration < 0:
         raise ValidationError("concentration must be >= 0")
     base, rows = true_chain(seed, vocab, zipf_exponent, concentration)
@@ -264,7 +263,7 @@ def fit_teacher(stream: np.ndarray, alpha: float, vocab: int) -> TabularLM:
     """
     if alpha <= 0:
         raise ValidationError("alpha must be > 0")
-    v = int(vocab)
+    v = _check_size("vocab", vocab, 2)
     arr = _token_ids(stream, v)
     prev, nxt = arr[:-1], arr[1:]
     counts = np.bincount(prev * v + nxt, minlength=v * v).astype(np.float64).reshape(v, v)
@@ -289,6 +288,13 @@ def _resolve_k(vocab: int, k) -> int:
     except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
         pass
     raise ValidationError(f"K must be 'full' or an integer in 1..{vocab}, got {k!r}")
+
+
+def _check_size(name: str, value, floor: int) -> int:
+    """The lab's one size rule: an int or np.integer (not a bool) >= floor."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= floor:
+        return int(value)
+    raise ValidationError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 # Steps between divergence checks in _descend_rows.
@@ -374,8 +380,7 @@ def _train_batch(
     row boundary. Threads would not help: the loop is per-call overhead on
     small arrays, which holds the GIL.
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    steps = _check_size("steps", steps, 1)
     if not learning_rate > 0 or not np.isfinite(learning_rate):
         raise ValidationError("learning_rate must be positive and finite")
     b, v, _ = targets.shape
@@ -519,6 +524,8 @@ class LabConfig:
     seed: int = 7
 
     def __post_init__(self):
+        for name, floor in ("vocab", 8), ("length", 10_000), ("eval_length", 10_000), ("steps", 1):
+            _check_size(name, getattr(self, name), floor)
         if not self.ks:
             raise ValidationError("ks must not be empty")
         seen = set()

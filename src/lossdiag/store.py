@@ -35,6 +35,7 @@ containers are immutable (the numpy buffers are marked read-only).
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -403,6 +404,59 @@ def _require(entry: dict, key: str, kind, where: str):
     return value
 
 
+def _checked_entries(doc, origin: str) -> list[tuple[str, dict]]:
+    """The manifest document rules, which the reader and the writer share.
+
+    Version 1 and a non-empty checkpoint list; in each entry every key of
+    the layout with its type, an id used once, a step >= 0 and metrics that
+    map strings to real numbers (numpy's too) that are floats, not NaN. Returns each entry's
+    location and its fields in layout order, metrics as floats.
+    """
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{origin}: top level must be a mapping")
+    version = _require(doc, "version", int, origin)
+    if version != 1:
+        raise ManifestError(f"{origin}: unsupported manifest version {version}")
+    entries = _require(doc, "checkpoints", list, origin)
+    if not entries:
+        raise ManifestError(f"{origin}: checkpoints list is empty")
+
+    seen: set[str] = set()
+    checked = []
+    for i, entry in enumerate(entries):
+        where = f"{origin}: checkpoints[{i}]"
+        if not isinstance(entry, dict):
+            raise ManifestError(f"{where}: must be a mapping")
+        cid = _require(entry, "id", str, where)
+        if cid in seen:
+            raise ManifestError(f"{where}: duplicate checkpoint id {cid!r}")
+        seen.add(cid)
+        family = _require(entry, "family", str, where)
+        step = _require(entry, "step", int, where)
+        if step < 0:
+            raise ManifestError(f"{where}: step must be >= 0")
+        objective = _require(entry, "objective", str, where)
+        loss = _require(entry, "loss", str, where)
+        metrics_raw = entry.get("metrics") or {}
+        if not isinstance(metrics_raw, dict):
+            raise ManifestError(f"{where}: metrics must be a mapping")
+        metrics: dict[str, float] = {}
+        for name, value in metrics_raw.items():
+            if not isinstance(name, str) or isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ManifestError(f"{where}: metric {name!r} must map a string to a number")
+            try:
+                metrics[name] = float(value)
+            except OverflowError:
+                raise ManifestError(
+                    f"{where}: metric {name!r} of checkpoint {cid!r} is too large for a float"
+                ) from None
+            if np.isnan(metrics[name]):
+                raise ManifestError(f"{where}: metric {name!r} of checkpoint {cid!r} is NaN")
+        checked.append((where, {"id": cid, "family": family, "step": step,
+                                "objective": objective, "loss": loss, "metrics": metrics}))
+    return checked
+
+
 def load_manifest(path: str | Path) -> Manifest:
     """Parse and validate a checkpoint manifest (YAML; JSON is a subset).
 
@@ -418,12 +472,12 @@ def load_manifest(path: str | Path) -> Manifest:
             metrics:          # optional
               judge: 2.01
 
-    Loss paths are resolved relative to the manifest's directory, and every
-    dump is checked and counted by ``peek_dump_count``. The count is kept as
+    The document must pass ``_checked_entries``. Loss paths are resolved
+    relative to the manifest's directory, and every dump is checked and
+    counted by ``peek_dump_count``. The count is kept as
     ``CheckpointMeta.count``, so a reader need not count again; it is
-    measured, not declared, so ``dump_manifest`` does not write it. Version
-    1 is the only version. A bad loss path (a NUL byte, a symlink loop) or
-    dump, and a metric that is NaN or too large for a float, are refused.
+    measured, not declared, so ``dump_manifest`` does not write it. A bad
+    loss path (a NUL byte, a symlink loop) or dump is refused.
     """
     path = Path(path)
     try:
@@ -431,48 +485,10 @@ def load_manifest(path: str | Path) -> Manifest:
             doc = yaml.load(fh, Loader=_YAML_LOADER)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: not parseable: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: top level must be a mapping")
-    version = _require(doc, "version", int, str(path))
-    if version != 1:
-        raise ManifestError(f"{path}: unsupported manifest version {version}")
-    entries = _require(doc, "checkpoints", list, str(path))
-    if not entries:
-        raise ManifestError(f"{path}: checkpoints list is empty")
 
-    base = path.parent
-    seen: set[str] = set()
     checkpoints: list[CheckpointMeta] = []
-    for i, entry in enumerate(entries):
-        where = f"{path}: checkpoints[{i}]"
-        if not isinstance(entry, dict):
-            raise ManifestError(f"{where}: must be a mapping")
-        cid = _require(entry, "id", str, where)
-        if cid in seen:
-            raise ManifestError(f"{where}: duplicate checkpoint id {cid!r}")
-        seen.add(cid)
-        family = _require(entry, "family", str, where)
-        step = _require(entry, "step", int, where)
-        if step < 0:
-            raise ManifestError(f"{where}: step must be >= 0")
-        objective = _require(entry, "objective", str, where)
-        loss_rel = _require(entry, "loss", str, where)
-        metrics_raw = entry.get("metrics") or {}
-        if not isinstance(metrics_raw, dict):
-            raise ManifestError(f"{where}: metrics must be a mapping")
-        metrics: dict[str, float] = {}
-        for name, value in metrics_raw.items():
-            if not isinstance(name, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ManifestError(f"{where}: metric {name!r} must map a string to a number")
-            try:
-                metrics[name] = float(value)
-            except OverflowError:
-                raise ManifestError(
-                    f"{where}: metric {name!r} of checkpoint {cid!r} is too large for a float"
-                ) from None
-            if np.isnan(metrics[name]):
-                raise ManifestError(f"{where}: metric {name!r} of checkpoint {cid!r} is NaN")
-        loss_path = base / loss_rel
+    for where, entry in _checked_entries(doc, str(path)):
+        loss_path = path.parent / entry["loss"]
         try:
             loss_path = loss_path.resolve()
             count = peek_dump_count(loss_path)
@@ -481,23 +497,21 @@ def load_manifest(path: str | Path) -> Manifest:
         except StoreFormatError as exc:
             raise ManifestError(f"{where}: bad loss dump: {exc}") from exc
         except (OSError, ValueError, RuntimeError) as exc:  # a NUL byte, a loop, a directory
-            raise ManifestError(f"{where}: bad loss path {loss_rel!r}: {exc}") from exc
-        checkpoints.append(
-            CheckpointMeta(
-                checkpoint_id=cid,
-                family=family,
-                step=step,
-                objective=objective,
-                loss_path=loss_path,
-                metrics=metrics,
-                count=count,
-            )
-        )
-    return Manifest(version=version, checkpoints=tuple(checkpoints))
+            raise ManifestError(f"{where}: bad loss path {entry['loss']!r}: {exc}") from exc
+        checkpoints.append(CheckpointMeta(
+            entry["id"], entry["family"], entry["step"], entry["objective"],
+            loss_path, entry["metrics"], count,
+        ))
+    return Manifest(version=1, checkpoints=tuple(checkpoints))
 
 
 def dump_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Write a manifest back out as YAML, loss paths relative to ``path``."""
+    """Write a manifest as YAML, loss paths relative to ``path``.
+
+    The document is held to ``load_manifest``'s rules (``_checked_entries``)
+    before the file is opened, so a manifest the reader would refuse is
+    refused here and nothing is written.
+    """
     path = Path(path)
     entries = []
     for c in manifest.checkpoints:
@@ -505,19 +519,13 @@ def dump_manifest(manifest: Manifest, path: str | Path) -> None:
             rel = c.loss_path.relative_to(path.parent.resolve())
         except ValueError:
             rel = c.loss_path
-        entry: dict = {
-            "id": c.checkpoint_id,
-            "family": c.family,
-            "step": c.step,
-            "objective": c.objective,
-            "loss": str(rel),
-        }
-        if c.metrics:
-            entry["metrics"] = {k: float(v) for k, v in c.metrics.items()}
-        entries.append(entry)
-    doc = {"version": manifest.version, "checkpoints": entries}
+        entries.append({"id": c.checkpoint_id, "family": c.family, "step": c.step,
+                        "objective": c.objective, "loss": str(rel), "metrics": dict(c.metrics)})
+    checked = _checked_entries({"version": manifest.version, "checkpoints": entries}, str(path))
+    # An entry without metrics is written without the key.
+    entries = [{k: v for k, v in e.items() if k != "metrics" or v} for _, e in checked]
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.safe_dump({"version": 1, "checkpoints": entries}, fh, sort_keys=False)
 
 
 def read_metric_file(path: str | Path) -> dict[str, float]:

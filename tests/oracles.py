@@ -96,6 +96,33 @@ def concordance_by_pairs(columns):
     return total, concordant, tied
 
 
+def select_by_pairs(values, direction):
+    """Index a selection rule picks from values listed in ascending id order.
+
+    The first index that no value beats: every pair is compared, and
+    "beats" is strictly less for "min", strictly greater for "max", so equal
+    values (equal infinities among them) leave the smaller id the winner.
+    """
+    beats = (lambda a, b: a < b) if direction == "min" else (lambda a, b: a > b)
+    for i, value in enumerate(values):
+        if not any(beats(other, value) for other in values):
+            return i
+    raise AssertionError("no value is unbeaten")
+
+
+def crossing_by_min_step(series, reference):
+    """The smallest step whose value is strictly below reference, or None.
+
+    Takes the minimum over the crossing steps instead of scanning in step
+    order; a step given twice is a ValidationError.
+    """
+    steps = [step for step, _ in series]
+    if len(set(steps)) != len(steps):
+        raise ValidationError("duplicate step")
+    below = [step for step, value in series if value < reference]
+    return min(below) if below else None
+
+
 def central_difference(f, x, h=1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""
     x = [float(v) for v in x]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -42,6 +43,11 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def subcommand_parsers():
+    """Each subcommand's parser, by name."""
+    return next(a for a in cli.build_parser()._actions if a.dest == "command").choices
 
 
 def write_text_dump(values, path):
@@ -548,11 +554,37 @@ class TestDistillDemo:
         monkeypatch.setattr(distill, "dose_response", stop)
         out = str(tmp_path / "dose.csv")
         assert run(capsys, "distill-demo", "--out", out)[0] == 2
-        assert run(capsys, "distill-demo", "--out", out, "--vocab", "32", "--lr", "2")[0] == 2
+        assert run(capsys, "distill-demo", "--out", out, "--vocab", "32", "--steps", "2")[0] == 2
         assert seen == [
             distill.LabConfig(),
-            distill.LabConfig(vocab=32, learning_rate=2.0),
+            distill.LabConfig(vocab=32, steps=2),
         ]
+
+    def test_flags_are_the_lab_sizes_k_out_and_precision(self):
+        parser = subcommand_parsers()["distill-demo"]
+        flags = [f for a in parser._actions for f in a.option_strings]
+        assert flags == ["-h", "--help", "--vocab", "--length", "--steps", "--eval-length",
+                         "--k", "--out", "--precision"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--zipf", "1.1"), ("--alpha", "0.1"), ("--lr", "2"), ("--seed", "7"),
+        ("--concentration", "4.5"), ("--epsilon-q", "1e-6"),
+    ])
+    def test_removed_flags_are_unrecognized(self, capsys, tmp_path, flag, value):
+        rc, _, err = run(capsys, "distill-demo", "--out", str(tmp_path / "d.csv"), flag, value)
+        assert rc == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "UsageError"
+        assert payload["message"] == f"unrecognized arguments: {flag} {value}"
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_size_below_its_floor_is_refused_before_training(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "distill-demo", "--out", str(tmp_path / "d.csv"),
+                         "--eval-length", "500")
+        assert rc == 2
+        assert stderr_payload(err)["message"] == (
+            "eval_length must be an integer >= 10000, got 500")
+        assert not any(tmp_path.iterdir())
 
 
 class TestConcord:
@@ -742,8 +774,12 @@ class TestCorrelate:
 
     def test_nan_manifest_metric_is_data_error(self, capsys, tmp_path):
         # A NaN judge score would win every comparison in --select; it must
-        # be refused when the manifest loads, naming where it came from.
-        manifest_path = _judged_workspace(tmp_path, (2.0, float("nan"), 1.0))
+        # be refused when the manifest loads, naming where it came from. The
+        # writer refuses NaN too, so the YAML text is edited by hand.
+        manifest_path = _judged_workspace(tmp_path, (2.0, 1.5, 1.0))
+        text = manifest_path.read_text(encoding="utf-8")
+        assert text.count("judge: 1.5\n") == 1
+        manifest_path.write_text(text.replace("judge: 1.5\n", "judge: .nan\n"), encoding="utf-8")
         rc, _, err = run(
             capsys, "correlate", "--manifest", str(manifest_path), "--select", "judge",
         )
@@ -1059,3 +1095,18 @@ class TestReport:
         assert whole_reads == []
         exact_bands = (tmp_path / "exact" / "bands.csv").read_text(encoding="utf-8")
         assert (tmp_path / "sketch" / "bands.csv").read_text(encoding="utf-8") == exact_bands
+
+
+class TestReadmeFlags:
+    def test_every_flag_the_readme_names_is_a_cli_option(self):
+        # Removing or renaming a flag must take its documentation with it.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        text = "\n".join(line for line in lines if "pip install" not in line)
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+        options = {
+            flag for parser in subcommand_parsers().values()
+            for action in parser._actions for flag in action.option_strings
+        }
+        assert "--manifest" in named
+        assert sorted(named - options) == []

@@ -64,6 +64,21 @@ class TestAgainstPairOracle:
             assert rep.tied_pairs == tied
             assert rep.pi == conc / total
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 4).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), min_size=n, max_size=n),
+        min_size=2, max_size=10,
+    )))
+    @example([[math.inf] * 4, [math.inf] * 4, [1.0, 1.0, math.inf, math.inf]])
+    def test_tables_with_equal_infinities(self, rows):
+        # One row per checkpoint: its mean, then its percentiles in order.
+        names = ("mean", "p25", "p50", "p95")[:len(rows[0])]
+        cols = [list(col) for col in zip(*([r[0], *sorted(r[1:])] for r in rows))]
+        rep = concordance(_table(cols, names), names)
+        total, conc, tied = oracles.concordance_by_pairs(cols)
+        assert (rep.total_pairs, rep.concordant_pairs, rep.tied_pairs) == (total, conc, tied)
+        assert rep.pi == conc / total
+
     def test_two_checkpoints_agreeing(self):
         cols = [[1.0, 2.0], [3.0, 5.0], [0.2, 0.9]]
         rep = concordance(_table(cols, ("mean", "p95", "p50")), ("mean", "p95", "p50"))

@@ -26,6 +26,7 @@ from lossdiag import (
 from lossdiag.correlate import _average_ranks
 
 import helpers
+import oracles
 
 
 @st.composite
@@ -161,7 +162,41 @@ class TestPercentileSweep:
         assert rows["mean"].spearman_rho == pytest.approx(-0.186, abs=1e-3)
 
 
+# Few distinct values, so ties and equal infinities are common.
+_CE_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf])
+_METRIC_VALUES = st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.inf])
+
+
+@st.composite
+def _selection_tables(draw):
+    """(table, judge score per id) over distinct ids drawn in any order."""
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=8,
+                        unique=True))
+    table = {}
+    for cid in ids:
+        p50, p95 = sorted(draw(st.lists(_CE_VALUES, min_size=2, max_size=2)))
+        table[cid] = SummarySet(cid, draw(_CE_VALUES), {50: p50, 95: p95}, 10)
+    return table, {cid: draw(_METRIC_VALUES) for cid in ids}
+
+
 class TestSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(_selection_tables())
+    def test_matches_brute_force(self, drawn):
+        table, judge = drawn
+        rules = [SelectionRule("mean", "mean", "min"), SelectionRule("p50", "p50", "min"),
+                 SelectionRule("p95", "p95", "min"), SelectionRule("judge", "judge", "max"),
+                 SelectionRule("judge-low", "judge", "min")]
+        rows = select(table, rules, metrics={"judge": MetricSeries("judge", judge)}).rows
+        ids = sorted(table)
+        for rule, row in zip(rules, rows, strict=True):
+            column = [
+                judge[cid] if rule.column == "judge" else table[cid].value(rule.column)
+                for cid in ids
+            ]
+            best = oracles.select_by_pairs(column, rule.direction)
+            assert (row.rule, row.checkpoint_id, row.value) == (rule.name, ids[best], column[best])
+
     def test_single_checkpoint_wins_everything(self):
         table = {"only": SummarySet("only", 1.2, {50: 0.8}, 10)}
         rules = [SelectionRule("best-mean", "mean", "min"),
@@ -305,6 +340,33 @@ class TestNormalizeSeries:
 
 
 class TestCrossingStep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.sampled_from([0.0, 0.5, math.inf])
+                      | st.floats(allow_nan=False)),
+            min_size=1, max_size=8,
+        ),
+        st.data(),
+    )
+    def test_matches_brute_force(self, series, data):
+        # References are often one of the values: equality is not a crossing.
+        reference = data.draw(
+            st.sampled_from([v for _, v in series])
+            | st.sampled_from([0.5, math.inf, -math.inf])
+            | st.floats(allow_nan=False)
+        )
+        steps = [step for step, _ in series]
+        repeated = [step for step in steps if steps.count(step) > 1]
+        if repeated:
+            with pytest.raises(ValidationError, match=f"^duplicate step {min(repeated)} in series$"):
+                crossing_step(series, reference)
+            with pytest.raises(ValidationError):
+                oracles.crossing_by_min_step(series, reference)
+        else:
+            assert crossing_step(series, reference) == oracles.crossing_by_min_step(
+                series, reference)
+
     def test_first_strict_crossing(self):
         series = [(25_000, 0.70), (50_000, 0.65), (75_000, 0.58)]
         assert crossing_step(series, 0.609) == 75_000

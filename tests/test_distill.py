@@ -309,6 +309,47 @@ def small_world():
     return fit_teacher(stream, alpha=0.1, vocab=8)
 
 
+class TestSizeRule:
+    """One rule for the lab's sizes: an int or np.integer (not a bool) at or
+    above the input's floor, else a ValidationError naming the input."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: LabConfig(vocab=16.5), "vocab must be an integer >= 8, got 16.5"),
+        (lambda: LabConfig(vocab=4), "vocab must be an integer >= 8, got 4"),
+        (lambda: LabConfig(steps=2.5), "steps must be an integer >= 1, got 2.5"),
+        (lambda: LabConfig(steps=0), "steps must be an integer >= 1, got 0"),
+        (lambda: LabConfig(length=True), "length must be an integer >= 10000, got True"),
+        (lambda: LabConfig(eval_length=9999),
+         "eval_length must be an integer >= 10000, got 9999"),
+        (lambda: LabConfig(vocab=np.float64(64)),
+         "vocab must be an integer >= 8, got np.float64(64.0)"),
+        (lambda: fit_teacher(np.array([0, 1, 0]), 1.0, vocab=4.5),
+         "vocab must be an integer >= 2, got 4.5"),
+        (lambda: synth_corpus(7, 16.0, 1.1, 10_000), "vocab must be an integer >= 8, got 16.0"),
+        (lambda: synth_corpus(7, 16, 1.1, 1e5), "length must be an integer >= 10000, got 100000.0"),
+        (lambda: zipf_weights(4.5, 1.1), "vocab must be an integer >= 2, got 4.5"),
+        (lambda: zipf_weights(1, 1.1), "vocab must be an integer >= 2, got 1"),
+        (lambda: true_chain(5, 8.0, 1.1), "vocab must be an integer >= 2, got 8.0"),
+    ])
+    def test_refusals_name_the_input(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_train_batch_steps(self, small_world):
+        targets = _teacher_targets(small_world, 2)[None]
+        for steps in (2.5, np.bool_(True), "3"):
+            with pytest.raises(ValidationError, match="^steps must be an integer >= 1, got "):
+                _train_batch(targets, small_world.context_weights, steps, 1.0)
+
+    def test_numpy_integers_are_sizes(self):
+        assert LabConfig(vocab=np.int64(16), steps=np.int32(5)).vocab == 16
+        assert np.array_equal(zipf_weights(np.int64(3), 1.0), zipf_weights(3, 1.0))
+        stream = synth_corpus(9, np.int64(8), 1.1, np.uint32(10_000))
+        assert np.array_equal(stream, synth_corpus(9, 8, 1.1, 10_000))
+        assert fit_teacher(stream, 1.0, vocab=np.int16(8)).vocab_size == 8
+
+
 class TestDistillStudent:
     def test_full_k_converges_to_teacher(self, small_world):
         # Row gradients are scaled by context weight, so the rarest context

@@ -729,6 +729,28 @@ class TestManifest:
         assert entry["loss"] == str(dump)
         assert load_manifest(out).checkpoints[0].loss_path == dump
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda m, c: replace(m, version=2), "unsupported manifest version 2"),
+        (lambda m, c: replace(m, checkpoints=()), "checkpoints list is empty"),
+        (lambda m, c: replace(m, checkpoints=(replace(c, step=-1),)),
+         "checkpoints[0]: step must be >= 0"),
+        (lambda m, c: replace(m, checkpoints=(replace(c, metrics={"m": math.nan}),)),
+         "checkpoints[0]: metric 'm' of checkpoint 'a' is NaN"),
+        (lambda m, c: replace(m, checkpoints=(c, replace(c, family="g"))),
+         "checkpoints[1]: duplicate checkpoint id 'a'"),
+    ])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, change, message):
+        _seed_dump(tmp_path, "a")
+        meta = CheckpointMeta("a", "f", 0, "o", (tmp_path / "dumps" / "a.bin").resolve())
+        good = Manifest(version=1, checkpoints=(meta,))
+        out = tmp_path / "manifest.yaml"
+        with pytest.raises(ManifestError) as exc:
+            dump_manifest(change(good, meta), out)
+        assert str(exc.value) == f"{out}: {message}"
+        assert not out.exists()
+        dump_manifest(good, out)
+        assert load_manifest(out).checkpoints == (replace(meta, count=2),)
+
 
 # Dumps a generated manifest entry can point at: two good ones and every
 # way a dump can be bad. Loss paths are relative to the manifest.
