@@ -14,7 +14,7 @@ uses and, where bands are wanted, its band table, and all tables are built
 from those results. The scan takes the dump's value count from the
 manifest check (a positional dump is counted once, before any scan), so
 no dump is counted twice. What the flags and the manifest decide (--precision,
---ks, --grid, --bands, --epsilon, --k and the lab's sizes, summary names, a metric
+--ks, --grid, --bands, --k and the lab's sizes, summary names, a metric
 missing a selected checkpoint, what concordance, the sweep and --crossing
 refuse, a NaN --reference among them) is refused by the library's own rules
 before any dump is streamed or student trained. Only
@@ -46,13 +46,12 @@ from .correlate import MetricSeries, _check_reference, _check_steps, _check_swee
 from .correlate import crossing_step, default_rules, percentile_sweep, select
 from .errors import DivergenceError, StoreFormatError, UsageError, ValidationError
 from .quantiles import (
-    DEFAULT_EPSILON,
     DEFAULT_KS,
     EXACT_PATH_MAX,
     SummarySet,
     _check_ks,
-    _check_summary_names,
     _percentile_of,
+    _scan_percentiles,
     summarize_chunks,
     summarize_sorted,
 )
@@ -66,7 +65,6 @@ from .shape import (
     profile_percentiles,
     standardize_profile,
 )
-from .sketch import QuantileSketch
 from .store import (
     CheckpointMeta,
     Manifest,
@@ -125,16 +123,16 @@ def _grid(text: str) -> tuple[int, ...]:
 _BUFFERS = threading.local()
 
 
-def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=DEFAULT_EPSILON):
+def _scan(path, checkpoint_id, count, ks, bounds=None, sketch=False):
     """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
 
     The dump is streamed once, each chunk copied into the thread's float32
-    sort buffer, which gives the summary and the bands, or, past
-    EXACT_PATH_MAX, fed to the sketch and counted into the bands. ``count``
-    is the value count ``peek_dump_count`` measured; a stream of any other
-    length (the file changed) is a StoreFormatError.
+    sort buffer, which gives the summary and the bands, or, given ``sketch``
+    or past EXACT_PATH_MAX, fed to the sketch and counted into the bands.
+    ``count`` is the value count ``peek_dump_count`` measured; a stream of
+    any other length (the file changed) is a StoreFormatError.
     """
-    exact = mode == "exact" or (mode == "auto" and count <= EXACT_PATH_MAX)
+    exact = not sketch and count <= EXACT_PATH_MAX
     counter = None if bounds is None or exact else BandCounter(checkpoint_id, bounds)
 
     def chunks():
@@ -162,16 +160,16 @@ def _scan(path, checkpoint_id, count, ks, bounds=None, mode="auto", epsilon=DEFA
         summary = summarize_sorted(checkpoint_id, ascending, ks)
         bands = None if bounds is None else bands_of_sorted(checkpoint_id, ascending, bounds)
     else:
-        summary = summarize_chunks(checkpoint_id, chunks(), ks, epsilon)
+        summary = summarize_chunks(checkpoint_id, chunks(), ks)
         bands = None if counter is None else counter.table()
     return summary, bands
 
 
-def _scan_many(entries, ks, bounds=None, mode="auto", epsilon=DEFAULT_EPSILON):
+def _scan_many(entries, ks, bounds=None, sketch=False):
     """_scan over (path, checkpoint_id, count) in one thread pool, order-preserving."""
     entries = list(entries)
     with ThreadPoolExecutor(max_workers=worker_count(len(entries))) as pool:
-        return list(pool.map(lambda e: _scan(*e, ks, bounds, mode, epsilon), entries))
+        return list(pool.map(lambda e: _scan(*e, ks, bounds, sketch), entries))
 
 
 def _entries(checkpoints) -> list[tuple[Path, str, int]]:
@@ -209,12 +207,12 @@ def _metric_series(selected, name: str, metric_file: str | None = None) -> Metri
     return series
 
 
-def _column_metrics(selected, columns, ks) -> dict[str, MetricSeries]:
-    """The series of each column a selected checkpoint carries as a metric;
-    every other column must be a summary over ``ks``."""
+def _column_metrics(selected, columns, grid=()) -> tuple[dict[str, MetricSeries], tuple]:
+    """The series of each column a selected checkpoint carries as a metric,
+    and the percentiles to scan, ``grid`` and every other column among them."""
     carried = {name for c in selected for name in c.metrics}
-    _check_summary_names([c for c in columns if c not in carried], ks)
-    return {name: _metric_series(selected, name) for name in columns if name in carried}
+    ks = _scan_percentiles([c for c in columns if c not in carried], grid)
+    return {name: _metric_series(selected, name) for name in columns if name in carried}, ks
 
 
 # --- summarize ---------------------------------------------------------
@@ -229,11 +227,9 @@ def _cmd_summarize(args) -> None:
     if not args.paths and not checkpoints:
         raise UsageError("give dump paths and/or --manifest")
     ks = _check_ks(args.ks)
-    QuantileSketch(args.epsilon)  # the sketch's own epsilon rule, whichever path runs
     paths = [Path(p) for p in args.paths]
     entries = [(p, p.stem, peek_dump_count(p)) for p in paths] + _entries(checkpoints)
-    mode = "exact" if args.exact else "sketch" if args.sketch else "auto"
-    scans = _scan_many(entries, ks, None, mode, args.epsilon)
+    scans = _scan_many(entries, ks, None, args.sketch)
     _emit(render.summary_table([s for s, _ in scans], args.precision), args.out)
 
 
@@ -264,8 +260,7 @@ def _cmd_concord(args) -> None:
     if len(args.summaries) < 2:
         raise UsageError("--summaries needs at least two names")
     manifest = load_manifest(args.manifest)
-    ks = _check_ks(args.ks)
-    _check_summary_names(args.summaries, ks)
+    ks = _scan_percentiles(args.summaries)
     families = args.family or _families_with_pairs(manifest.checkpoints)
     if not families:
         raise ValidationError("no family holds two or more checkpoints")
@@ -305,7 +300,7 @@ _SHAPE_TITLES = {
 
 def _cmd_shape(args) -> None:
     manifest = load_manifest(args.manifest)
-    ks = profile_percentiles(args.grid)
+    ks = _scan_percentiles((), profile_percentiles(args.grid))
     bounds = _check_bounds(args.bands)
     selected = manifest.select(args.family)
     scans = _scan_many(_entries(selected), ks, bounds)
@@ -331,10 +326,9 @@ def _cmd_correlate(args) -> None:
     if args.crossing and args.reference is None:
         raise UsageError("--crossing requires --reference")
     manifest = load_manifest(args.manifest)
-    ks = _check_ks(args.ks)
 
     if args.crossing:
-        _check_summary_names([args.summary], ks)
+        ks = _scan_percentiles([args.summary])
         _check_reference(args.reference)
         groups = [(f, manifest.select([f])) for f in args.family or manifest.families()]
         for family, cs in groups:
@@ -355,10 +349,10 @@ def _cmd_correlate(args) -> None:
     if args.sweep:
         _check_sweep_size(len(selected))
         metric = _metric_series(selected, args.metric, args.metric_file)
-        rows = percentile_sweep(_summary_table(selected, ks), metric)
+        rows = percentile_sweep(_summary_table(selected, DEFAULT_KS), metric)
         _emit(render.sweep_table(rows, args.precision), args.out)
     else:
-        metrics = _column_metrics(selected, args.select, ks)
+        metrics, ks = _column_metrics(selected, args.select)
         table = _summary_table(selected, ks)
         result = select(table, default_rules(args.select, metrics), metrics)
         _emit(render.selection_table(result, args.precision), args.out)
@@ -425,23 +419,23 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     """
     manifest = load_manifest(args.manifest)
     families, grid, precision = args.family, args.grid, args.precision
-    ks = sorted(set(DEFAULT_KS).union(profile_percentiles(grid)))
+    grid_ks = profile_percentiles(grid)
     bounds = _check_bounds(args.bands)
     selected = manifest.select(families)
     columns = list(args.summaries)
-    metrics = _column_metrics(selected, columns, DEFAULT_KS)
+    metrics, ks = _column_metrics(selected, columns, grid_ks)
     if args.metric is not None:
         columns.append(args.metric)
         if args.metric not in metrics:
             metrics[args.metric] = _metric_series(selected, args.metric)
     groups = _family_groups(manifest, _families_with_pairs(selected), args.summaries)
     if groups:
-        _check_summary_names(args.summaries, DEFAULT_KS)
+        _scan_percentiles(args.summaries)  # concordance ranks no metric
     scans = _scan_many(_entries(selected), ks, bounds)
 
     summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
     sections = {"summary.csv": render.summary_table(summaries, precision)}
-    table = {s.checkpoint_id: s for s in summaries}
+    table = {s.checkpoint_id: s for s, _ in scans}
     if groups:
         reports = _concordance_reports(groups, table, args.summaries)
         sections["concordance.csv"] = render.concordance_table(reports, precision)
@@ -450,7 +444,8 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
 
     sweep_rows = []
     if args.metric is not None and len(table) >= 3:
-        sweep_rows = percentile_sweep(table, metrics[args.metric])
+        sweep_rows = percentile_sweep({s.checkpoint_id: s for s in summaries},
+                                      metrics[args.metric])
         sections["sweep.csv"] = render.sweep_table(sweep_rows, precision)
 
     sections.update(_shape_tables(selected, scans, grid, precision))
@@ -534,11 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated family tags (with --manifest)")
     p.add_argument("--ks", type=_int_list, default=list(DEFAULT_KS),
                    help="percentiles to report")
-    path = p.add_mutually_exclusive_group()
-    path.add_argument("--exact", action="store_true", help="force the exact path")
-    path.add_argument("--sketch", action="store_true", help="force the sketch path")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                   help="sketch rank-error budget")
+    p.add_argument("--sketch", action="store_true", help="force the sketch path")
     common(p)
     p.set_defaults(func=_cmd_summarize)
 
@@ -546,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--family", type=_families, default=None)
     p.add_argument("--summaries", type=_str_list, default=["mean", "median", "p95"])
-    p.add_argument("--ks", type=_int_list, default=list(DEFAULT_KS))
     common(p)
     p.set_defaults(func=_cmd_concord)
 
@@ -574,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two-column checkpoint_id,value file overriding manifest metrics")
     p.add_argument("--summary", default="median", help="summary used by --crossing")
     p.add_argument("--reference", type=float, default=None)
-    p.add_argument("--ks", type=_int_list, default=list(DEFAULT_KS))
     common(p)
     p.set_defaults(func=_cmd_correlate)
 

@@ -187,7 +187,7 @@ def true_chain(
     models against the truth (chain_fidelity), something real corpora
     never allow.
     """
-    world = np.random.default_rng([int(seed), 0x10])
+    world = np.random.default_rng([_check_size("seed", seed, 0), 0x10])
     base = zipf_weights(vocab, zipf_exponent)
     noise = world.standard_normal((vocab, vocab))
     rows = base[None, :] * np.exp(concentration * noise)
@@ -215,6 +215,7 @@ def synth_corpus(
     """
     vocab = _check_size("vocab", vocab, 8)
     length = _check_size("length", length, 10_000)
+    seed = _check_size("seed", seed, 0)
     if concentration < 0:
         raise ValidationError("concentration must be >= 0")
     base, rows = true_chain(seed, vocab, zipf_exponent, concentration)
@@ -223,7 +224,7 @@ def synth_corpus(
     start_cum = np.cumsum(base)
     start_cum[-1] = 1.0
 
-    sampler = np.random.default_rng([int(seed), 0x51, int(split)])
+    sampler = np.random.default_rng([seed, 0x51, int(split)])
     out = np.empty(length, dtype=np.int64)
     # bisect_right on a Python list runs the same binary search as
     # np.searchsorted(side="right") on one key, without numpy's per-call
@@ -291,7 +292,7 @@ def _resolve_k(vocab: int, k) -> int:
 
 
 def _check_size(name: str, value, floor: int) -> int:
-    """The lab's one size rule: an int or np.integer (not a bool) >= floor."""
+    """The lab's one size and seed rule: an int or np.integer (not a bool) >= floor."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= floor:
         return int(value)
     raise ValidationError(f"{name} must be an integer >= {floor}, got {value!r}")
@@ -524,7 +525,8 @@ class LabConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name, floor in ("vocab", 8), ("length", 10_000), ("eval_length", 10_000), ("steps", 1):
+        for name, floor in (("vocab", 8), ("length", 10_000), ("eval_length", 10_000),
+                            ("steps", 1), ("seed", 0)):
             _check_size(name, getattr(self, name), floor)
         if not self.ks:
             raise ValidationError("ks must not be empty")

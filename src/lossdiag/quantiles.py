@@ -24,11 +24,11 @@ from .store import LossVector
 # tails, so downstream profile and sweep consumers always find what they need.
 DEFAULT_KS: tuple[int, ...] = (1,) + tuple(range(5, 100, 5)) + (99,)
 
-# Dumps at most this large are summarized exactly by default; the CLI falls
-# back to the sketch beyond it unless forced. The exact scan sorts a dump in
+# Dumps at most this large are summarized exactly unless the sketch is asked
+# for; the CLI sketches every larger dump. The exact scan sorts a dump in
 # a float32 buffer each scan thread keeps, so at this size 8 scan threads
 # hold 2**26 values * 4 bytes * 8 = 2 GiB of sort buffers. The sketch's
-# rank-error budget is DEFAULT_EPSILON unless a caller sets one.
+# rank-error budget is DEFAULT_EPSILON unless a library caller sets one.
 EXACT_PATH_MAX = 1 << 26
 DEFAULT_EPSILON = 1e-3
 
@@ -60,12 +60,18 @@ def _percentile_of(name: str) -> int | None:
     return int(match[1]) if match else None
 
 
-def _check_summary_names(names: Iterable[str], ks: Sequence[int]) -> None:
-    """ValidationError for the first of ``names`` that no summary over ``ks``
-    has: SummarySet.value resolves "mean", "median" and "pK" for K in ``ks``."""
+def _scan_percentiles(names: Iterable[str], grid: Iterable[int] = ()) -> tuple[int, ...]:
+    """The one rule for the percentiles a run scans, ascending: DEFAULT_KS,
+    ``grid`` and each percentile a summary name asks for. ValidationError for
+    the first of ``names`` that is neither "mean" nor a percentile name."""
+    ks = set(DEFAULT_KS).union(grid)
     for name in names:
-        if name != "mean" and _percentile_of(name) not in ks:
-            raise ValidationError(f"no summary named {name!r} over percentiles {list(ks)}")
+        k = _percentile_of(name)
+        if k is not None:
+            ks.add(k)
+        elif name != "mean":
+            raise ValidationError(f"no summary named {name!r}")
+    return tuple(sorted(ks))
 
 
 def percentiles_of_sorted(sorted_values: np.ndarray, ks: Sequence[int]) -> np.ndarray:

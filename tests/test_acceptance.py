@@ -295,21 +295,24 @@ def _charts_from_csv(summary_csv, sweep_csv):
 
 
 @pytest.mark.parametrize(
-    "grid, bands, precision",
+    "grid, bands, precision, names",
     [
-        ((), (), ()),
-        (("--grid", "10,25,50,75,90"), ("--bands", "0.5,2"), ("--precision", "3")),
+        ((), (), (), "mean,median,p95"),
+        (("--grid", "10,25,50,75,90"), ("--bands", "0.5,2"), ("--precision", "3"),
+         "mean,median,p95"),
+        # p97 is outside DEFAULT_KS: summary names decide what is scanned.
+        ((), (), (), "mean,median,p97"),
     ],
-    ids=["default-flags", "grid-bands-precision"],
+    ids=["default-flags", "grid-bands-precision", "p97-summaries"],
 )
 def test_criterion_9_report_matches_standalone_subcommands(
-    demo_dir, tmp_path, capsys, grid, bands, precision
+    demo_dir, tmp_path, capsys, grid, bands, precision, names
 ):
     with Budget(30):
         manifest = str(demo_dir / "manifest.yaml")
         report_dir = tmp_path / "report"
         rc = main(["report", "--manifest", manifest, "--out-dir", str(report_dir),
-                   "--metric", "fidelity", *grid, *bands, *precision])
+                   "--summaries", names, "--metric", "fidelity", *grid, *bands, *precision])
         capsys.readouterr()
         assert rc == 0
 
@@ -321,10 +324,11 @@ def test_criterion_9_report_matches_standalone_subcommands(
 
         standalone = {
             "summary.csv": stdout_of("summarize", "--manifest", manifest),
-            "concordance.csv": stdout_of("concord", "--manifest", manifest),
+            "concordance.csv": stdout_of("concord", "--manifest", manifest,
+                                         "--summaries", names),
             "selection.csv": stdout_of(
                 "correlate", "--manifest", manifest,
-                "--select", "mean,median,p95,fidelity"),
+                "--select", names + ",fidelity"),
             "sweep.csv": stdout_of(
                 "correlate", "--manifest", manifest,
                 "--sweep", "--metric", "fidelity"),

@@ -235,12 +235,6 @@ class TestSummarize:
         assert rc == 0
         assert out.splitlines()[0] == "checkpoint_id,mean,p50,p95,count"
 
-    def test_exact_flag_matches_auto_on_small_dump(self, capsys, demo_dir):
-        dump = str(demo_dir / "dumps" / "teacher.bin")
-        _, auto, _ = run(capsys, "summarize", dump)
-        _, exact, _ = run(capsys, "summarize", dump, "--exact")
-        assert auto == exact
-
     def test_sketch_path_stays_within_tolerance(self, capsys, demo_dir):
         dump = demo_dir / "dumps" / "teacher.bin"
         rc, out, _ = run(capsys, "summarize", str(dump), "--sketch", "--ks", "50")
@@ -305,7 +299,7 @@ class TestScan:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.bin"
             write_loss_dump(LossVector("d", values), path)
-            summary, bands = cli._scan(path, "d", values.size, DEFAULT_KS, bounds, "exact")
+            summary, bands = cli._scan(path, "d", values.size, DEFAULT_KS, bounds, sketch=False)
         mean, pct = oracles.summary_by_float64_sort(values, DEFAULT_KS)
         assert summary.mean.hex() == mean.hex()
         assert [summary.percentiles[k].hex() for k in DEFAULT_KS] == [
@@ -314,13 +308,13 @@ class TestScan:
         counts = oracles.band_counts_by_histogram(values, bounds)
         assert bands.mass == tuple(100.0 * c / values.size for c in counts)
 
-    @pytest.mark.parametrize("mode", ["auto", "sketch"])
+    @pytest.mark.parametrize("sketch", [False, True], ids=["auto", "sketch"])
     @pytest.mark.parametrize("off", [-1, 1])
-    def test_stream_longer_or_shorter_than_count_is_format_error(self, dumps, mode, off):
+    def test_stream_longer_or_shorter_than_count_is_format_error(self, dumps, sketch, off):
         cli._scan(dumps[4], "d2", 1000, DEFAULT_KS)  # leaves 1000 values in the buffers
         for path in dumps[6:]:  # 40 values, binary then text
             with pytest.raises(StoreFormatError, match=str(path)):
-                cli._scan(path, path.stem, 40 + off, DEFAULT_KS, (1.0,), mode)
+                cli._scan(path, path.stem, 40 + off, DEFAULT_KS, (1.0,), sketch)
 
 
 class TestFlagsBeforeStreams:
@@ -369,18 +363,13 @@ class TestFlagsBeforeStreams:
         return write
 
     @pytest.mark.parametrize(
-        "command",
-        [("summarize",), ("concord",), ("correlate", "--sweep", "--metric", "fidelity")],
-        ids=["summarize", "concord", "correlate"],
-    )
-    @pytest.mark.parametrize(
         "ks, message",
         [("0,50", "percentile 0 outside 1..99"),
          ("50,50", "duplicate percentiles requested")],
         ids=["out-of-range", "duplicate"],
     )
-    def test_bad_ks(self, refused, command, ks, message):
-        refused(command, "--ks", ks, message=message)
+    def test_bad_ks(self, refused, ks, message):
+        refused(("summarize",), "--ks", ks, message=message)
 
     @pytest.mark.parametrize("command", ["shape", "report"])
     @pytest.mark.parametrize(
@@ -394,22 +383,22 @@ class TestFlagsBeforeStreams:
 
     @pytest.mark.parametrize(
         "command, name",
-        [(("concord", "--summaries", "mean,p97"), "p97"),
-         (("report", "--summaries", "mean,p97"), "p97"),
-         (("correlate", "--crossing", "--summary", "p97", "--reference", "1"), "p97"),
-         (("correlate", "--select", "mean,p97"), "p97"),
-         (("concord", "--summaries", "mean,pxx"), "pxx"),
+        [(("concord", "--summaries", "mean,pxx"), "pxx"),
+         (("report", "--summaries", "mean,pxx"), "pxx"),
+         (("correlate", "--crossing", "--summary", "pxx", "--reference", "1"), "pxx"),
+         (("correlate", "--select", "mean,pxx"), "pxx"),
          (("concord", "--summaries", "mean,p050"), "p050"),
          (("concord", "--summaries", "mean,p+50"), "p+50"),
          (("concord", "--summaries", "mean,p 95"), "p 95"),
          (("concord", "--summaries", "mean,p5_0"), "p5_0"),
          (("concord", "--summaries", "mean,p\u0665\u0660"), "p\u0665\u0660")],
-        ids=["concord", "report", "crossing", "select", "not-a-percentile",
-             "three-digits", "signed", "inner-space", "underscore", "non-ascii-digits"],
+        ids=["concord", "report", "crossing", "select", "three-digits", "signed",
+             "inner-space", "underscore", "non-ascii-digits"],
     )
     def test_unknown_summary_name(self, refused, command, name):
-        message = f"no summary named {name!r} over percentiles {list(DEFAULT_KS)}"
-        refused(command, message=message)
+        # Any percentile name is scanned (p97 included), so only a name that
+        # is neither "mean" nor a percentile name is refused.
+        refused(command, message=f"no summary named {name!r}")
 
     @pytest.mark.parametrize(
         "command", [("report",), ("correlate", "--sweep")], ids=["report", "sweep"]
@@ -455,8 +444,7 @@ class TestFlagsBeforeStreams:
          (("report", "--summaries", "mean,median,p50"), "duplicate summary names"),
          (("concord", "--summaries", "mean,p5,p05"), "duplicate summary names"),
          (("report", "--summaries", "mean,p5,p05"), "duplicate summary names"),
-         (("report", "--summaries", "mean,fidelity"),
-          f"no summary named 'fidelity' over percentiles {list(DEFAULT_KS)}"),
+         (("report", "--summaries", "mean,fidelity"), "no summary named 'fidelity'"),
          (("concord", "--family", "teacher"), "need at least two checkpoints"),
          (("correlate", "--sweep", "--metric", "fidelity", "--family", "teacher"),
           "sweep needs at least three checkpoints"),
@@ -476,19 +464,8 @@ class TestFlagsBeforeStreams:
                 message="no family holds two or more checkpoints")
 
     @pytest.mark.parametrize(
-        "flags, message",
-        [(("--epsilon", "0.5"), "epsilon must be in (0, 0.01], got 0.5"),
-         (("--epsilon", "0", "--exact"), "epsilon must be in (0, 0.01], got 0.0")],
-        ids=["auto", "exact"],
-    )
-    def test_epsilon_whichever_path_runs(self, refused, flags, message):
-        refused(("summarize",), *flags, message=message)
-
-    @pytest.mark.parametrize(
         "command, message",
-        [(("summarize", "--exact", "--sketch"),
-          "argument --sketch: not allowed with argument --exact"),
-         (("summarize", "--ks", "5,x"), "bad integer list '5,x'"),
+        [(("summarize", "--ks", "5,x"), "bad integer list '5,x'"),
          (("shape", "--bands", "1,x"), "bad float list '1,x'"),
          (("report", "--summaries", "mean"), "report needs at least two summary names"),
          (("distill-demo", "--k", "2,x"), "bad K value 'x'"),
@@ -499,7 +476,7 @@ class TestFlagsBeforeStreams:
          (("correlate",), "one of the arguments --sweep --select --crossing is required"),
          (("correlate", "--sweep", "--crossing"),
           "argument --crossing: not allowed with argument --sweep")],
-        ids=["exact-and-sketch", "int-list", "float-list", "report-one-summary",
+        ids=["int-list", "float-list", "report-one-summary",
              "k-token", "k-empty", "sweep-no-metric", "select-empty",
              "crossing-no-reference", "no-mode", "two-modes"],
     )
@@ -559,12 +536,6 @@ class TestDistillDemo:
             distill.LabConfig(),
             distill.LabConfig(vocab=32, steps=2),
         ]
-
-    def test_flags_are_the_lab_sizes_k_out_and_precision(self):
-        parser = subcommand_parsers()["distill-demo"]
-        flags = [f for a in parser._actions for f in a.option_strings]
-        assert flags == ["-h", "--help", "--vocab", "--length", "--steps", "--eval-length",
-                         "--k", "--out", "--precision"]
 
     @pytest.mark.parametrize("flag,value", [
         ("--zipf", "1.1"), ("--alpha", "0.1"), ("--lr", "2"), ("--seed", "7"),
@@ -748,8 +719,9 @@ class TestCorrelate:
         )
         assert rc == 1
 
-    def test_crossing_on_step_series(self, capsys, tmp_path):
-        # Three snapshots of one run whose median falls below 0.6 at step 300.
+    @staticmethod
+    def _step_series(tmp_path):
+        """Three snapshots of one run, each uniform on its median +- 0.1."""
         rng = np.random.default_rng(5)
         medians = (0.8, 0.65, 0.5)
         checkpoints = []
@@ -762,15 +734,28 @@ class TestCorrelate:
                 objective="token-ce", loss_path=path))
         manifest_path = tmp_path / "manifest.yaml"
         dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), manifest_path)
+        return manifest_path
 
+    def test_crossing_on_step_series(self, capsys, tmp_path):
+        # The median falls below 0.6 at step 300.
         rc, out, _ = run(
-            capsys, "correlate", "--manifest", str(manifest_path),
+            capsys, "correlate", "--manifest", str(self._step_series(tmp_path)),
             "--crossing", "--reference", "0.6",
         )
         assert rc == 0
         lines = out.splitlines()
         assert lines[0] == "family,summary,reference,crossing_step"
         assert lines[1] == "run,median,0.6,300"
+
+    def test_crossing_on_a_percentile_outside_the_default_grid(self, capsys, tmp_path):
+        # p97 (about the median + 0.094) falls below 0.6 at step 300 too; a
+        # named percentile is scanned whether or not DEFAULT_KS holds it.
+        rc, out, err = run(
+            capsys, "correlate", "--manifest", str(self._step_series(tmp_path)),
+            "--crossing", "--summary", "p97", "--reference", "0.6",
+        )
+        assert rc == 0, err
+        assert out.splitlines()[1:] == ["run,p97,0.6,300"]
 
     def test_nan_manifest_metric_is_data_error(self, capsys, tmp_path):
         # A NaN judge score would win every comparison in --select; it must
@@ -1095,6 +1080,47 @@ class TestReport:
         assert whole_reads == []
         exact_bands = (tmp_path / "exact" / "bands.csv").read_text(encoding="utf-8")
         assert (tmp_path / "sketch" / "bands.csv").read_text(encoding="utf-8") == exact_bands
+
+
+class TestCliSurface:
+    """Every subcommand's option strings, in parser order: a flag added or
+    removed shows up here as a visible diff."""
+
+    OPTIONS = {
+        "summarize": ["-h", "--help", "--manifest", "--family", "--ks", "--sketch",
+                      "--precision", "--out"],
+        "concord": ["-h", "--help", "--manifest", "--family", "--summaries",
+                    "--precision", "--out"],
+        "shape": ["-h", "--help", "--manifest", "--family", "--grid", "--bands",
+                  "--out-dir", "--precision"],
+        "correlate": ["-h", "--help", "--manifest", "--family", "--sweep", "--select",
+                      "--crossing", "--metric", "--metric-file", "--summary",
+                      "--reference", "--precision", "--out"],
+        "distill-demo": ["-h", "--help", "--vocab", "--length", "--steps", "--eval-length",
+                         "--k", "--out", "--precision"],
+        "report": ["-h", "--help", "--manifest", "--out-dir", "--family", "--summaries",
+                   "--metric", "--grid", "--bands", "--precision"],
+    }
+
+    def test_every_subcommand_has_exactly_these_options(self):
+        assert {
+            name: [flag for action in parser._actions for flag in action.option_strings]
+            for name, parser in subcommand_parsers().items()
+        } == self.OPTIONS
+
+    @pytest.mark.parametrize("argv, unknown", [
+        (("summarize", "--exact"), "--exact"),
+        (("summarize", "--epsilon", "1e-3"), "--epsilon"),  # 1e-3 is taken as a path
+        (("concord", "--ks", "50"), "--ks 50"),
+        (("correlate", "--sweep", "--metric", "fidelity", "--ks", "50"), "--ks 50"),
+    ], ids=["summarize-exact", "summarize-epsilon", "concord-ks", "correlate-ks"])
+    def test_removed_flags_are_unrecognized(self, capsys, demo_dir, argv, unknown):
+        # Summary names decide the scanned percentiles, and dump size and
+        # --sketch decide the scan path.
+        rc, out, err = run(capsys, *argv, "--manifest", str(demo_dir / "manifest.yaml"))
+        assert rc == 1
+        assert out == ""
+        assert stderr_payload(err)["message"] == f"unrecognized arguments: {unknown}"
 
 
 class TestReadmeFlags:

@@ -310,8 +310,9 @@ def small_world():
 
 
 class TestSizeRule:
-    """One rule for the lab's sizes: an int or np.integer (not a bool) at or
-    above the input's floor, else a ValidationError naming the input."""
+    """One rule for the lab's sizes and seed: an int or np.integer (not a
+    bool) at or above the input's floor, else a ValidationError naming the
+    input."""
 
     @pytest.mark.parametrize("call,message", [
         (lambda: LabConfig(vocab=16.5), "vocab must be an integer >= 8, got 16.5"),
@@ -330,6 +331,12 @@ class TestSizeRule:
         (lambda: zipf_weights(4.5, 1.1), "vocab must be an integer >= 2, got 4.5"),
         (lambda: zipf_weights(1, 1.1), "vocab must be an integer >= 2, got 1"),
         (lambda: true_chain(5, 8.0, 1.1), "vocab must be an integer >= 2, got 8.0"),
+        # A float or bool seed is not truncated to another seed's stream.
+        (lambda: LabConfig(seed=7.9), "seed must be an integer >= 0, got 7.9"),
+        (lambda: synth_corpus(7.9, 8, 1.1, 10_000), "seed must be an integer >= 0, got 7.9"),
+        (lambda: synth_corpus(True, 8, 1.1, 10_000), "seed must be an integer >= 0, got True"),
+        (lambda: synth_corpus(-1, 8, 1.1, 10_000), "seed must be an integer >= 0, got -1"),
+        (lambda: true_chain(7.9, 8, 1.1), "seed must be an integer >= 0, got 7.9"),
     ])
     def test_refusals_name_the_input(self, call, message):
         with pytest.raises(ValidationError) as exc:
@@ -347,6 +354,8 @@ class TestSizeRule:
         assert np.array_equal(zipf_weights(np.int64(3), 1.0), zipf_weights(3, 1.0))
         stream = synth_corpus(9, np.int64(8), 1.1, np.uint32(10_000))
         assert np.array_equal(stream, synth_corpus(9, 8, 1.1, 10_000))
+        assert np.array_equal(synth_corpus(np.int64(9), 8, 1.1, 10_000), stream)
+        assert LabConfig(seed=np.uint8(0)).seed == 0
         assert fit_teacher(stream, 1.0, vocab=np.int16(8)).vocab_size == 8
 
 
