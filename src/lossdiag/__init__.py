@@ -80,7 +80,6 @@ from .store import (
     load_manifest,
     peek_dump_count,
     read_loss_dump,
-    read_metric_file,
     write_loss_dump,
 )
 
@@ -111,7 +110,7 @@ __all__ = [
     # store
     "LossVector", "write_loss_dump", "read_loss_dump", "iter_loss_chunks",
     "peek_dump_count", "CheckpointMeta", "Manifest", "load_manifest",
-    "dump_manifest", "read_metric_file",
+    "dump_manifest",
     # quantiles
     "DEFAULT_KS", "EXACT_PATH_MAX", "SummarySet", "summarize_exact",
     "summarize_sorted", "summarize_chunks", "GroupedMeans", "grouped_summary",

@@ -13,15 +13,19 @@ the dump in chunks and yields its summary over every percentile the run
 uses and, where bands are wanted, its band table, and all tables are built
 from those results. The scan takes the dump's value count from the
 manifest check (a positional dump is counted once, before any scan), so
-no dump is counted twice. What the flags and the manifest decide (--precision,
---ks, --grid, --bands, --k and the lab's sizes, summary names, a metric
-missing a selected checkpoint, what concordance, the sweep and --crossing
-refuse, a NaN --reference among them) is refused by the library's own rules
-before any dump is streamed or student trained. Only
-what dump values decide fails in or after the scan: a value that is not a
-valid loss, an undefined IQR, a non-finite or constant correlation column, a
-dump changed since it was counted. Usage errors come before the manifest is
-read. An empty --family list means every family; a repeated name counts once.
+no dump is counted twice. The summary flags (--summaries, --select,
+--summary) take summary names only; a manifest metric enters a run only
+through --metric, under a name no summary has. What the flags and the
+manifest decide (--precision, --ks, --grid, --bands, --k and the lab's
+sizes, summary names, a --metric missing a selected checkpoint, what
+concordance, the sweep and --crossing refuse, a NaN --reference among them)
+is refused by the library's own rules before any dump is streamed or
+student trained. Only what dump values decide fails in or after the scan:
+a value that is not a valid loss, an undefined IQR, a non-finite or
+constant correlation column, a dump changed since it was counted. Usage
+errors, a correlate flag its mode does not read among them, come before
+the manifest is read. An empty --family list means every family; a
+repeated name counts once.
 LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
 worker processes that train distill-demo's students (workers.worker_count:
 one per task, at most 8 and at most the usable CPUs); BLAS runs
@@ -73,7 +77,6 @@ from .store import (
     load_manifest,
     peek_dump_count,
     read_loss_dump,  # not called here; perfbench/tracing.py patches this binding
-    read_metric_file,
     write_loss_dump,
 )
 from .workers import worker_count
@@ -106,15 +109,6 @@ def _str_list(text: str) -> list[str]:
 
 def _families(text: str) -> list[str] | None:
     return list(dict.fromkeys(_str_list(text))) or None  # each once; [] is all
-
-
-def _grid(text: str) -> tuple[int, ...]:
-    """A --grid value: a percentile list holding the profile's quartiles."""
-    grid = tuple(_int_list(text))
-    for needed in (25, 50, 75):
-        if needed not in grid:
-            raise UsageError(f"--grid must include {needed}")
-    return grid
 
 
 # Each scan thread keeps a float32 sort buffer from dump to dump and fills
@@ -194,25 +188,19 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(Path(out), text)
 
 
-def _metric_series(selected, name: str, metric_file: str | None = None) -> MetricSeries:
-    """Metric ``name`` of the selected checkpoints, refused unless it covers them all."""
-    if metric_file is not None:
-        values = read_metric_file(metric_file)
-    else:
-        values = {c.checkpoint_id: c.metrics[name] for c in selected if name in c.metrics}
-        if not values:
-            raise ValidationError(f"no checkpoint carries metric {name!r}")
+def _metrics(selected, name: str | None) -> dict[str, MetricSeries]:
+    """``{name: series}`` of the manifest metric --metric names, ``{}`` for
+    none; refused when it has a summary's name or misses a selected checkpoint."""
+    if name is None:
+        return {}
+    if name == "mean" or _percentile_of(name) is not None:
+        raise ValidationError(f"metric {name!r} has the name of a summary")
+    values = {c.checkpoint_id: c.metrics[name] for c in selected if name in c.metrics}
+    if not values:
+        raise ValidationError(f"no checkpoint carries metric {name!r}")
     series = MetricSeries(name, values)
     series.aligned(sorted(c.checkpoint_id for c in selected))
-    return series
-
-
-def _column_metrics(selected, columns, grid=()) -> tuple[dict[str, MetricSeries], tuple]:
-    """The series of each column a selected checkpoint carries as a metric,
-    and the percentiles to scan, ``grid`` and every other column among them."""
-    carried = {name for c in selected for name in c.metrics}
-    ks = _scan_percentiles([c for c in columns if c not in carried], grid)
-    return {name: _metric_series(selected, name) for name in columns if name in carried}, ks
+    return {name: series}
 
 
 # --- summarize ---------------------------------------------------------
@@ -325,10 +313,16 @@ def _cmd_correlate(args) -> None:
         raise UsageError("--select needs at least one column")
     if args.crossing and args.reference is None:
         raise UsageError("--crossing requires --reference")
+    if args.crossing and args.metric is not None:
+        raise UsageError("--metric is not read by --crossing")
+    for flag, value in (("--reference", args.reference), ("--summary", args.summary)):
+        if value is not None and not args.crossing:
+            raise UsageError(f"{flag} requires --crossing")
     manifest = load_manifest(args.manifest)
 
     if args.crossing:
-        ks = _scan_percentiles([args.summary])
+        summary = "median" if args.summary is None else args.summary
+        ks = _scan_percentiles([summary])
         _check_reference(args.reference)
         groups = [(f, manifest.select([f])) for f in args.family or manifest.families()]
         for family, cs in groups:
@@ -339,22 +333,23 @@ def _cmd_correlate(args) -> None:
         table = _summary_table([c for _, cs in groups for c in cs], ks)
         rows = []
         for family, cs in groups:
-            series = [(c.step, table[c.checkpoint_id].value(args.summary)) for c in cs]
+            series = [(c.step, table[c.checkpoint_id].value(summary)) for c in cs]
             step = crossing_step(series, args.reference)
-            rows.append((family, args.summary, args.reference, step))
+            rows.append((family, summary, args.reference, step))
         _emit(render.crossing_table(rows, args.precision), args.out)
         return
 
     selected = manifest.select(args.family)
     if args.sweep:
         _check_sweep_size(len(selected))
-        metric = _metric_series(selected, args.metric, args.metric_file)
+        metric = _metrics(selected, args.metric)[args.metric]
         rows = percentile_sweep(_summary_table(selected, DEFAULT_KS), metric)
         _emit(render.sweep_table(rows, args.precision), args.out)
     else:
-        metrics, ks = _column_metrics(selected, args.select)
+        ks = _scan_percentiles(args.select)
+        metrics = _metrics(selected, args.metric)
         table = _summary_table(selected, ks)
-        result = select(table, default_rules(args.select, metrics), metrics)
+        result = select(table, default_rules([*args.select, *metrics], metrics), metrics)
         _emit(render.selection_table(result, args.precision), args.out)
 
 
@@ -418,19 +413,12 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     exactly: a percentile does not depend on which others are scanned with it.
     """
     manifest = load_manifest(args.manifest)
-    families, grid, precision = args.family, args.grid, args.precision
-    grid_ks = profile_percentiles(grid)
+    grid, precision = args.grid, args.precision
+    ks = _scan_percentiles(args.summaries, profile_percentiles(grid))
     bounds = _check_bounds(args.bands)
-    selected = manifest.select(families)
-    columns = list(args.summaries)
-    metrics, ks = _column_metrics(selected, columns, grid_ks)
-    if args.metric is not None:
-        columns.append(args.metric)
-        if args.metric not in metrics:
-            metrics[args.metric] = _metric_series(selected, args.metric)
+    selected = manifest.select(args.family)
+    metrics = _metrics(selected, args.metric)
     groups = _family_groups(manifest, _families_with_pairs(selected), args.summaries)
-    if groups:
-        _scan_percentiles(args.summaries)  # concordance ranks no metric
     scans = _scan_many(_entries(selected), ks, bounds)
 
     summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
@@ -439,11 +427,11 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     if groups:
         reports = _concordance_reports(groups, table, args.summaries)
         sections["concordance.csv"] = render.concordance_table(reports, precision)
-    result = select(table, default_rules(columns, metrics), metrics)
+    result = select(table, default_rules([*args.summaries, *metrics], metrics), metrics)
     sections["selection.csv"] = render.selection_table(result, precision)
 
     sweep_rows = []
-    if args.metric is not None and len(table) >= 3:
+    if metrics and len(table) >= 3:
         sweep_rows = percentile_sweep({s.checkpoint_id: s for s in summaries},
                                       metrics[args.metric])
         sections["sweep.csv"] = render.sweep_table(sweep_rows, precision)
@@ -543,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shape", help="standardized profiles and band tables")
     p.add_argument("--manifest", required=True)
     p.add_argument("--family", type=_families, default=None)
-    p.add_argument("--grid", type=_grid, default=PROFILE_GRID)
+    p.add_argument("--grid", type=_int_list, default=PROFILE_GRID)
     p.add_argument("--bands", type=_float_list, default=list(DEFAULT_BAND_BOUNDS))
     p.add_argument("--out-dir", default=None, help="write the four CSVs here")
     p.add_argument("--precision", type=int, default=render.DEFAULT_PRECISION)
@@ -556,13 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sweep", action="store_true",
                       help="correlate every summary against --metric")
     mode.add_argument("--select", type=_str_list, default=None,
-                      help="pick best checkpoints by these columns")
+                      help="pick best checkpoints by these summaries and --metric")
     mode.add_argument("--crossing", action="store_true",
                       help="first step a summary drops below --reference")
-    p.add_argument("--metric", default=None)
-    p.add_argument("--metric-file", default=None,
-                   help="two-column checkpoint_id,value file overriding manifest metrics")
-    p.add_argument("--summary", default="median", help="summary used by --crossing")
+    p.add_argument("--metric", default=None, help="manifest metric for --sweep or --select")
+    p.add_argument("--summary", default=None, help="summary used by --crossing (default: median)")
     p.add_argument("--reference", type=float, default=None)
     common(p)
     p.set_defaults(func=_cmd_correlate)
@@ -583,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=_families, default=None)
     p.add_argument("--summaries", type=_str_list, default=["mean", "median", "p95"])
     p.add_argument("--metric", default=None)
-    p.add_argument("--grid", type=_grid, default=PROFILE_GRID)
+    p.add_argument("--grid", type=_int_list, default=PROFILE_GRID)
     p.add_argument("--bands", type=_float_list, default=list(DEFAULT_BAND_BOUNDS))
     p.add_argument("--precision", type=int, default=render.DEFAULT_PRECISION)
     p.set_defaults(func=_cmd_report)

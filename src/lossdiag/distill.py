@@ -161,8 +161,8 @@ class TabularLM:
 def zipf_weights(vocab: int, exponent: float) -> np.ndarray:
     """Normalized 1/rank**exponent weights over token ids 0..vocab-1."""
     vocab = _check_size("vocab", vocab, 2)
-    if exponent <= 0:
-        raise ValidationError("zipf exponent must be > 0")
+    if not 0 < exponent < np.inf:  # NaN and inf give a one-token world
+        raise ValidationError(f"zipf exponent must be finite and > 0, got {exponent!r}")
     w = np.arange(1, vocab + 1, dtype=np.float64) ** (-exponent)
     return w / w.sum()
 
@@ -187,6 +187,8 @@ def true_chain(
     models against the truth (chain_fidelity), something real corpora
     never allow.
     """
+    if not 0 <= concentration < np.inf:  # NaN and inf give a one-token world
+        raise ValidationError(f"concentration must be finite and >= 0, got {concentration!r}")
     world = np.random.default_rng([_check_size("seed", seed, 0), 0x10])
     base = zipf_weights(vocab, zipf_exponent)
     noise = world.standard_normal((vocab, vocab))
@@ -216,8 +218,6 @@ def synth_corpus(
     vocab = _check_size("vocab", vocab, 8)
     length = _check_size("length", length, 10_000)
     seed = _check_size("seed", seed, 0)
-    if concentration < 0:
-        raise ValidationError("concentration must be >= 0")
     base, rows = true_chain(seed, vocab, zipf_exponent, concentration)
     cum = np.cumsum(rows, axis=1)
     cum[:, -1] = 1.0  # so bisect_right of a draw from [0, 1) is below vocab

@@ -39,10 +39,21 @@ class PercentileProfile:
         return np.array([self.values[k] for k in self.grid], dtype=np.float64)
 
 
+def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
+    """The one profile-grid rule: a percentile list, checked as any, that
+    holds the quartiles; ValidationError naming what is wrong."""
+    grid = _check_ks(grid)
+    for needed in (25, 50, 75):
+        if needed not in grid:
+            raise ValidationError(f"profile grid must contain {needed}")
+    return grid
+
+
 def profile_percentiles(grid: Sequence[int]) -> tuple[int, ...]:
     """The grid plus p95, which family_tail_stats reads; ValidationError on a
-    percentile outside 1..99 or a repeated one."""
-    return _check_ks(grid if 95 in grid else (*grid, 95))
+    grid that standardize_profile would refuse."""
+    grid = _check_grid(grid)
+    return grid if 95 in grid else (*grid, 95)
 
 
 def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID) -> PercentileProfile:
@@ -53,10 +64,7 @@ def standardize_profile(summary: SummarySet, grid: Sequence[int] = PROFILE_GRID)
     neither has one with +inf on a quarter of its tokens); never silently
     returns NaN.
     """
-    grid = tuple(int(k) for k in grid)
-    for needed in (25, 50, 75):
-        if needed not in grid:
-            raise ValidationError(f"profile grid must contain {needed}")
+    grid = _check_grid(grid)
     pct = summary.restrict(grid).percentiles
     p25, p50, p75 = pct[25], pct[50], pct[75]
     iqr = p75 - p25

@@ -1,4 +1,7 @@
-"""On-disk formats: per-token loss dumps, checkpoint manifests, metric files.
+"""On-disk formats: per-token loss dumps and checkpoint manifests.
+
+A checkpoint's metrics (judge scores, accuracies) live in its manifest entry;
+there is no other metric source.
 
 Binary dump layout (all little-endian):
 
@@ -34,7 +37,6 @@ containers are immutable (the numpy buffers are marked read-only).
 
 from __future__ import annotations
 
-import csv
 import numbers
 import os
 import struct
@@ -527,38 +529,3 @@ def dump_manifest(manifest: Manifest, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump({"version": 1, "checkpoints": entries}, fh, sort_keys=False)
 
-
-def read_metric_file(path: str | Path) -> dict[str, float]:
-    """Parse a two-column ``checkpoint_id,value`` file into a mapping.
-
-    Blank rows are skipped; a first other row whose second column is not
-    numeric is a header. NaN values are rejected. Errors name the file line.
-    """
-    path = Path(path)
-    out: dict[str, float] = {}
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not rows:
-        raise ValidationError(f"{path}: empty metric file")
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected two columns, got {len(row)}")
-        cid, raw = row[0].strip(), row[1].strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            if lineno == rows[0][0]:  # a header
-                continue
-            raise ValidationError(f"{path}:{lineno}: not a number: {raw!r}")
-        if np.isnan(value):
-            raise ValidationError(f"{path}:{lineno}: metric of {cid!r} is NaN")
-        if cid in out:
-            raise ValidationError(f"{path}:{lineno}: duplicate checkpoint id {cid!r}")
-        out[cid] = value
-    if not out:
-        raise ValidationError(f"{path}: no metric rows")
-    return out

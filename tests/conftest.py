@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import DEMO_FLAGS
 from lossdiag.cli import main
 
 
@@ -11,16 +12,6 @@ def demo_dir(tmp_path_factory):
     and byte-level determinism, not the dose-response physics.
     """
     out = tmp_path_factory.mktemp("demo")
-    rc = main(
-        [
-            "distill-demo",
-            "--vocab", "32",
-            "--length", "30000",
-            "--eval-length", "10000",
-            "--steps", "2000",
-            "--k", "2,4,8,full",
-            "--out", str(out / "dose.csv"),
-        ]
-    )
+    rc = main(["distill-demo", *DEMO_FLAGS, "--out", str(out / "dose.csv")])
     assert rc == 0
     return out

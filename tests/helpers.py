@@ -7,9 +7,14 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from lossdiag import MetricSeries, SummarySet, read_metric_file
+from lossdiag import MetricSeries, SummarySet
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# distill-demo's flags for the shared demo_dir workspace; README's quick tour
+# builds its demo/ workspace with the same line.
+DEMO_FLAGS = ("--vocab", "32", "--length", "30000", "--eval-length", "10000",
+              "--steps", "2000", "--k", "2,4,8,full")
 
 
 def load_summary_fixture(path):
@@ -33,7 +38,10 @@ def load_summary_fixture(path):
 
 
 def load_metric_fixture(path, name):
-    return MetricSeries(name=name, values=read_metric_file(path))
+    """Read a checkpoint_id,<name> table into a MetricSeries."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return MetricSeries(name=name, values={r["checkpoint_id"]: float(r[name]) for r in rows})
 
 
 def load_trajectory_fixture(path):

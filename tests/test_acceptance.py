@@ -328,7 +328,7 @@ def test_criterion_9_report_matches_standalone_subcommands(
                                          "--summaries", names),
             "selection.csv": stdout_of(
                 "correlate", "--manifest", manifest,
-                "--select", names + ",fidelity"),
+                "--select", names, "--metric", "fidelity"),
             "sweep.csv": stdout_of(
                 "correlate", "--manifest", manifest,
                 "--sweep", "--metric", "fidelity"),

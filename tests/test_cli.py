@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import shlex
+import shutil
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from lossdiag import (
     DEFAULT_BAND_BOUNDS,
@@ -30,7 +33,6 @@ from lossdiag import (
     load_manifest,
     percentile_sweep,
     read_loss_dump,
-    read_metric_file,
     summarize_exact,
     write_loss_dump,
 )
@@ -145,7 +147,7 @@ class TestExitCodes:
     ("concord",),
     ("shape",),
     ("correlate", "--sweep", "--metric", "fidelity"),
-    ("correlate", "--select", "mean,median,fidelity"),
+    ("correlate", "--select", "mean,median", "--metric", "fidelity"),
     ("correlate", "--crossing", "--reference", "1.5"),
 ], ids=["summarize", "concord", "shape", "sweep", "select", "crossing"])
 def test_empty_family_list_means_every_family(capsys, tmp_path, argv):
@@ -401,7 +403,9 @@ class TestFlagsBeforeStreams:
         refused(command, message=f"no summary named {name!r}")
 
     @pytest.mark.parametrize(
-        "command", [("report",), ("correlate", "--sweep")], ids=["report", "sweep"]
+        "command",
+        [("report",), ("correlate", "--sweep"), ("correlate", "--select", "mean")],
+        ids=["report", "sweep", "select"],
     )
     def test_unknown_metric(self, refused, command):
         refused(command, "--metric", "nosuch",
@@ -409,9 +413,24 @@ class TestFlagsBeforeStreams:
 
     @pytest.mark.parametrize(
         "command",
+        [("report",), ("correlate", "--sweep"), ("correlate", "--select", "mean")],
+        ids=["report", "sweep", "select"],
+    )
+    @pytest.mark.parametrize("name", ["median", "p05", "mean"])
+    def test_metric_with_a_summary_name(self, refused, edited_manifest, command, name):
+        # Even a manifest that carries the metric cannot make a summary's
+        # name a second, metric column.
+        manifest = edited_manifest(lambda checkpoints: [
+            replace(c, metrics={name: c.metrics["fidelity"]}) for c in checkpoints
+        ])
+        refused(command, "--metric", name, manifest=manifest,
+                message=f"metric {name!r} has the name of a summary")
+
+    @pytest.mark.parametrize(
+        "command",
         [("report", "--metric", "judge"),
          ("correlate", "--sweep", "--metric", "judge"),
-         ("correlate", "--select", "mean,judge")],
+         ("correlate", "--select", "mean", "--metric", "judge")],
         ids=["report", "sweep", "select"],
     )
     def test_metric_missing_a_selected_checkpoint(self, refused, edited_manifest, command):
@@ -445,6 +464,9 @@ class TestFlagsBeforeStreams:
          (("concord", "--summaries", "mean,p5,p05"), "duplicate summary names"),
          (("report", "--summaries", "mean,p5,p05"), "duplicate summary names"),
          (("report", "--summaries", "mean,fidelity"), "no summary named 'fidelity'"),
+         (("report", "--summaries", "mean,fidelity", "--family", "teacher"),
+          "no summary named 'fidelity'"),
+         (("correlate", "--select", "mean,fidelity"), "no summary named 'fidelity'"),
          (("concord", "--family", "teacher"), "need at least two checkpoints"),
          (("correlate", "--sweep", "--metric", "fidelity", "--family", "teacher"),
           "sweep needs at least three checkpoints"),
@@ -452,7 +474,8 @@ class TestFlagsBeforeStreams:
           "crossing reference is NaN")],
         ids=["concord-duplicate", "report-duplicate", "concord-median-alias",
              "report-median-alias", "concord-zero-padded", "report-zero-padded",
-             "report-metric", "concord-single",
+             "report-metric", "report-metric-single-family", "select-metric",
+             "concord-single",
              "sweep-single", "crossing-nan-reference"],
     )
     def test_what_the_analysis_would_refuse(self, refused, command, message):
@@ -473,12 +496,21 @@ class TestFlagsBeforeStreams:
          (("correlate", "--sweep"), "--sweep requires --metric"),
          (("correlate", "--select="), "--select needs at least one column"),
          (("correlate", "--crossing"), "--crossing requires --reference"),
+         (("correlate", "--crossing", "--reference", "5", "--metric", "fidelity"),
+          "--metric is not read by --crossing"),
+         (("correlate", "--select", "mean", "--reference", "5"),
+          "--reference requires --crossing"),
+         (("correlate", "--sweep", "--metric", "fidelity", "--summary", "pxx",
+           "--reference", "nan"), "--reference requires --crossing"),
+         (("correlate", "--select", "mean", "--summary", "p95"),
+          "--summary requires --crossing"),
          (("correlate",), "one of the arguments --sweep --select --crossing is required"),
          (("correlate", "--sweep", "--crossing"),
           "argument --crossing: not allowed with argument --sweep")],
         ids=["int-list", "float-list", "report-one-summary",
              "k-token", "k-empty", "sweep-no-metric", "select-empty",
-             "crossing-no-reference", "no-mode", "two-modes"],
+             "crossing-no-reference", "crossing-metric", "select-reference",
+             "sweep-summary-and-reference", "select-summary", "no-mode", "two-modes"],
     )
     def test_usage_errors(self, refused, tmp_path, command, message):
         # The manifest does not exist: usage errors come before it is read.
@@ -603,8 +635,8 @@ class TestShape:
             "--manifest", str(demo_dir / "manifest.yaml"),
             "--grid", "25,75,95",
         )
-        assert rc == 1
-        assert "50" in stderr_payload(err)["message"]
+        assert rc == 2
+        assert stderr_payload(err)["message"] == "profile grid must contain 50"
 
     def test_custom_bands(self, capsys, demo_dir):
         rc, out, _ = run(
@@ -665,25 +697,19 @@ class TestShape:
 
 
 class TestCorrelate:
-    def test_sweep_matches_library_pipeline(self, capsys, demo_dir, tmp_path):
+    def test_sweep_matches_library_pipeline(self, capsys, demo_dir):
         manifest = str(demo_dir / "manifest.yaml")
-        metric_file = tmp_path / "judge.csv"
-        lines = ["checkpoint_id,judge"]
-        ids = sorted(c.checkpoint_id for c in load_manifest(manifest).checkpoints)
-        for i, cid in enumerate(ids):
-            lines.append(f"{cid},{1.5 + 0.1 * i}")
-        metric_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
         rc, out, _ = run(
-            capsys, "correlate", "--manifest", manifest,
-            "--sweep", "--metric", "judge", "--metric-file", str(metric_file),
+            capsys, "correlate", "--manifest", manifest, "--sweep", "--metric", "fidelity",
         )
         assert rc == 0
+        checkpoints = load_manifest(manifest).checkpoints
         table = {
             c.checkpoint_id: summarize_exact(read_loss_dump(c.loss_path, c.checkpoint_id))
-            for c in load_manifest(manifest).checkpoints
+            for c in checkpoints
         }
-        metric = MetricSeries("judge", read_metric_file(metric_file))
+        metric = MetricSeries("fidelity", {c.checkpoint_id: c.metrics["fidelity"]
+                                           for c in checkpoints})
         expected = render.sweep_table(percentile_sweep(table, metric))
         assert out == expected
 
@@ -704,13 +730,35 @@ class TestCorrelate:
     def test_select_uses_manifest_metrics(self, capsys, demo_dir):
         rc, out, _ = run(
             capsys, "correlate", "--manifest", str(demo_dir / "manifest.yaml"),
-            "--select", "mean,median,fidelity",
+            "--select", "mean,median", "--metric", "fidelity",
         )
         assert rc == 0
         lines = out.splitlines()
         assert lines[0] == "rule,column,direction,checkpoint_id,value"
-        directions = {line.split(",")[1]: line.split(",")[2] for line in lines[1:]}
-        assert directions == {"mean": "min", "median": "min", "fidelity": "max"}
+        # The metric's row follows the summaries', as in report's selection.csv.
+        assert [line.split(",")[1:3] for line in lines[1:]] == [
+            ["mean", "min"], ["median", "min"], ["fidelity", "max"]]
+
+    def test_a_metric_named_like_a_summary_is_not_a_column(self, capsys, demo_dir, tmp_path):
+        # A manifest metric called "median" leaves the median column the CE
+        # median, in correlate --select and in report's selection.csv alike.
+        manifest = load_manifest(demo_dir / "manifest.yaml")
+        renamed = tmp_path / "renamed.yaml"
+        dump_manifest(replace(manifest, checkpoints=tuple(
+            replace(c, metrics={"median": c.metrics["fidelity"]})
+            for c in manifest.checkpoints)), renamed)
+        outputs = {}
+        for path in (demo_dir / "manifest.yaml", renamed):
+            rc, select_out, err = run(capsys, "correlate", "--manifest", str(path),
+                                      "--select", "mean,median")
+            assert rc == 0, err
+            out_dir = tmp_path / path.stem
+            rc, _, err = run(capsys, "report", "--manifest", str(path),
+                             "--out-dir", str(out_dir))
+            assert rc == 0, err
+            outputs[path.stem] = (select_out, (out_dir / "selection.csv").read_text("utf-8"))
+        assert outputs["renamed"] == outputs["manifest"]
+        assert outputs["manifest"][0].splitlines()[2].startswith("median,median,min,")
 
     def test_empty_select_is_usage_error(self, capsys, demo_dir):
         rc, _, _ = run(
@@ -766,38 +814,13 @@ class TestCorrelate:
         assert text.count("judge: 1.5\n") == 1
         manifest_path.write_text(text.replace("judge: 1.5\n", "judge: .nan\n"), encoding="utf-8")
         rc, _, err = run(
-            capsys, "correlate", "--manifest", str(manifest_path), "--select", "judge",
+            capsys, "correlate", "--manifest", str(manifest_path),
+            "--select", "mean", "--metric", "judge",
         )
         assert rc == 2
         payload = stderr_payload(err)
         assert payload["error"] == "ManifestError"
         assert "metric 'judge' of checkpoint 'run-1' is NaN" in payload["message"]
-
-    def test_nan_metric_file_value_is_data_error(self, capsys, tmp_path):
-        manifest_path = _judged_workspace(tmp_path, (2.0, 1.5, 1.0))
-        metric_file = tmp_path / "judge.csv"
-        metric_file.write_text("run-0,2.0\nrun-1,nan\nrun-2,1.0\n", encoding="utf-8")
-        rc, _, err = run(
-            capsys, "correlate", "--manifest", str(manifest_path),
-            "--sweep", "--metric", "judge", "--metric-file", str(metric_file),
-        )
-        assert rc == 2
-        payload = stderr_payload(err)
-        assert payload["error"] == "ValidationError"
-        assert f"{metric_file}:2: metric of 'run-1' is NaN" in payload["message"]
-
-    def test_non_utf8_metric_file_is_data_error(self, capsys, tmp_path):
-        manifest_path = _judged_workspace(tmp_path, (2.0, 1.5, 1.0))
-        metric_file = tmp_path / "judge.csv"
-        metric_file.write_bytes(b"run-0,2.0\nrun-1,\xff\nrun-2,1.0\n")
-        rc, _, err = run(
-            capsys, "correlate", "--manifest", str(manifest_path),
-            "--sweep", "--metric", "judge", "--metric-file", str(metric_file),
-        )
-        assert rc == 2
-        payload = stderr_payload(err)
-        assert payload["error"] == "ValidationError"
-        assert f"{metric_file}: not UTF-8 text" in payload["message"]
 
     def test_crossing_on_demo_manifest_names_family_and_step(
         self, capsys, demo_dir, monkeypatch
@@ -909,13 +932,13 @@ class TestReport:
     def test_single_checkpoint_family_takes_any_selection_columns(
         self, capsys, demo_dir, tmp_path
     ):
-        # With no family to concord, --summaries only names selection columns:
-        # a repeated one, or a metric, is accepted.
+        # With no family to concord, --summaries only names selection
+        # columns: a repeated summary is accepted, and --metric adds its own.
         out_dir = tmp_path / "teacher-only"
         rc, _, err = run(
             capsys, "report", "--manifest", str(demo_dir / "manifest.yaml"),
             "--out-dir", str(out_dir), "--family", "teacher",
-            "--summaries", "mean,mean,accuracy",
+            "--summaries", "mean,mean", "--metric", "accuracy",
         )
         assert rc == 0, err
         rows = (out_dir / "selection.csv").read_text(encoding="utf-8").splitlines()[1:]
@@ -926,11 +949,11 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "command, rules",
-        [(("report", "--family", "teacher", "--summaries", "mean,fidelity",
+        [(("report", "--family", "teacher", "--summaries", "mean,mean",
            "--metric", "fidelity"), ["mean", "fidelity"]),
          (("report", "--family", "teacher", "--summaries", "mean,mean"), ["mean"]),
          (("correlate", "--select", "mean,mean"), ["mean"])],
-        ids=["report-metric-in-summaries", "report-summaries", "correlate"],
+        ids=["report-with-metric", "report-summaries", "correlate"],
     )
     def test_a_repeated_selection_column_writes_one_row(
         self, capsys, demo_dir, tmp_path, command, rules
@@ -977,8 +1000,9 @@ class TestReport:
     @pytest.mark.parametrize(
         "grid, message",
         [("0,25,50,75", "percentile 0 outside 1..99"),
-         ("10,10,25,50,75", "duplicate percentiles requested")],
-        ids=["out-of-range-grid", "duplicate-grid"],
+         ("10,10,25,50,75", "duplicate percentiles requested"),
+         ("10,20", "profile grid must contain 25")],
+        ids=["out-of-range-grid", "duplicate-grid", "no-quartiles"],
     )
     def test_bad_grid_fails_before_any_dump_is_streamed(
         self, capsys, demo_dir, tmp_path, monkeypatch, command, grid, message
@@ -1094,8 +1118,8 @@ class TestCliSurface:
         "shape": ["-h", "--help", "--manifest", "--family", "--grid", "--bands",
                   "--out-dir", "--precision"],
         "correlate": ["-h", "--help", "--manifest", "--family", "--sweep", "--select",
-                      "--crossing", "--metric", "--metric-file", "--summary",
-                      "--reference", "--precision", "--out"],
+                      "--crossing", "--metric", "--summary", "--reference",
+                      "--precision", "--out"],
         "distill-demo": ["-h", "--help", "--vocab", "--length", "--steps", "--eval-length",
                          "--k", "--out", "--precision"],
         "report": ["-h", "--help", "--manifest", "--out-dir", "--family", "--summaries",
@@ -1113,10 +1137,12 @@ class TestCliSurface:
         (("summarize", "--epsilon", "1e-3"), "--epsilon"),  # 1e-3 is taken as a path
         (("concord", "--ks", "50"), "--ks 50"),
         (("correlate", "--sweep", "--metric", "fidelity", "--ks", "50"), "--ks 50"),
-    ], ids=["summarize-exact", "summarize-epsilon", "concord-ks", "correlate-ks"])
+        (("correlate", "--select", "mean", "--metric-file", "x"), "--metric-file x"),
+    ], ids=["summarize-exact", "summarize-epsilon", "concord-ks", "correlate-ks",
+            "correlate-metric-file"])
     def test_removed_flags_are_unrecognized(self, capsys, demo_dir, argv, unknown):
-        # Summary names decide the scanned percentiles, and dump size and
-        # --sketch decide the scan path.
+        # Summary names decide the scanned percentiles, dump size and
+        # --sketch decide the scan path, and metrics come from the manifest.
         rc, out, err = run(capsys, *argv, "--manifest", str(demo_dir / "manifest.yaml"))
         assert rc == 1
         assert out == ""
@@ -1136,3 +1162,20 @@ class TestReadmeFlags:
         }
         assert "--manifest" in named
         assert sorted(named - options) == []
+
+    def test_every_readme_command_runs(self, capsys, demo_dir, tmp_path):
+        # README's distill-demo line builds demo_dir; every other lossdiag line
+        # runs against a copy of it in place of demo/.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            re.M | re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("lossdiag ")]
+        demo = ["distill-demo", *helpers.DEMO_FLAGS, "--out", "demo/dose.csv"]
+        assert [argv for argv in commands if argv[0] == "distill-demo"] == [demo]
+        shutil.copytree(demo_dir, tmp_path / "demo")
+        for argv in commands:
+            if argv != demo:
+                argv = [str(tmp_path / a) if a.startswith("demo/") else a for a in argv]
+                rc, _, err = run(capsys, *argv)
+                assert rc == 0, (argv, err)

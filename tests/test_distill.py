@@ -270,6 +270,25 @@ class TestWorldGenerators:
         with pytest.raises(ValidationError):
             synth_corpus(1, 8, 1.1, 10_000, concentration=-1.0)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, -1.0])
+    def test_zipf_exponent_must_be_finite_and_positive(self, exponent):
+        # NaN and inf weights would put the whole world on one token.
+        for call in (lambda: zipf_weights(8, exponent),
+                     lambda: synth_corpus(7, 8, exponent, 10_000)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == f"zipf exponent must be finite and > 0, got {exponent!r}"
+
+    @pytest.mark.parametrize("concentration", [math.nan, math.inf, -1.0])
+    def test_concentration_must_be_finite_and_non_negative(self, concentration):
+        # true_chain owns the rule; synth_corpus and lab_checkpoints reach it.
+        for call in (lambda: true_chain(7, 8, 1.1, concentration),
+                     lambda: synth_corpus(7, 8, 1.1, 10_000, concentration)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == (
+                f"concentration must be finite and >= 0, got {concentration!r}")
+
 
 class TestFitTeacher:
     def test_hand_counted_bigram(self):
@@ -564,6 +583,21 @@ class TestDoseResponse:
         monkeypatch.setattr(distill, "_train_batch", counted)
         with pytest.raises(ValidationError, match=r"^epsilon_q must be in \(0, 1e-6\], got 0\.5$"):
             dose_response(replace(TINY, epsilon_q=0.5))
+        assert trainings == []
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("zipf_exponent", math.nan, "zipf exponent must be finite and > 0, got nan"),
+         ("concentration", math.inf, "concentration must be finite and >= 0, got inf")],
+    )
+    def test_non_finite_world_setting_is_refused_before_any_training(
+        self, monkeypatch, field, value, message
+    ):
+        trainings = []
+        monkeypatch.setattr(distill, "_train_batch", lambda *args: trainings.append(args))
+        with pytest.raises(ValidationError) as info:
+            dose_response(replace(TINY, **{field: value}))
+        assert str(info.value) == message
         assert trainings == []
 
     def test_vocab_sized_k_counts_as_full(self):

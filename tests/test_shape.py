@@ -195,7 +195,9 @@ class TestProfilePercentiles:
         [((0, 25, 50, 75), "percentile 0 outside 1..99"),
          ((25, 50, 75, 100), "percentile 100 outside 1..99"),
          ((10, 10, 25, 50, 75), "duplicate percentiles requested"),
-         ((25, 50, 75, 95, 95), "duplicate percentiles requested")],
+         ((25, 50, 75, 95, 95), "duplicate percentiles requested"),
+         ((10, 20), "profile grid must contain 25"),
+         ((25, 75, 95), "profile grid must contain 50")],
     )
     def test_bad_grid_is_refused(self, grid, message):
         with pytest.raises(ValidationError) as info:

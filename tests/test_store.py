@@ -1,4 +1,4 @@
-"""Loss-dump format, manifest parsing, and metric files."""
+"""Loss-dump format and manifest parsing."""
 
 import builtins
 import contextlib
@@ -36,7 +36,6 @@ from lossdiag import (
     load_manifest,
     peek_dump_count,
     read_loss_dump,
-    read_metric_file,
     write_loss_dump,
 )
 from lossdiag import cli, store
@@ -936,69 +935,3 @@ class TestManifestYaml:
         payload = json.loads(capsys.readouterr().err)
         assert (payload["error"], payload["message"]) == ("ManifestError", message)
 
-
-class TestMetricFiles:
-    def test_round_trip_and_header_skip(self, tmp_path):
-        path = tmp_path / "judge.csv"
-        path.write_text("a,2.01\nb,1.92\n", encoding="utf-8")
-        assert read_metric_file(path) == {"a": 2.01, "b": 1.92}
-        with_header = tmp_path / "judge2.csv"
-        with_header.write_text("checkpoint_id,judge\na,2.01\n", encoding="utf-8")
-        assert read_metric_file(with_header) == {"a": 2.01}
-
-    def test_duplicate_id(self, tmp_path):
-        path = tmp_path / "dup.csv"
-        path.write_text("a,1.0\na,2.0\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="duplicate"):
-            read_metric_file(path)
-
-    def test_bad_number_past_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,1.0\nb,oops\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="oops"):
-            read_metric_file(path)
-
-    def test_nan_value_names_line(self, tmp_path):
-        path = tmp_path / "nan.csv"
-        path.write_text("checkpoint_id,judge\na,1.0\nb,nan\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=r"nan\.csv:3: metric of 'b' is NaN"):
-            read_metric_file(path)
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [("checkpoint_id,judge\n\na,1\n\nb,x\n", "5: not a number: 'x'"),
-         ("a,1\n,\nb,nan\n", "3: metric of 'b' is NaN"),
-         ("\n\na,1\n \na,2\n", "5: duplicate checkpoint id 'a'"),
-         ("\n\na,1,2\n", "3: expected two columns, got 3")],
-        ids=["not-a-number", "nan", "duplicate", "columns"],
-    )
-    def test_errors_name_the_line_in_the_file(self, tmp_path, body, message):
-        # Blank rows above the one at fault still count as lines.
-        path = tmp_path / "m.csv"
-        path.write_text(body, encoding="utf-8")
-        with pytest.raises(ValidationError) as exc:
-            read_metric_file(path)
-        assert str(exc.value) == f"{path}:{message}"
-
-    def test_header_is_the_first_non_blank_row(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("\n\ncheckpoint_id,judge\na,1\n", encoding="utf-8")
-        assert read_metric_file(path) == {"a": 1.0}
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [("\n  \n", "empty metric file"), ("checkpoint_id,judge\n", "no metric rows")],
-        ids=["blank", "header-only"],
-    )
-    def test_no_rows(self, tmp_path, body, message):
-        path = tmp_path / "judge.csv"
-        path.write_text(body, encoding="utf-8")
-        with pytest.raises(ValidationError) as exc:
-            read_metric_file(path)
-        assert str(exc.value) == f"{path}: {message}"
-
-    def test_wrong_column_count(self, tmp_path):
-        path = tmp_path / "cols.csv"
-        path.write_text("a,1.0,extra\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="two columns"):
-            read_metric_file(path)
