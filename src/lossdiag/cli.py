@@ -9,11 +9,11 @@ statistics, the profile-grid policy and the lab's checkpoints come from the
 library modules, and every table is rendered by render.
 
 Each run reads every dump it needs once: one scan per checkpoint streams
-the dump in chunks and yields its summary over every percentile the run
-uses and, where bands are wanted, its band table, and all tables are built
-from those results. The scan takes the dump's value count from the
-manifest check (a positional dump is counted once, before any scan), so
-no dump is counted twice. The summary flags (--summaries, --select,
+the dump in chunks and yields a ``Scan`` record: its summary over every
+percentile the run uses and, where bands are wanted, its band table. All
+tables are built from those records. The scan takes the dump's value count
+from the manifest check (a positional dump is counted once, before any
+scan), so no dump is counted twice. The summary flags (--summaries, --select,
 --summary) take summary names only; a manifest metric enters a run only
 through --metric, under a name no summary has. What the flags and the
 manifest decide (--precision, --ks, --grid, --bands, --k and the lab's
@@ -38,7 +38,7 @@ import argparse
 import json
 import sys
 import threading
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -116,9 +116,12 @@ def _families(text: str) -> list[str] | None:
 # dump plus one chunk, however the threads overlap.
 _BUFFERS = threading.local()
 
+# One checkpoint's scan, read by field name; bands is None unless bounds were given.
+Scan = namedtuple("Scan", "summary bands")
+
 
 def _scan(path, checkpoint_id, count, ks, bounds=None, sketch=False):
-    """Summary of one dump over ``ks`` and, given ``bounds``, its band table.
+    """One dump's Scan: its summary over ``ks`` and, given ``bounds``, band table.
 
     The dump is streamed once, each chunk copied into the thread's float32
     sort buffer, which gives the summary and the bands, or, given ``sketch``
@@ -156,23 +159,19 @@ def _scan(path, checkpoint_id, count, ks, bounds=None, sketch=False):
     else:
         summary = summarize_chunks(checkpoint_id, chunks(), ks)
         bands = None if counter is None else counter.table()
-    return summary, bands
+    return Scan(summary, bands)
 
 
-def _scan_many(entries, ks, bounds=None, sketch=False):
-    """_scan over (path, checkpoint_id, count) in one thread pool, order-preserving."""
-    entries = list(entries)
-    with ThreadPoolExecutor(max_workers=worker_count(len(entries))) as pool:
-        return list(pool.map(lambda e: _scan(*e, ks, bounds, sketch), entries))
-
-
-def _entries(checkpoints) -> list[tuple[Path, str, int]]:
-    """Scan entries of checkpoints whose counts ``load_manifest`` measured."""
-    return [(c.loss_path, c.checkpoint_id, c.count) for c in checkpoints]
+def _scan_many(checkpoints, ks, bounds=None, sketch=False) -> list[Scan]:
+    """_scan of each checkpoint's dump at its measured count, in one pool, in order."""
+    checkpoints = list(checkpoints)
+    with ThreadPoolExecutor(max_workers=worker_count(len(checkpoints))) as pool:
+        return list(pool.map(lambda c: _scan(
+            c.loss_path, c.checkpoint_id, c.count, ks, bounds, sketch), checkpoints))
 
 
 def _summary_table(checkpoints, ks) -> dict[str, SummarySet]:
-    return {s.checkpoint_id: s for s, _ in _scan_many(_entries(checkpoints), ks)}
+    return {s.summary.checkpoint_id: s.summary for s in _scan_many(checkpoints, ks)}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -188,13 +187,19 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(Path(out), text)
 
 
+def _write_dir(out_dir: str, outputs: dict[str, str]) -> None:
+    """Write each ``{file name: text}`` under ``out_dir``, then print each path."""
+    for name, text in outputs.items():
+        _write_text(Path(out_dir) / name, text)
+    for name in outputs:
+        print(Path(out_dir) / name)
+
+
 def _metrics(selected, name: str | None) -> dict[str, MetricSeries]:
     """``{name: series}`` of the manifest metric --metric names, ``{}`` for
     none; refused when it has a summary's name or misses a selected checkpoint."""
     if name is None:
         return {}
-    if name == "mean" or _percentile_of(name) is not None:
-        raise ValidationError(f"metric {name!r} has the name of a summary")
     values = {c.checkpoint_id: c.metrics[name] for c in selected if name in c.metrics}
     if not values:
         raise ValidationError(f"no checkpoint carries metric {name!r}")
@@ -216,9 +221,9 @@ def _cmd_summarize(args) -> None:
         raise UsageError("give dump paths and/or --manifest")
     ks = _check_ks(args.ks)
     paths = [Path(p) for p in args.paths]
-    entries = [(p, p.stem, peek_dump_count(p)) for p in paths] + _entries(checkpoints)
-    scans = _scan_many(entries, ks, None, args.sketch)
-    _emit(render.summary_table([s for s, _ in scans], args.precision), args.out)
+    dumps = [CheckpointMeta(p.stem, "", 0, "", p, count=peek_dump_count(p)) for p in paths]
+    scans = _scan_many([*dumps, *checkpoints], ks, None, args.sketch)
+    _emit(render.summary_table([s.summary for s in scans], args.precision), args.out)
 
 
 # --- concord -----------------------------------------------------------
@@ -264,16 +269,16 @@ def _cmd_concord(args) -> None:
 def _shape_tables(selected, scans, grid, precision):
     """The four shape CSVs: profiles, distances, bands, per-family stats.
 
-    ``scans`` pairs each checkpoint's summary over (at least)
-    ``profile_percentiles(grid)`` with its band table.
+    ``scans`` holds each checkpoint's Scan, its summary over (at least)
+    ``profile_percentiles(grid)`` and its band table.
     """
-    summaries = [s for s, _ in scans]
+    summaries = [s.summary for s in scans]
     profiles = [standardize_profile(s, grid) for s in summaries]
     stats = family_tail_stats([c.family for c in selected], summaries, profiles)
     return {
         "profiles.csv": render.profile_table(profiles, precision),
         "distances.csv": render.distance_table(profiles, precision),
-        "bands.csv": render.band_table([b for _, b in scans]),
+        "bands.csv": render.band_table([s.bands for s in scans]),
         "family_stats.csv": render.family_stats_table(stats, precision),
     }
 
@@ -291,16 +296,13 @@ def _cmd_shape(args) -> None:
     ks = _scan_percentiles((), profile_percentiles(args.grid))
     bounds = _check_bounds(args.bands)
     selected = manifest.select(args.family)
-    scans = _scan_many(_entries(selected), ks, bounds)
+    scans = _scan_many(selected, ks, bounds)
     tables = _shape_tables(selected, scans, args.grid, args.precision)
-    if args.out_dir is None:
-        for name, text in tables.items():
-            sys.stdout.write(render.markdown_section(_SHAPE_TITLES[name], text))
+    if args.out_dir is not None:
+        _write_dir(args.out_dir, tables)
         return
-    out_dir = Path(args.out_dir)
     for name, text in tables.items():
-        _write_text(out_dir / name, text)
-        print(out_dir / name)
+        sys.stdout.write(render.markdown_section(_SHAPE_TITLES[name], text))
 
 
 # --- correlate ---------------------------------------------------------
@@ -419,11 +421,11 @@ def _report_sections(args) -> tuple[dict[str, str], dict[str, str]]:
     selected = manifest.select(args.family)
     metrics = _metrics(selected, args.metric)
     groups = _family_groups(manifest, _families_with_pairs(selected), args.summaries)
-    scans = _scan_many(_entries(selected), ks, bounds)
+    scans = _scan_many(selected, ks, bounds)
 
-    summaries = [s.restrict(DEFAULT_KS) for s, _ in scans]
+    summaries = [s.summary.restrict(DEFAULT_KS) for s in scans]
     sections = {"summary.csv": render.summary_table(summaries, precision)}
-    table = {s.checkpoint_id: s for s, _ in scans}
+    table = {s.summary.checkpoint_id: s.summary for s in scans}
     if groups:
         reports = _concordance_reports(groups, table, args.summaries)
         sections["concordance.csv"] = render.concordance_table(reports, precision)
@@ -490,12 +492,7 @@ def _cmd_report(args) -> None:
         [(_REPORT_TITLES[name], text) for name, text in sections.items()],
     )
     outputs.update(sorted(charts.items()))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        _write_text(out_dir / name, text)
-    for name in outputs:
-        print(out_dir / name)
+    _write_dir(args.out_dir, outputs)
 
 
 # --- parser ------------------------------------------------------------

@@ -15,17 +15,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .quantiles import SummarySet
+from .quantiles import SummarySet, _percentile_of
 
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """An external metric (judge score, accuracy, ...) per checkpoint."""
+    """An external metric (judge score, accuracy, ...) per checkpoint, named unlike any summary."""
 
     name: str
     values: Mapping[str, float]
 
     def __post_init__(self):
+        if self.name == "mean" or _percentile_of(self.name) is not None:
+            raise ValidationError(f"metric {self.name!r} has the name of a summary")
         if not self.values:
             raise ValidationError(f"metric {self.name!r} has no entries")
         values = {str(k): float(v) for k, v in self.values.items()}

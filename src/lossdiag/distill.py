@@ -185,15 +185,21 @@ def true_chain(
 
     synth_corpus samples from exactly this chain, so the lab can score
     models against the truth (chain_fidelity), something real corpora
-    never allow.
+    never allow. A ValidationError names both settings when a probability is
+    0 or not finite, as a huge finite setting makes it; exponent 300 over 8
+    tokens passes, its smallest probabilities near 1e-276.
     """
     if not 0 <= concentration < np.inf:  # NaN and inf give a one-token world
         raise ValidationError(f"concentration must be finite and >= 0, got {concentration!r}")
     world = np.random.default_rng([_check_size("seed", seed, 0), 0x10])
     base = zipf_weights(vocab, zipf_exponent)
     noise = world.standard_normal((vocab, vocab))
-    rows = base[None, :] * np.exp(concentration * noise)
-    rows /= rows.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = base[None, :] * np.exp(concentration * noise)
+        rows /= rows.sum(axis=1, keepdims=True)
+    if not ((rows > 0) & (rows < np.inf)).all():  # a zero start probability zeroes a column
+        raise ValidationError(f"zipf exponent {zipf_exponent!r} and concentration "
+                              f"{concentration!r} give a zero or non-finite chain probability")
     return base, rows
 
 

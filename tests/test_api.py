@@ -73,11 +73,27 @@ def _run_fresh(code, **preset):
     return proc.stdout
 
 
+# The package and the ten modules lossdiag.cli loads: all but the lab.
+_CLI_MODULES = ["lossdiag", *(f"lossdiag.{name}" for name in (
+    "cli", "concordance", "correlate", "errors", "quantiles", "render", "shape", "sketch",
+    "store", "workers"))]
+
+
 def test_cli_imports_without_the_distillation_lab():
     # The lab loads on first use of one of its names, for the package too.
+    # Outside the standard library the CLI loads from files only the runtime
+    # dependencies pyproject.toml declares, numpy and yaml (Cython's own
+    # modules, which numpy creates, have no file).
     _run_fresh(
-        "import sys, lossdiag.cli\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lossdiag.cli\n"
         "assert 'lossdiag.distill' not in sys.modules, 'imported by lossdiag.cli'\n"
+        "ours = sorted(m for m in sys.modules if m.partition('.')[0] == 'lossdiag')\n"
+        f"assert ours == {_CLI_MODULES!r}, ours\n"
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - before\n"
+        "        if getattr(sys.modules[m], '__file__', None)} - sys.stdlib_module_names\n"
+        "assert tops == {'lossdiag', 'numpy', 'yaml'}, tops\n"
         "import lossdiag\n"
         "assert lossdiag.dose_response is sys.modules['lossdiag.distill'].dose_response\n"
     )
@@ -196,7 +212,7 @@ def test_benchmark_tracer_sees_the_family_tail_statistic():
     for i, cid in enumerate("abc"):
         selected.append(store.CheckpointMeta(cid, "fam", i, "token-ce", Path(f"{cid}.bin")))
         summary = SummarySet(cid, 1.0, {25: 1.0, 50: 2.0, 75: 3.0, 95: 4.0 + i}, 1)
-        scans.append((summary, BandTable(cid, (1.0,), (50.0, 50.0))))
+        scans.append(cli.Scan(summary, BandTable(cid, (1.0,), (50.0, 50.0))))
     try:
         tracing.install_cli(tracer)
         cli._shape_tables(selected, scans, (25, 50, 75), 6)

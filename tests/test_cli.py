@@ -270,6 +270,17 @@ class TestScan:
             paths += [binary, text]
         return paths
 
+    @pytest.mark.parametrize("sketch", [False, True], ids=["exact", "sketch"])
+    @pytest.mark.parametrize("bounds", [None, DEFAULT_BAND_BOUNDS], ids=["no-bands", "bands"])
+    def test_returns_one_record_read_by_name(self, dumps, sketch, bounds):
+        scan = cli._scan(dumps[0], "d0", 300, DEFAULT_KS, bounds, sketch)
+        assert isinstance(scan, cli.Scan)
+        assert scan.summary.checkpoint_id == "d0" and scan.summary.count == 300
+        if bounds is None:
+            assert scan.bands is None
+        else:
+            assert scan.bands == band_masses(read_loss_dump(dumps[0]))
+
     def test_reused_buffers_fed_in_small_chunks_match_library(self, dumps, monkeypatch):
         # Chunks of 7 values fill each dump's slice of the thread's buffers,
         # which grow to the largest dump so far; every call runs in this one
@@ -688,7 +699,7 @@ class TestShape:
             cid = f"c{i}"
             selected.append(CheckpointMeta(cid, "fam", i, "token-ce", Path(f"{cid}.bin")))
             summary = SummarySet(cid, 1.0, {25: 1.0, 50: 2.0, 75: 3.0, 95: p95}, 1)
-            scans.append((summary, BandTable(cid, (1.0,), (50.0, 50.0))))
+            scans.append(cli.Scan(summary, BandTable(cid, (1.0,), (50.0, 50.0))))
         tails = np.array([(p95 - 2.0) / 2.0 for p95 in p95s])
         expected = render.family_stats_table(
             [("fam", len(p95s), float(tails.mean()), float(tails.std()))], 17

@@ -268,6 +268,20 @@ class TestSelection:
         with pytest.raises(ValidationError, match="'j' of checkpoint 'a' is NaN"):
             MetricSeries("j", {"a": np.nan, "b": 5.0})
 
+    @pytest.mark.parametrize("name", ["median", "p05", "mean"])
+    def test_metric_may_not_take_a_summary_name(self, name):
+        with pytest.raises(ValidationError) as info:
+            MetricSeries(name, {"a": 1.0, "b": 2.0})
+        assert str(info.value) == f"metric {name!r} has the name of a summary"
+
+    def test_select_cannot_swap_a_summary_for_a_metric(self):
+        # A metric named "median" would otherwise answer the median rule.
+        table = {"a": SummarySet("a", 1.0, {50: 0.5}, 10),
+                 "b": SummarySet("b", 1.0, {50: 0.7}, 10)}
+        with pytest.raises(ValidationError, match="has the name of a summary"):
+            select(table, [SelectionRule("median", "median", "min")],
+                   {"median": MetricSeries("median", {"a": 9.0, "b": 1.0})})
+
     def test_row_carries_pick_and_metric_value(self):
         table = _sweep_table(np.random.default_rng(83), m=4)
         metric = MetricSeries("judge", {cid: 1.0 + i for i, cid in enumerate(sorted(table))})

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,26 @@ class TestWorldGenerators:
                 call()
             assert str(info.value) == (
                 f"concentration must be finite and >= 0, got {concentration!r}")
+
+    def test_chain_with_a_zero_or_non_finite_probability_is_refused(self):
+        # Each finite setting below gave a stream of one distinct token, the
+        # overflowing one after a numpy warning; the rule bounds neither
+        # setting, so a tiny but positive chain still passes.
+        for exponent, concentration in ((1e6, 4.5), (1.1, 1e6), (1.1, 200.0)):
+            config = LabConfig(zipf_exponent=exponent, concentration=concentration, steps=1,
+                               length=10_000, eval_length=10_000)
+            for call in (lambda: true_chain(7, 8, exponent, concentration),
+                         lambda: synth_corpus(7, 8, exponent, 10_000, concentration),
+                         lambda: dose_response(config)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValidationError) as info:
+                        call()
+                assert str(info.value) == (
+                    f"zipf exponent {exponent!r} and concentration {concentration!r} "
+                    "give a zero or non-finite chain probability")
+        base, rows = true_chain(7, 8, 300.0)
+        assert base.min() > 0 and 0 < rows.min() < 1e-270
 
 
 class TestFitTeacher:
