@@ -221,6 +221,12 @@ def _cmd_summarize(args) -> None:
         raise UsageError("give dump paths and/or --manifest")
     ks = _check_ks(args.ks)
     paths = [Path(p) for p in args.paths]
+    named = [(p.stem, p) for p in paths] + [(c.checkpoint_id, c.loss_path) for c in checkpoints]
+    first: dict[str, Path] = {}
+    for cid, path in named:
+        if cid in first:
+            raise ValidationError(f"dumps {str(first[cid])!r} and {str(path)!r} share id {cid!r}")
+        first[cid] = path
     dumps = [CheckpointMeta(p.stem, "", 0, "", p, count=peek_dump_count(p)) for p in paths]
     scans = _scan_many([*dumps, *checkpoints], ks, None, args.sketch)
     _emit(render.summary_table([s.summary for s in scans], args.precision), args.out)
@@ -232,8 +238,8 @@ def _cmd_summarize(args) -> None:
 def _family_groups(manifest, families, summaries):
     """Each family's checkpoints, refused here if concordance would refuse them."""
     groups = [(family, manifest.select([family])) for family in families]
-    for _, checkpoints in groups:
-        _check_rankings(summaries, len(checkpoints))
+    for family, checkpoints in groups:
+        _check_rankings(summaries, len(checkpoints), family)
     return groups
 
 

@@ -38,15 +38,17 @@ def _sign_matrix(values: np.ndarray) -> np.ndarray:
     return (col > row).astype(np.int8) - (col < row)
 
 
-def _check_rankings(names: Sequence[str], n_checkpoints: int) -> None:
+def _check_rankings(names: Sequence[str], n_checkpoints: int, family: str = "") -> None:
     """What concordance refuses before it reads a summary value. Two names of
-    one summary are duplicates: "median,p50" and "p5,p05" as "mean,mean"."""
+    one summary are duplicates: "median,p50" and "p5,p05" as "mean,mean".
+    A non-empty ``family`` is named in the refusal of too few checkpoints."""
     if len(names) < 2:
         raise ValidationError("need at least two summaries to compare rankings")
     if len({_percentile_of(name) or name for name in names}) != len(names):
         raise ValidationError("duplicate summary names")
     if n_checkpoints < 2:
-        raise ValidationError("need at least two checkpoints")
+        where = f"family {family!r}: " if family else ""
+        raise ValidationError(f"{where}need at least two checkpoints")
 
 
 def concordance(
@@ -61,7 +63,7 @@ def concordance(
     """
     names = tuple(summaries)
     ids = tuple(sorted(table))
-    _check_rankings(names, len(ids))
+    _check_rankings(names, len(ids), family)
 
     # value() raises with the checkpoint and summary name if one is missing.
     cols = np.array([[table[cid].value(name) for name in names] for cid in ids])

@@ -158,11 +158,15 @@ def select(
 
     Values compare as floats: a +inf CE summary loses every ``min`` rule to
     any finite value, a +inf metric wins a ``max`` rule and a -inf one loses
-    it, and equal infinities tie like any other values.
+    it, and equal infinities tie like any other values. Each key of
+    ``metrics`` must be its series' name, so no key shadows a summary.
     """
     if not rules:
         raise ValidationError("no selection rules given")
     metrics = metrics or {}
+    for key, series in metrics.items():
+        if key != series.name:
+            raise ValidationError(f"metric key {key!r} is not its series' name {series.name!r}")
     ids = sorted(table)
     if not ids:
         raise ValidationError("empty summary table")

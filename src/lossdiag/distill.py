@@ -21,8 +21,8 @@ Pieces:
   independently, so the rows of all students are split into contiguous
   shards, one per worker process (workers.worker_count), each running
   every step on its own; the result is bitwise the same for any number of
-  workers. Divergence is checked sparsely and replayed to the exact step
-  (see _descend_rows for why that is sound);
+  workers. A shard tests its row sums after its last step, replaying its
+  steps only on a failure (see _descend_rows for why that is sound);
 * the converged-student oracle: top-K renormalized teacher rows with zeros
   replaced by a small floor epsilon_q (a literal zero would make mean CE
   +inf; the floor models the mass a finite training run leaves behind);
@@ -304,10 +304,6 @@ def _check_size(name: str, value, floor: int) -> int:
     raise ValidationError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
-# Steps between divergence checks in _descend_rows.
-_CHECK_EVERY = 128
-
-
 def _descend_rows(
     weighted_targets: np.ndarray, step_w: np.ndarray, steps: int
 ) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -318,10 +314,10 @@ def _descend_rows(
     is non-finite, the logits so far and (step, row), row counted within
     the block. Module level, so spawned worker processes can import it.
 
-    The row sums are checked every _CHECK_EVERY steps and at the last one;
-    a failed check replays its block from a snapshot, checking every step.
-    That finds the step the every-step check would have stopped at, because
-    a row whose sum is non-finite stays so at every later step:
+    The steps run unchecked and the last step's row sums are tested once;
+    if one is not finite, the block runs again from zero, checking every
+    step. That finds the step the every-step check would have stopped at,
+    because a row whose sum is non-finite stays so at every later step:
 
     * NaN spreads: scale and every later logit of the row are NaN.
     * An inf element of q gives inf * 0 = NaN (scale is w / inf = 0).
@@ -329,37 +325,28 @@ def _descend_rows(
       logits += step_w * target >= 0; no logit shrinks and the next
       sum overflows again.
     """
-    logits = np.zeros_like(weighted_targets)
+    logits = np.empty_like(weighted_targets)
     # KL gradients sum to zero per row, so logits keep zero row sums and sit
     # tens of nats away from exp overflow: no max-shift needed. Runaway
     # learning rates overflow exp() to inf, which the row-sum check catches.
     q = np.empty_like(logits)
     acc = np.empty_like(step_w)
     scale = np.empty_like(acc)
-
-    def run(start: int, stop: int, check: bool) -> int | None:
-        for step in range(start, stop):
-            np.exp(logits, out=q)
-            q.sum(axis=1, keepdims=True, out=acc)
-            if check and not np.isfinite(acc).all():
-                return step
-            # logits -= lr * w * (q/acc - target), fused as two passes
-            np.divide(step_w, acc, out=scale)
-            np.multiply(q, scale, out=q)
-            np.subtract(q, weighted_targets, out=q)
-            np.subtract(logits, q, out=logits)
-        return None
-
-    snapshot = np.empty_like(logits)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, _CHECK_EVERY):
-            stop = min(start + _CHECK_EVERY, steps)
-            np.copyto(snapshot, logits)
-            run(start, stop, check=False)
-            if not np.isfinite(acc).all():
-                np.copyto(logits, snapshot)
-                step = run(start, stop, check=True)
-                return logits, (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
+        for check in (False, True):
+            logits.fill(0.0)
+            for step in range(steps):
+                np.exp(logits, out=q)
+                q.sum(axis=1, keepdims=True, out=acc)
+                if check and not np.isfinite(acc).all():
+                    return logits, (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
+                # logits -= lr * w * (q/acc - target), fused as two passes
+                np.divide(step_w, acc, out=scale)
+                np.multiply(q, scale, out=q)
+                np.subtract(q, weighted_targets, out=q)
+                np.subtract(logits, q, out=logits)
+            if np.isfinite(acc).all():
+                break
     return logits, None
 
 
@@ -369,9 +356,9 @@ def _train_batch(
     """Full-batch GD on sum_c w_c * KL(target_c || softmax(logits_c)).
 
     targets has shape (B, V, V): B students trained at once, bitwise as if
-    one at a time. Students start at zero logits. Raises DivergenceError at
-    the first non-finite update, with the step and context row the
-    every-step check reports (see _descend_rows).
+    one at a time. Students start at zero logits. Raises DivergenceError
+    after the last step, naming the step and context row of the first
+    non-finite update as the every-step check does (see _descend_rows).
 
     Every context row of every student descends on its own, so the B*V rows
     are cut into contiguous shards, one per worker (workers.worker_count),

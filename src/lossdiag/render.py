@@ -56,7 +56,7 @@ def _csv_line(row, precision: int) -> str:
             cells.append(None)
             floats.append(value)
         elif isinstance(value, str):
-            if "," in value or '"' in value or "\n" in value:
+            if "," in value or '"' in value or "\n" in value or "\r" in value:
                 value = '"' + value.replace('"', '""') + '"'
             cells.append(value)
         elif isinstance(value, bool):

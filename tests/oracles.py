@@ -202,7 +202,7 @@ def train_by_lockstep(targets, weights, steps, learning_rate):
     """Full-batch GD on all (B, V, V) rows at once, checked every step.
 
     The package's original single-process trainer, kept verbatim (less
-    validation) as the reference for the sharded, sparsely checked one.
+    validation) as the reference for the sharded one that checks at the end.
     """
     b, v, _ = targets.shape
     logits = np.zeros((b, v, v), dtype=np.float64)
@@ -276,8 +276,8 @@ def profile_distance_by_pair(a, b):
 
 
 def cell_by_char_scan(value, precision):
-    """One CSV cell as the package first rendered it: every cell, numbers
-    included, is scanned for characters that need quoting."""
+    """One CSV cell by a character scan: every cell, numbers included, is
+    scanned for the characters RFC 4180 quotes, a carriage return among them."""
     if isinstance(value, bool):
         raise ValidationError(f"cannot render {value!r}")
     if isinstance(value, str):
@@ -286,7 +286,7 @@ def cell_by_char_scan(value, precision):
         text = str(value)
     else:
         text = float_by_format(float(value), precision)
-    if any(ch in text for ch in ',"\n'):
+    if any(ch in text for ch in ',"\n\r'):
         text = '"' + text.replace('"', '""') + '"'
     return text
 

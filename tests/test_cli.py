@@ -478,7 +478,11 @@ class TestFlagsBeforeStreams:
          (("report", "--summaries", "mean,fidelity", "--family", "teacher"),
           "no summary named 'fidelity'"),
          (("correlate", "--select", "mean,fidelity"), "no summary named 'fidelity'"),
-         (("concord", "--family", "teacher"), "need at least two checkpoints"),
+         (("concord", "--family", "teacher"), "family 'teacher': need at least two checkpoints"),
+         (("concord", "--family", "teacher,trained"),
+          "family 'teacher': need at least two checkpoints"),
+         (("concord", "--summaries", "mean,mean", "--family", "teacher"),
+          "duplicate summary names"),
          (("correlate", "--sweep", "--metric", "fidelity", "--family", "teacher"),
           "sweep needs at least three checkpoints"),
          (("correlate", "--crossing", "--reference", "nan", "--family", "teacher"),
@@ -486,7 +490,7 @@ class TestFlagsBeforeStreams:
         ids=["concord-duplicate", "report-duplicate", "concord-median-alias",
              "report-median-alias", "concord-zero-padded", "report-zero-padded",
              "report-metric", "report-metric-single-family", "select-metric",
-             "concord-single",
+             "concord-single", "concord-single-of-two", "concord-duplicate-single",
              "sweep-single", "crossing-nan-reference"],
     )
     def test_what_the_analysis_would_refuse(self, refused, command, message):
@@ -530,6 +534,17 @@ class TestFlagsBeforeStreams:
     def test_summarize_needs_paths_or_manifest(self, refused):
         refused(("summarize",), code=1, manifest=None,
                 message="give dump paths and/or --manifest")
+
+    def test_summarize_refuses_one_id_for_two_dumps(self, refused, demo_dir, tmp_path):
+        teacher = demo_dir / "dumps" / "teacher.bin"
+        copy = tmp_path / "copy" / "teacher.bin"
+        copy.parent.mkdir()
+        shutil.copyfile(teacher, copy)
+        refused(("summarize", str(teacher), str(copy)), manifest=None,
+                message=f"dumps {str(teacher)!r} and {str(copy)!r} share id 'teacher'")
+        listed = load_manifest(demo_dir / "manifest.yaml").select(["teacher"])[0].loss_path
+        refused(("summarize", str(copy)),
+                message=f"dumps {str(copy)!r} and {str(listed)!r} share id 'teacher'")
 
 
 class TestDistillDemo:

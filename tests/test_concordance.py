@@ -226,8 +226,12 @@ class TestValidation:
 
     def test_needs_two_checkpoints(self):
         table = {"only": SummarySet("only", 1.0, {50: 1.0}, count=5)}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             concordance(table, ("mean", "p50"))
+        assert str(info.value) == "need at least two checkpoints"
+        with pytest.raises(ValidationError) as info:
+            concordance(table, ("mean", "p50"), family="fam")
+        assert str(info.value) == "family 'fam': need at least two checkpoints"
 
     def test_missing_summary_names_checkpoint(self):
         cols = _random_columns(np.random.default_rng(1), 3, 2)

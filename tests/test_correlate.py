@@ -282,6 +282,15 @@ class TestSelection:
             select(table, [SelectionRule("median", "median", "min")],
                    {"median": MetricSeries("median", {"a": 9.0, "b": 1.0})})
 
+    def test_metric_key_must_be_its_series_name(self):
+        # Under the key "median" the judge would answer the median rule (b).
+        table = {"a": SummarySet("a", 1.0, {50: 0.5}, 10),
+                 "b": SummarySet("b", 1.0, {50: 0.7}, 10)}
+        with pytest.raises(ValidationError) as info:
+            select(table, [SelectionRule("median", "median", "min")],
+                   {"median": MetricSeries("judge", {"a": 9.0, "b": 1.0})})
+        assert str(info.value) == "metric key 'median' is not its series' name 'judge'"
+
     def test_row_carries_pick_and_metric_value(self):
         table = _sweep_table(np.random.default_rng(83), m=4)
         metric = MetricSeries("judge", {cid: 1.0 + i for i, cid in enumerate(sorted(table))})

@@ -704,7 +704,8 @@ def stacked_targets(small_world):
 
 
 class TestShardedTraining:
-    # 300 steps cross two divergence check points and end between them.
+    # A 300-step run whose row sums, tested once after the last step, stay
+    # finite: no replay.
     STEPS = 300
 
     @pytest.mark.parametrize("workers", WORKERS)
@@ -749,29 +750,38 @@ class TestExactDivergence:
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize(
-        "ks,weights,lr,expected",
+        "ks,weights,lr,steps,expected",
         [
-            # Runaway rate: every row fails at step 1, in the first block.
-            ((2, 8), None, 1e9, (1, 0)),
-            # Only student 1 (the last shard) diverges, at step 272: between
-            # check points and after two clean ones.
-            ((1, 8), "heavy", 720.0, (272, 7)),
+            # Runaway rate: every row fails at step 1.
+            ((2, 8), None, 1e9, 600, (1, 0)),
+            # Only student 1 (the last shard) diverges, at step 272: found by
+            # the replay of a run that goes on well past it, ...
+            ((1, 8), "heavy", 720.0, 600, (272, 7)),
+            # ... of a run whose last step is the first to fail, ...
+            ((1, 8), "heavy", 720.0, 273, (272, 7)),
+            # ... and not at all in a run that stops one step before it.
+            ((1, 8), "heavy", 720.0, 272, None),
             # Both diverge; the later shard's student fails first (335 < 1417).
-            ((3, 7), "heavy", 710.0, (335, 7)),
-            ((7, 3), "heavy", 710.0, (335, 7)),
+            ((3, 7), "heavy", 710.0, 600, (335, 7)),
+            ((7, 3), "heavy", 710.0, 600, (335, 7)),
         ],
-        ids=["runaway", "later-shard-only", "later-shard-first", "first-shard-first"],
+        ids=["runaway", "later-shard-only", "later-shard-only-last-step",
+             "later-shard-only-stops-before", "later-shard-first", "first-shard-first"],
     )
     def test_matches_every_step_check(
-        self, small_world, workers, ks, weights, lr, expected, monkeypatch
+        self, small_world, workers, ks, weights, lr, steps, expected, monkeypatch
     ):
         targets = np.stack([_teacher_targets(small_world, k) for k in ks])
         w = small_world.context_weights if weights is None else _heavy_last_context()
-        with pytest.raises(DivergenceError) as ref:
-            oracles.train_by_lockstep(targets, w, 600, lr)
-        assert (ref.value.step, ref.value.row) == expected
         monkeypatch.setenv("LOSSDIAG_THREADS", workers)
+        if expected is None:
+            ours = _train_batch(targets, w, steps, lr)
+            assert np.array_equal(ours, oracles.train_by_lockstep(targets, w, steps, lr))
+            return
+        with pytest.raises(DivergenceError) as ref:
+            oracles.train_by_lockstep(targets, w, steps, lr)
+        assert (ref.value.step, ref.value.row) == expected
         with pytest.raises(DivergenceError) as ours:
-            _train_batch(targets, w, 600, lr)
+            _train_batch(targets, w, steps, lr)
         assert (ours.value.step, ours.value.row) == expected
         assert str(ours.value) == str(ref.value)

@@ -1,5 +1,7 @@
 """CSV/markdown/SVG rendering: the single formatting path for all outputs."""
 
+import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 
@@ -72,6 +74,13 @@ class TestCsvTable:
         assert lines[1] == '"x,y"'
         assert lines[2] == '"say ""hi"""'
         assert lines[3] == '"line'  # embedded newline is quoted, not escaped
+
+    def test_quoted_ids_read_back_through_csv_reader(self):
+        ids = ["a\rb", "c\r\nd", "e\nf", "g,h", 'i"j']
+        text = summary_table([SummarySet(cid, 1.0, {50: 1.0}, 3) for cid in ids])
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["checkpoint_id", "mean", "p50", "count"]
+        assert rows[1:] == [[cid, "1", "1", "3"] for cid in ids]
 
     def test_bool_cells_rejected(self):
         with pytest.raises(ValidationError):
