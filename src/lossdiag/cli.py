@@ -334,10 +334,7 @@ def _cmd_correlate(args) -> None:
         _check_reference(args.reference)
         groups = [(f, manifest.select([f])) for f in args.family or manifest.families()]
         for family, cs in groups:
-            try:
-                _check_steps(c.step for c in cs)
-            except ValidationError as exc:
-                raise ValidationError(f"family {family!r}: {exc}") from exc
+            _check_steps((c.step for c in cs), family)
         table = _summary_table([c for _, cs in groups for c in cs], ks)
         rows = []
         for family, cs in groups:

@@ -184,13 +184,14 @@ def select(
 
 
 def default_rules(names: Sequence[str], metric_names: Sequence[str]) -> list[SelectionRule]:
-    """One rule per distinct name, in first-seen order, with the conventional
-    directions: CE summaries are minimized, anything that is a known metric
-    is maximized."""
-    return [
-        SelectionRule(name=name, column=name, direction="max" if name in metric_names else "min")
-        for name in dict.fromkeys(names)
-    ]
+    """One rule per distinct summary ("median,p50" is one, as "mean,mean" is)
+    or metric, named by its first spelling, in first-seen order. CE summaries
+    are minimized, anything that is a known metric is maximized."""
+    rules: dict[object, SelectionRule] = {}
+    for name in names:
+        rule = SelectionRule(name, name, "max" if name in metric_names else "min")
+        rules.setdefault(_percentile_of(name) or name, rule)
+    return list(rules.values())
 
 
 def normalize_series(values: Sequence[float]) -> np.ndarray:
@@ -207,12 +208,13 @@ def normalize_series(values: Sequence[float]) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def _check_steps(steps) -> None:
-    """ValidationError for the smallest step that occurs more than once."""
+def _check_steps(steps, family: str = "") -> None:
+    """ValidationError for the smallest repeated step, naming a non-empty ``family``."""
     ordered = sorted(steps)
     for step, following in zip(ordered, ordered[1:]):
         if step == following:
-            raise ValidationError(f"duplicate step {step} in series")
+            where = f"family {family!r}: " if family else ""
+            raise ValidationError(f"{where}duplicate step {step} in series")
 
 
 def _check_reference(reference: float) -> None:

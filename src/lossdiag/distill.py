@@ -503,6 +503,7 @@ class LabConfig:
     rows leakier than the oracle floor epsilon_q and too many push them
     below it. The budget below lands every default K within a few percent
     of its oracle on mean and median held-out CE for the default seed.
+    Every K-list rule is checked when the config is built.
     """
 
     vocab: int = 64
@@ -529,6 +530,9 @@ class LabConfig:
             if k in seen:
                 raise ValidationError(f"duplicate K {k!r}")
             seen.add(k)
+        # The teacher's own row ("full", or K = vocab) anchors the trained-vs-oracle table.
+        if not any(k == "full" or k == self.vocab for k in self.ks):
+            raise ValidationError('ks must include "full"')
 
 
 @dataclass(frozen=True)
@@ -567,13 +571,9 @@ def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
     """Train and oracle-solve a student per K; summarize held-out CE.
 
     Students for every K train in one batched loop (bitwise identical to
-    separate runs). Rows come in config order, trained before oracle.
+    separate runs). Rows come in config order, trained before oracle, and
+    one K ("full" or the vocab) is the teacher's row, as LabConfig requires.
     """
-    # The teacher row itself ("full", or K equal to the vocab) anchors the
-    # dose-response table; without it the trained-vs-oracle comparison has
-    # no baseline, so its absence is a config error.
-    if not any(k == "full" or k == config.vocab for k in config.ks):
-        raise ValidationError('ks must include "full"')
     # The training stream, the run's largest array, lives only as long as
     # fitting the teacher takes.
     train = synth_corpus(

@@ -115,9 +115,9 @@ class QuantileSketch:
         arrays.append(arr)
         if len(arrays) > 8:  # join small chunks, so the size below stays a short sum
             arrays[:] = [np.concatenate(arrays)]
-        while level < len(self._levels) and sum(map(len, self._levels[level])) >= self._cap:
+        # _compact's push of its promoted half compacts each higher level it fills.
+        if sum(map(len, arrays)) >= self._cap:
             self._compact(level)
-            level += 1
 
     def _compact(self, level: int) -> None:
         buf = np.concatenate(self._levels[level])

@@ -306,17 +306,19 @@ def _iter_dump(fh, path: Path, chunk: int) -> Iterator[np.ndarray]:
         for values in arrays:
             yield _checked_losses(values, str(path), seen)
             seen += values.size
+        if not seen:  # a binary header declares at least one value
+            raise StoreFormatError(f"{path}: empty text dump")
 
 
 def iter_loss_chunks(path: str | Path) -> Iterator[np.ndarray]:
     """Stream a dump as checked float32 chunks of DEFAULT_CHUNK values, read
     when the stream is made; the last chunk may be shorter.
 
-    Works for both the binary format and the text fallback. This is the
-    fixed-buffer path: peak memory does not depend on the dump size. The
-    dump is opened here, so a missing file raises before any chunk is read,
-    and a bad binary size before the first. The stream closes the dump when
-    it ends, fails or is closed.
+    Works for the binary format and the text fallback; a text dump with no
+    value is refused at the stream's end, as peek_dump_count refuses it.
+    Peak memory does not depend on the dump size. The dump is opened here,
+    so a missing file raises before any chunk is read, and a bad binary size
+    before the first. The stream closes the dump when it ends, fails or is closed.
     """
     path = Path(path)
     return _iter_dump(open(path, "rb", buffering=0), path, DEFAULT_CHUNK)
@@ -325,18 +327,15 @@ def iter_loss_chunks(path: str | Path) -> Iterator[np.ndarray]:
 def read_loss_dump(path: str | Path, checkpoint_id: str | None = None) -> LossVector:
     """Read a whole dump into memory; inverse of write_loss_dump.
 
-    The dump's chunks are joined, so reading holds it twice for a moment.
+    The stream's chunks (it refuses a dump with no value) are joined, so
+    reading holds the dump twice for a moment.
     """
     path = Path(path)
-    chunks = list(iter_loss_chunks(path))
-    if not chunks:  # a binary header declares at least one value
-        raise StoreFormatError(f"{path}: empty text dump")
-    if checkpoint_id is None:
-        checkpoint_id = path.stem
-    losses = np.concatenate(chunks)
+    losses = np.concatenate(list(iter_loss_chunks(path)))
     losses.flags.writeable = False
     vector = object.__new__(LossVector)  # no __post_init__: each chunk was checked as read
-    vector.__dict__.update(checkpoint_id=checkpoint_id, losses=losses)
+    cid = path.stem if checkpoint_id is None else checkpoint_id
+    vector.__dict__.update(checkpoint_id=cid, losses=losses)
     return vector
 
 

@@ -318,7 +318,8 @@ def _text_lines(path):
 def text_chunks_by_lines(path, chunk):
     """A text dump's float32 chunks as the package first read them: float()
     of each stripped non-blank line, ``chunk`` values at a time, each chunk
-    validated by the store's own checker."""
+    validated by the store's own checker. A dump with no value is an empty
+    dump, as to text_count_by_lines."""
     chunks, buf, seen = [], [], 0
     for lineno, line in enumerate(_text_lines(path), start=1):
         line = line.strip()
@@ -334,6 +335,8 @@ def text_chunks_by_lines(path, chunk):
             buf = []
     if buf:
         chunks.append(_checked_losses(buf, str(path), seen))
+    if not chunks:
+        raise StoreFormatError(f"{path}: empty text dump")
     return chunks
 
 

@@ -607,6 +607,20 @@ class TestDistillDemo:
         assert payload["message"] == f"unrecognized arguments: {flag} {value}"
         assert not (tmp_path / "d.csv").exists()
 
+    def test_a_k_list_without_full_is_refused_where_the_config_is_built(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from lossdiag import distill
+
+        runs = []
+        monkeypatch.setattr(distill, "dose_response", runs.append)
+        rc, _, err = run(capsys, "distill-demo", "--out", str(tmp_path / "d.csv"), "--k", "2,4")
+        assert rc == 2
+        assert stderr_payload(err) == {
+            "error": "ValidationError", "message": 'ks must include "full"', "exit_code": 2}
+        assert runs == []
+        assert not any(tmp_path.iterdir())
+
     def test_size_below_its_floor_is_refused_before_training(self, capsys, tmp_path):
         rc, _, err = run(capsys, "distill-demo", "--out", str(tmp_path / "d.csv"),
                          "--eval-length", "500")
@@ -978,8 +992,13 @@ class TestReport:
         [(("report", "--family", "teacher", "--summaries", "mean,mean",
            "--metric", "fidelity"), ["mean", "fidelity"]),
          (("report", "--family", "teacher", "--summaries", "mean,mean"), ["mean"]),
-         (("correlate", "--select", "mean,mean"), ["mean"])],
-        ids=["report-with-metric", "report-summaries", "correlate"],
+         (("report", "--family", "teacher", "--summaries", "median,p50"), ["median"]),
+         (("report", "--family", "teacher", "--summaries", "p5,p05,mean"), ["p5", "mean"]),
+         (("correlate", "--select", "mean,mean"), ["mean"]),
+         (("correlate", "--select", "median,p50"), ["median"]),
+         (("correlate", "--select", "p5,p05,mean,mean"), ["p5", "mean"])],
+        ids=["report-with-metric", "report-summaries", "report-median-p50", "report-p5-p05",
+             "correlate", "correlate-median-p50", "correlate-p5-p05"],
     )
     def test_a_repeated_selection_column_writes_one_row(
         self, capsys, demo_dir, tmp_path, command, rules

@@ -169,13 +169,14 @@ _METRIC_VALUES = st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.inf])
 
 @st.composite
 def _selection_tables(draw):
-    """(table, judge score per id) over distinct ids drawn in any order."""
+    """(table, judge score per id) over distinct ids drawn in any order; each
+    summary carries p5, p50, p95 and p99."""
     ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=8,
                         unique=True))
     table = {}
     for cid in ids:
-        p50, p95 = sorted(draw(st.lists(_CE_VALUES, min_size=2, max_size=2)))
-        table[cid] = SummarySet(cid, draw(_CE_VALUES), {50: p50, 95: p95}, 10)
+        values = sorted(draw(st.lists(_CE_VALUES, min_size=4, max_size=4)))
+        table[cid] = SummarySet(cid, draw(_CE_VALUES), dict(zip((5, 50, 95, 99), values)), 10)
     return table, {cid: draw(_METRIC_VALUES) for cid in ids}
 
 
@@ -196,6 +197,42 @@ class TestSelection:
             ]
             best = oracles.select_by_pairs(column, rule.direction)
             assert (row.rule, row.checkpoint_id, row.value) == (rule.name, ids[best], column[best])
+
+    # What each spelling stands for, written out by hand.
+    SPELLINGS = {"mean": "mean", "median": 50, "p50": 50, "p5": 5, "p05": 5,
+                 "p95": 95, "p99": 99, "judge": "judge"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_selection_tables(),
+           names=st.lists(st.sampled_from(["mean", "median", "p50", "p5", "p05", "p95", "p99"]),
+                          min_size=1, max_size=8),
+           with_judge=st.booleans())
+    @example(drawn=({"a": SummarySet("a", 1.0, {5: 0.1, 50: 0.5, 95: 0.9, 99: 1.5}, 10)},
+                    {"a": 1.0}),
+             names=["p5", "p05", "mean", "mean"], with_judge=False)
+    @example(drawn=({"a": SummarySet("a", 1.0, {5: 0.1, 50: 0.5, 95: 0.9, 99: 1.5}, 10)},
+                    {"a": 1.0}),
+             names=["median", "p50"], with_judge=True)
+    def test_default_rules_give_one_row_per_summary_however_spelled(
+        self, drawn, names, with_judge
+    ):
+        table, judge = drawn
+        metrics = {"judge": MetricSeries("judge", judge)} if with_judge else {}
+        given_names = [*names, *metrics]
+        rows = select(table, default_rules(given_names, metrics), metrics).rows
+        first: dict = {}
+        for name in given_names:
+            first.setdefault(self.SPELLINGS[name], name)
+        ids = sorted(table)
+        want = []
+        for name in first.values():
+            if name == "judge":
+                column, direction = [judge[cid] for cid in ids], "max"
+            else:
+                column, direction = [table[cid].value(name) for cid in ids], "min"
+            best = oracles.select_by_pairs(column, direction)
+            want.append((name, ids[best], column[best]))
+        assert [(r.rule, r.checkpoint_id, r.value) for r in rows] == want
 
     def test_single_checkpoint_wins_everything(self):
         table = {"only": SummarySet("only", 1.2, {50: 0.8}, 10)}

@@ -575,6 +575,14 @@ class TestLabConfig:
             with pytest.raises(ValidationError, match=_names_k(k)):
                 LabConfig(ks=(k, "full"))
 
+    def test_a_k_list_without_the_teacher_row_is_refused_when_built(self):
+        with pytest.raises(ValidationError, match='^ks must include "full"$'):
+            LabConfig(ks=(2, 4))
+        with pytest.raises(ValidationError, match='^ks must include "full"$'):
+            LabConfig(vocab=16, ks=(2, 8))
+        assert LabConfig(vocab=16, ks=(2, 16)).ks == (2, 16)
+        assert LabConfig(vocab=16, ks=(np.int64(16),)).ks == (16,)
+
     def test_defaults_are_frozen(self):
         config = LabConfig()
         assert (config.vocab, config.seed) == (64, 7)

@@ -36,6 +36,7 @@ from lossdiag import (
     load_manifest,
     peek_dump_count,
     read_loss_dump,
+    summarize_chunks,
     write_loss_dump,
 )
 from lossdiag import cli, store
@@ -209,10 +210,14 @@ class TestTextFallback:
 
     @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
     def test_read_of_empty_text_dump_is_format_error(self, tmp_path, text):
+        # Every reader, the stream and a summary over it among them, names the file.
         path = tmp_path / "empty.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(StoreFormatError, match="empty text dump"):
-            read_loss_dump(path)
+        readers = (peek_dump_count, read_loss_dump, lambda p: list(iter_loss_chunks(p)),
+                   lambda p: summarize_chunks("x", iter_loss_chunks(p)))
+        for read in readers:
+            with pytest.raises(StoreFormatError, match=f"^{re.escape(str(path))}: empty text dump$"):
+                read(path)
 
     def test_non_utf8_text_dump_is_format_error_exit_2(self, tmp_path, capsys):
         dump = tmp_path / "dumps" / "latin1.txt"
@@ -281,17 +286,25 @@ def _chunk_bytes(chunks):
 
 def _assert_reads_like_lines(path, chunk):
     """The store's chunks and count equal the per-line references, value,
-    error type and message alike; the count matches the values parsed (a
-    dump with none is an empty dump to both)."""
+    error type and message alike, and its three readers agree. A whole read
+    is the streamed chunks joined, or the stream's error. The count is the
+    number of values streamed; a dump it refuses the stream refuses too, and
+    a dump with no value is an empty dump to all three, by one message."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(store, "DEFAULT_CHUNK", chunk)
         got = _outcome(lambda: _chunk_bytes(iter_loss_chunks(path)))
+        whole = _outcome(lambda: read_loss_dump(path).losses.tobytes())
     want = _outcome(lambda: _chunk_bytes(oracles.text_chunks_by_lines(path, chunk)))
     assert got == want
     count = _outcome(lambda: peek_dump_count(path))
     assert count == _outcome(lambda: oracles.text_count_by_lines(path))
-    if got[0] == "ok" and got[1]:
-        assert count == ("ok", sum(len(b) // 4 for _, b in got[1]))
+    if got[0] == "ok":
+        assert whole == ("ok", b"".join(b for _, b in got[1]))
+        assert count == ("ok", len(whole[1]) // 4)
+    else:
+        assert whole == got
+    empty = (StoreFormatError, f"{path}: empty text dump")
+    assert (got == empty) == (count == empty)
 
 
 class TestTextDumpProperties:
@@ -308,6 +321,9 @@ class TestTextDumpProperties:
     @example(data=b"nan\n1\nhello\n", chunk=1, block=16)  # a full chunk's NaN first
     @example(data=b"nan\n1\nhello\n", chunk=7, block=16)  # the junk line first
     @example(data=b"0.5\n1.5\r", chunk=1, block=16)  # ends in a lone CR
+    @example(data=b"", chunk=1, block=16)  # no value: an empty dump to every reader
+    @example(data=b"\n\n", chunk=2, block=1)
+    @example(data=b" \r\n\t\n", chunk=1, block=2)
     def test_blocks_read_like_the_per_line_loop(self, data, chunk, block):
         # Small read blocks put block boundaries at every place in the dump.
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
