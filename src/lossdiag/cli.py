@@ -26,10 +26,11 @@ constant correlation column, a dump changed since it was counted. Usage
 errors, a correlate flag its mode does not read among them, come before
 the manifest is read. An empty --family list means every family; a
 repeated name counts once.
-LOSSDIAG_THREADS caps the worker threads that scan checkpoints and the
-worker processes that train distill-demo's students (workers.worker_count:
-one per task, at most 8 and at most the usable CPUs); BLAS runs
-single-threaded, by the rule in the package ``__init__``.
+LOSSDIAG_THREADS sets the limit on the worker threads that scan checkpoints
+and the worker processes that train distill-demo's students, in place of
+the default (workers.worker_count: one per task, at most 8 and at most the
+usable CPUs); a set value may exceed both. BLAS runs single-threaded, by
+the rule in the package ``__init__``.
 """
 
 from __future__ import annotations

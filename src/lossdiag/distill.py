@@ -33,6 +33,7 @@ Pieces:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -132,6 +133,9 @@ class TabularLM:
             raise ValidationError("logits must be a square (V, V) matrix")
         if np.isnan(z).any() or (z == np.inf).any():
             raise ValidationError("logits must not contain NaN or +inf")
+        empty = np.flatnonzero((z == -np.inf).all(axis=1))
+        if empty.size:  # softmax of the row would be 0/0
+            raise ValidationError(f"logits row {int(empty[0])} has no finite entry")
         z.flags.writeable = False
         object.__setattr__(self, "logits", z)
         v = z.shape[0]
@@ -264,13 +268,16 @@ def _token_ids(stream, vocab: int) -> np.ndarray:
 def fit_teacher(stream: np.ndarray, alpha: float, vocab: int) -> TabularLM:
     """Add-alpha smoothed bigram model of ``stream`` over ids 0..vocab-1.
 
-    Row c is (count(c, x) + alpha) / (count(c, .) + alpha * V); alpha -> inf
-    degrades gracefully to uniform rows. The stream must pass _token_ids.
+    Row c is (count(c, x) + alpha) / (count(c, .) + alpha * V); a large
+    alpha gives nearly uniform rows. alpha must be > 0 with alpha * V finite
+    in float64: a NaN or infinite alpha, or one whose alpha * V overflows,
+    would leave rows of NaN or of zeros. The stream must pass _token_ids.
     The model carries the stream's empirical context frequencies.
     """
-    if alpha <= 0:
-        raise ValidationError("alpha must be > 0")
     v = _check_size("vocab", vocab, 2)
+    # NaN fails alpha > 0; float() keeps a float64 alpha * v from warning
+    if not alpha > 0 or not math.isfinite(float(alpha) * v):
+        raise ValidationError(f"alpha must be > 0 with alpha * vocab finite, got {alpha!r}")
     arr = _token_ids(stream, v)
     prev, nxt = arr[:-1], arr[1:]
     counts = np.bincount(prev * v + nxt, minlength=v * v).astype(np.float64).reshape(v, v)
@@ -314,6 +321,16 @@ def _descend_rows(
     is non-finite, the logits so far and (step, row), row counted within
     the block. Module level, so spawned worker processes can import it.
 
+    Entries of one row whose weighted targets have equal bits form a class,
+    and each class's logit is stepped once. Tied entries start at 0.0 and
+    every step gives them the same IEEE operations on the same operands
+    (exp, times the row's scale, minus the target, subtracted from the
+    logit), so they stay equal. Top-K rows tie a lot: V - K targets are 0,
+    and the add-alpha teacher gives every unseen transition one value. The
+    row sum is not taken per class: each step gathers the class values back
+    into the full (R, V) layout and sums that, so numpy's pairwise sum sees
+    the same values in the same order as a loop over every entry would.
+
     The steps run unchecked and the last step's row sums are tested once;
     if one is not finite, the block runs again from zero, checking every
     step. That finds the step the every-step check would have stopped at,
@@ -325,29 +342,45 @@ def _descend_rows(
       logits += step_w * target >= 0; no logit shrinks and the next
       sum overflows again.
     """
-    logits = np.empty_like(weighted_targets)
+    # Sort each row's target bits; a class starts where the bits change.
+    bits = weighted_targets.view(np.uint64)
+    order = np.argsort(bits, axis=1)
+    ranked = np.take_along_axis(bits, order, axis=1)
+    starts = np.ones(bits.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+    slot = np.empty(bits.shape, dtype=np.intp)  # the class of each entry
+    np.put_along_axis(slot, order, np.cumsum(starts).reshape(bits.shape) - 1, axis=1)
+    class_row = np.flatnonzero(starts) // bits.shape[1]
+    target = ranked[starts].view(np.float64)
+
+    logits = np.empty_like(target)
     # KL gradients sum to zero per row, so logits keep zero row sums and sit
     # tens of nats away from exp overflow: no max-shift needed. Runaway
     # learning rates overflow exp() to inf, which the row-sum check catches.
-    q = np.empty_like(logits)
+    q = np.empty_like(target)
+    full_q = np.empty_like(weighted_targets)
     acc = np.empty_like(step_w)
     scale = np.empty_like(acc)
+    class_scale = np.empty_like(target)
     with np.errstate(over="ignore", invalid="ignore"):
         for check in (False, True):
             logits.fill(0.0)
             for step in range(steps):
                 np.exp(logits, out=q)
-                q.sum(axis=1, keepdims=True, out=acc)
+                # mode="clip": with out=, "raise" copies through a buffer.
+                q.take(slot, out=full_q, mode="clip")
+                np.add.reduce(full_q, axis=1, keepdims=True, out=acc)
                 if check and not np.isfinite(acc).all():
-                    return logits, (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
-                # logits -= lr * w * (q/acc - target), fused as two passes
+                    return logits[slot], (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
+                # logits -= lr * w * (q/acc - target), per class
                 np.divide(step_w, acc, out=scale)
-                np.multiply(q, scale, out=q)
-                np.subtract(q, weighted_targets, out=q)
+                scale.take(class_row, out=class_scale, mode="clip")
+                np.multiply(q, class_scale, out=q)
+                np.subtract(q, target, out=q)
                 np.subtract(logits, q, out=logits)
             if np.isfinite(acc).all():
                 break
-    return logits, None
+    return logits[slot], None
 
 
 def _train_batch(
@@ -369,10 +402,15 @@ def _train_batch(
     module, so a script that trains at import time needs the usual
     ``if __name__ == "__main__":`` guard.
 
-    Sharding cannot change a bit: each row's exp, pairwise sum, divide,
-    multiply and subtract read only that row, and every shard starts on a
-    row boundary. Threads would not help: the loop is per-call overhead on
-    small arrays, which holds the GIL.
+    Within a shard, tied targets of one row share a logit that each step
+    updates once, and the row sum runs on the gathered full row, so the
+    steps give the bits a step over every entry gives (see _descend_rows).
+
+    Sharding cannot change a bit: a class of tied entries never spans two
+    rows, each row's exp, pairwise sum, divide, multiply and subtract read
+    only that row, and every shard starts on a row boundary. Threads would
+    not help: the loop is per-call overhead on small arrays, which holds
+    the GIL.
     """
     steps = _check_size("steps", steps, 1)
     if not learning_rate > 0 or not np.isfinite(learning_rate):

@@ -2,8 +2,10 @@
 
 One policy serves the threads that scan checkpoints (``cli``) and the
 processes that train distillation students (``distill``): one worker per
-task, at most 8 and at most the CPUs this process may run on.
-LOSSDIAG_THREADS caps it. BLAS itself runs single-threaded (``__init__``).
+task, at most 8 and at most the CPUs this process may run on. A set
+LOSSDIAG_THREADS replaces that default limit of 8 and the CPU count: it may
+exceed both, and only the number of tasks still bounds it. BLAS itself runs
+single-threaded (``__init__``).
 """
 
 from __future__ import annotations

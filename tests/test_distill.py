@@ -2,12 +2,15 @@
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossdiag import (
     DivergenceError,
@@ -207,6 +210,10 @@ class TestTabularLM:
         model = TabularLM(logits=np.array([[0.0, -math.inf], [0.0, 0.0]]))
         assert model.row_dist(0).tolist() == [1.0, 0.0]
 
+    def test_row_without_a_finite_logit_rejected(self):
+        with pytest.raises(ValidationError, match="logits row 1 has no finite entry"):
+            TabularLM(logits=np.array([[0.0, 0.0], [-math.inf, -math.inf]]))
+
     def test_weights_validation(self):
         z = np.zeros((2, 2))
         with pytest.raises(ValidationError):
@@ -341,6 +348,19 @@ class TestFitTeacher:
             fit_teacher(np.array([0, 5]), alpha=1.0, vocab=4)
         with pytest.raises(ValidationError, match="token ids must be integers"):
             fit_teacher(np.array([0.0, 1.6]), alpha=1.0, vocab=4)
+
+    @pytest.mark.parametrize(
+        "alpha, vocab",
+        [(math.nan, 8), (math.inf, 8), (1e308, 8), (np.float64(1e308), 8),
+         (sys.float_info.max / 3, 3)],  # max / 3 rounds up: alpha * 3 overflows
+        ids=["nan", "inf", "1e308", "np-1e308", "max-over-3"],
+    )
+    def test_alpha_that_leaves_no_distribution_is_refused(self, alpha, vocab):
+        stream = synth_corpus(2, 8, 1.1, 10_000) % vocab
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="alpha must be"):
+                fit_teacher(stream, alpha, vocab)
 
 
 @pytest.fixture(scope="module")
@@ -740,6 +760,63 @@ class TestShardedTraining:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("LOSSDIAG_THREADS", "1")
         _train_batch(stacked_targets, small_world.context_weights, 10, 8.0)
+
+
+@st.composite
+def _tied_batches(draw):
+    """(targets, weights, steps, learning_rate) for _train_batch, with ties
+    of every kind the per-class loop groups: whole rows of one value, rows
+    with no ties, top-K-like rows of a few values and zeros, zero columns,
+    and one row's targets repeated in other rows under other weights."""
+    v = draw(st.sampled_from([8, 13, 64, 130]))
+    b = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Every row is a distribution over the columns not zeroed, as in the lab.
+    live = np.sort(rng.choice(v, size=v - draw(st.integers(0, 3)), replace=False))
+    targets = np.zeros((b, v, v))
+    for row in targets.reshape(b * v, v):
+        kind = draw(st.sampled_from(["tied", "distinct", "pooled"]))
+        if kind == "tied":
+            row[live] = 1.0 / live.size
+        elif kind == "distinct":
+            row[live] = _random_dist(rng, live.size)
+        else:
+            pool = rng.gamma(0.7, 1.0, draw(st.integers(1, 3)))
+            kept = rng.choice(live, size=draw(st.integers(1, live.size)), replace=False)
+            row[kept] = rng.choice(pool, size=kept.size)
+            row /= row.sum()
+    for _ in range(draw(st.integers(0, 4))):
+        src, dst = rng.integers(0, b * v, size=2)
+        targets.reshape(b * v, v)[dst] = targets.reshape(b * v, v)[src]
+    if draw(st.booleans()):
+        weights = np.full(v, 1.0 / v)
+    else:
+        weights = rng.gamma(0.5, 1.0, v) * (rng.random(v) > 0.1)
+        weights /= max(weights.sum(), 1.0)
+    steps = draw(st.integers(1, 40))
+    learning_rate = draw(st.sampled_from([0.5, 8.0, 200.0, 1e4]))
+    return targets, weights, steps, learning_rate
+
+
+class TestTiedTargets:
+    """One worker: the per-class step loop against the per-entry reference.
+    The worker sharding is covered by TestShardedTraining and
+    TestExactDivergence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tied_batches())
+    def test_matches_lockstep_bit_for_bit(self, batch):
+        targets, weights, steps, lr = batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("LOSSDIAG_THREADS", "1")
+            try:
+                ref = oracles.train_by_lockstep(targets, weights, steps, lr)
+            except DivergenceError as exc:
+                with pytest.raises(DivergenceError) as ours:
+                    _train_batch(targets, weights, steps, lr)
+                assert (ours.value.step, ours.value.row) == (exc.step, exc.row)
+                return
+            assert np.array_equal(_train_batch(targets, weights, steps, lr), ref)
 
 
 def _heavy_last_context(v=8):
