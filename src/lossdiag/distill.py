@@ -33,7 +33,6 @@ Pieces:
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -275,8 +274,13 @@ def fit_teacher(stream: np.ndarray, alpha: float, vocab: int) -> TabularLM:
     The model carries the stream's empirical context frequencies.
     """
     v = _check_size("vocab", vocab, 2)
-    # NaN fails alpha > 0; float() keeps a float64 alpha * v from warning
-    if not alpha > 0 or not math.isfinite(float(alpha) * v):
+    # NaN fails > 0; a Python float product overflows to inf without a
+    # numpy warning, and float() of an int past float64 raises.
+    try:
+        usable = alpha > 0 and float(alpha) * v < np.inf
+    except OverflowError:
+        usable = False
+    if not usable:
         raise ValidationError(f"alpha must be > 0 with alpha * vocab finite, got {alpha!r}")
     arr = _token_ids(stream, v)
     prev, nxt = arr[:-1], arr[1:]
@@ -311,6 +315,37 @@ def _check_size(name: str, value, floor: int) -> int:
     raise ValidationError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
+def _tie_classes(weighted_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of equal target bits within each row of an (R, V) block.
+
+    Returns slot, the class of each entry, shaped (R, V); class_row, the row
+    of each class; and target, each class's weighted target. Classes are
+    numbered row by row, so no class spans two rows.
+    """
+    # Sort each row's target bits; a class starts where the bits change.
+    # Flat positions, and each temporary dropped once used, keep building
+    # the classes to three (R, V) arrays at a time. A stable sort, because
+    # the default quicksort of 64-bit keys pages in numpy's SIMD sort code:
+    # about 0.3 MB of resident memory that the lab uses nowhere else.
+    bits = weighted_targets.view(np.uint64)
+    order = np.argsort(bits, axis=1, kind="stable")
+    order += np.arange(0, bits.size, bits.shape[1]).reshape(-1, 1)
+    ranked = bits.take(order)
+    starts = np.empty(bits.shape, dtype=bool)
+    np.not_equal(ranked.ravel()[1:], ranked.ravel()[:-1], out=starts.ravel()[1:])
+    starts[:, 0] = True
+    class_row = np.flatnonzero(starts) // bits.shape[1]
+    target = ranked[starts].view(np.float64)
+    del ranked
+    ids = starts.astype(np.intp)
+    del starts
+    np.cumsum(ids.ravel(), out=ids.ravel())
+    ids -= 1
+    slot = np.empty_like(order)
+    slot.put(order, ids)
+    return slot, class_row, target
+
+
 def _descend_rows(
     weighted_targets: np.ndarray, step_w: np.ndarray, steps: int
 ) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -321,15 +356,20 @@ def _descend_rows(
     is non-finite, the logits so far and (step, row), row counted within
     the block. Module level, so spawned worker processes can import it.
 
-    Entries of one row whose weighted targets have equal bits form a class,
-    and each class's logit is stepped once. Tied entries start at 0.0 and
-    every step gives them the same IEEE operations on the same operands
-    (exp, times the row's scale, minus the target, subtracted from the
-    logit), so they stay equal. Top-K rows tie a lot: V - K targets are 0,
-    and the add-alpha teacher gives every unseen transition one value. The
-    row sum is not taken per class: each step gathers the class values back
-    into the full (R, V) layout and sums that, so numpy's pairwise sum sees
-    the same values in the same order as a loop over every entry would.
+    Entries of one row whose weighted targets have equal bits form a class.
+    Tied entries start at 0.0 and every step gives them the same IEEE
+    operations on the same operands (exp, times the row's scale, minus the
+    target, subtracted from the logit), so they stay equal, and a step may
+    update each class's logit once. Top-K rows tie a lot: V - K targets are
+    0, and the add-alpha teacher gives every unseen transition one value.
+    The row sum is not taken per class: each step gathers the class values
+    back into the full (R, V) layout and sums that, so numpy's pairwise sum
+    sees the same values in the same order as a step over every entry.
+    That gather and the one of each class's scale cost about what the
+    per-class passes save when classes are half the entries (the break-even
+    measured on shards of 32 to 12,800 entries), so a block with more
+    classes than that steps every entry instead, with no gather. Both ways
+    give the same bits.
 
     The steps run unchecked and the last step's row sums are tested once;
     if one is not finite, the block runs again from zero, checking every
@@ -342,45 +382,42 @@ def _descend_rows(
       logits += step_w * target >= 0; no logit shrinks and the next
       sum overflows again.
     """
-    # Sort each row's target bits; a class starts where the bits change.
-    bits = weighted_targets.view(np.uint64)
-    order = np.argsort(bits, axis=1)
-    ranked = np.take_along_axis(bits, order, axis=1)
-    starts = np.ones(bits.shape, dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
-    slot = np.empty(bits.shape, dtype=np.intp)  # the class of each entry
-    np.put_along_axis(slot, order, np.cumsum(starts).reshape(bits.shape) - 1, axis=1)
-    class_row = np.flatnonzero(starts) // bits.shape[1]
-    target = ranked[starts].view(np.float64)
-
+    slot, class_row, target = _tie_classes(weighted_targets)
+    per_class = 2 * target.size <= weighted_targets.size
+    if not per_class:
+        slot = class_row = None
+        target = weighted_targets
     logits = np.empty_like(target)
     # KL gradients sum to zero per row, so logits keep zero row sums and sit
     # tens of nats away from exp overflow: no max-shift needed. Runaway
     # learning rates overflow exp() to inf, which the row-sum check catches.
     q = np.empty_like(target)
-    full_q = np.empty_like(weighted_targets)
+    full_q = np.empty_like(weighted_targets) if per_class else q
     acc = np.empty_like(step_w)
     scale = np.empty_like(acc)
-    class_scale = np.empty_like(target)
+    class_scale = np.empty_like(target) if per_class else scale  # else broadcast per row
     with np.errstate(over="ignore", invalid="ignore"):
         for check in (False, True):
             logits.fill(0.0)
             for step in range(steps):
                 np.exp(logits, out=q)
-                # mode="clip": with out=, "raise" copies through a buffer.
-                q.take(slot, out=full_q, mode="clip")
+                if per_class:  # mode="clip": with out=, "raise" copies through a buffer.
+                    q.take(slot, out=full_q, mode="clip")
                 np.add.reduce(full_q, axis=1, keepdims=True, out=acc)
                 if check and not np.isfinite(acc).all():
-                    return logits[slot], (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
-                # logits -= lr * w * (q/acc - target), per class
+                    fail = (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
+                    return (logits.take(slot, out=full_q) if per_class else logits), fail
+                # logits -= lr * w * (q/acc - target)
                 np.divide(step_w, acc, out=scale)
-                scale.take(class_row, out=class_scale, mode="clip")
+                if per_class:
+                    scale.take(class_row, out=class_scale, mode="clip")
                 np.multiply(q, class_scale, out=q)
                 np.subtract(q, target, out=q)
                 np.subtract(logits, q, out=logits)
             if np.isfinite(acc).all():
                 break
-    return logits[slot], None
+    # full_q is free now: the logits expand into it, not into a new array.
+    return (logits.take(slot, out=full_q) if per_class else logits), None
 
 
 def _train_batch(
@@ -402,9 +439,11 @@ def _train_batch(
     module, so a script that trains at import time needs the usual
     ``if __name__ == "__main__":`` guard.
 
-    Within a shard, tied targets of one row share a logit that each step
-    updates once, and the row sum runs on the gathered full row, so the
-    steps give the bits a step over every entry gives (see _descend_rows).
+    Within a shard whose classes of tied targets (equal targets of one row)
+    number at most half its entries, each class shares a logit that each
+    step updates once, and the row sum runs on the gathered full row; other
+    shards step every entry. Either way the steps give the bits a step over
+    every entry gives (see _descend_rows).
 
     Sharding cannot change a bit: a class of tied entries never spans two
     rows, each row's exp, pairwise sum, divide, multiply and subtract read

@@ -352,8 +352,9 @@ class TestFitTeacher:
     @pytest.mark.parametrize(
         "alpha, vocab",
         [(math.nan, 8), (math.inf, 8), (1e308, 8), (np.float64(1e308), 8),
-         (sys.float_info.max / 3, 3)],  # max / 3 rounds up: alpha * 3 overflows
-        ids=["nan", "inf", "1e308", "np-1e308", "max-over-3"],
+         (sys.float_info.max / 3, 3),  # max / 3 rounds up: alpha * 3 overflows
+         (10**400, 8)],  # an int past float64
+        ids=["nan", "inf", "1e308", "np-1e308", "max-over-3", "int-10e400"],
     )
     def test_alpha_that_leaves_no_distribution_is_refused(self, alpha, vocab):
         stream = synth_corpus(2, 8, 1.1, 10_000) % vocab
@@ -767,7 +768,10 @@ def _tied_batches(draw):
     """(targets, weights, steps, learning_rate) for _train_batch, with ties
     of every kind the per-class loop groups: whole rows of one value, rows
     with no ties, top-K-like rows of a few values and zeros, zero columns,
-    and one row's targets repeated in other rows under other weights."""
+    and one row's targets repeated in other rows under other weights. A
+    batch of mostly tie-free rows has more classes than half its entries,
+    so it steps every entry; the even mix steps per class."""
+    kinds = draw(st.sampled_from([("tied", "distinct", "pooled"), ("distinct",) * 7 + ("tied",)]))
     v = draw(st.sampled_from([8, 13, 64, 130]))
     b = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -775,7 +779,7 @@ def _tied_batches(draw):
     live = np.sort(rng.choice(v, size=v - draw(st.integers(0, 3)), replace=False))
     targets = np.zeros((b, v, v))
     for row in targets.reshape(b * v, v):
-        kind = draw(st.sampled_from(["tied", "distinct", "pooled"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "tied":
             row[live] = 1.0 / live.size
         elif kind == "distinct":
@@ -799,8 +803,8 @@ def _tied_batches(draw):
 
 
 class TestTiedTargets:
-    """One worker: the per-class step loop against the per-entry reference.
-    The worker sharding is covered by TestShardedTraining and
+    """One worker: the per-class and per-entry step loops against the
+    reference. The worker sharding is covered by TestShardedTraining and
     TestExactDivergence."""
 
     @settings(max_examples=60, deadline=None)
