@@ -22,7 +22,6 @@ from lossdiag import (
 )
 
 rng = np.random.default_rng(11)
-workdir = Path(tempfile.mkdtemp(prefix="lossdiag-demo-"))
 
 # A realistic-looking loss stream: mostly easy tokens, a heavy right tail,
 # and one +inf sentinel for a token the model assigned zero probability.
@@ -30,18 +29,20 @@ losses = rng.lognormal(-1.0, 1.2, 200_000).astype(np.float32)
 losses[123_456] = np.inf
 vector = LossVector("demo-ckpt", losses)
 
-path = workdir / "demo-ckpt.bin"
-write_loss_dump(vector, path)
-print(f"wrote {path} ({path.stat().st_size} bytes for {len(losses)} values)")
+# The dump lives only as long as the directory; everything after works on `back`.
+with tempfile.TemporaryDirectory(prefix="lossdiag-demo-") as workdir:
+    path = Path(workdir) / "demo-ckpt.bin"
+    write_loss_dump(vector, path)
+    print(f"wrote {path} ({path.stat().st_size} bytes for {len(losses)} values)")
 
-# The count lives in the header, so checking a dump costs two small reads.
-print("header says:", peek_dump_count(path), "values")
+    # The count lives in the header, so checking a dump costs two small reads.
+    print("header says:", peek_dump_count(path), "values")
 
-# Full read is bit-exact; chunked iteration never holds the whole payload.
-back = read_loss_dump(path)
-assert back.losses.tobytes() == vector.losses.tobytes()
-total = sum(part.size for part in iter_loss_chunks(path))
-print("chunked read saw:", total, "values")
+    # Full read is bit-exact; chunked iteration never holds the whole payload.
+    back = read_loss_dump(path)
+    assert back.losses.tobytes() == vector.losses.tobytes()
+    total = sum(part.size for part in iter_loss_chunks(path))
+    print("chunked read saw:", total, "values")
 
 # The mean is dragged by the tail (and here pinned to +inf by the sentinel),
 # while the median and p95 describe where tokens actually sit.

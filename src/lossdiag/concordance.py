@@ -109,6 +109,9 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValidationError("inputs must be one-dimensional and equally long")
     if x.size < 2:
         raise ValidationError("need at least two observations")
+    for name, values in (("a", x), ("b", y)):
+        if np.isnan(values).any():  # _sign_matrix would tie NaN with every value
+            raise ValidationError(f"kendall_tau input {name} contains NaN")
     iu = np.triu_indices(x.size, k=1)
     sx = _sign_matrix(x)[iu]
     sy = _sign_matrix(y)[iu]

@@ -217,6 +217,14 @@ def _check_steps(steps, family: str = "") -> None:
             raise ValidationError(f"{where}duplicate step {step} in series")
 
 
+def _integral(value) -> bool:
+    """Whether value is a number that int() leaves unchanged, and not a bool."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
+        return False
+
+
 def _check_reference(reference: float) -> None:
     if math.isnan(reference):
         raise ValidationError("crossing reference is NaN")
@@ -229,13 +237,20 @@ def crossing_step(
 
     The series is ordered by step before scanning; no interpolation between
     evaluation points. Returns None when the series never crosses; a NaN
-    reference, which no value is below, is a ValidationError.
+    reference, which no value is below, is a ValidationError, as are a
+    non-integral or bool step and a NaN value (±inf values are ordered).
     """
     _check_reference(reference)
     if not series:
         raise ValidationError("empty series")
+    for step, _ in series:
+        if not _integral(step):
+            raise ValidationError(f"series step must be an integer, got {step!r}")
     ordered = sorted((int(s), float(v)) for s, v in series)
     _check_steps(s for s, _ in ordered)
+    nan_steps = [step for step, value in ordered if math.isnan(value)]
+    if nan_steps:
+        raise ValidationError(f"series value at step {nan_steps[0]} is NaN")
     for step, value in ordered:
         if value < reference:
             return step
@@ -252,7 +267,7 @@ def passk_ci(p_hats: Sequence[float], n_samples: int) -> tuple[float, float]:
     arr = np.asarray(p_hats, dtype=np.float64)
     if arr.size == 0:
         raise ValidationError("no per-prompt estimates given")
-    if int(n_samples) != n_samples or n_samples < 1:
+    if not _integral(n_samples) or n_samples < 1:
         raise ValidationError("n_samples must be a positive integer")
     n_samples = int(n_samples)
     if ((arr < 0) | (arr > 1)).any() or not np.isfinite(arr).all():

@@ -200,10 +200,15 @@ def true_chain(
     with np.errstate(over="ignore", invalid="ignore"):
         rows = base[None, :] * np.exp(concentration * noise)
         rows /= rows.sum(axis=1, keepdims=True)
-    if not ((rows > 0) & (rows < np.inf)).all():  # a zero start probability zeroes a column
-        raise ValidationError(f"zipf exponent {zipf_exponent!r} and concentration "
-                              f"{concentration!r} give a zero or non-finite chain probability")
+    # Rows only: a zero start probability zeroes a column of them.
+    _check_chain(rows, f"zipf exponent {zipf_exponent!r} and concentration {concentration!r} give")
     return base, rows
+
+
+def _check_chain(probs: np.ndarray, source: str) -> None:
+    """A ValidationError naming source unless every probability is finite and > 0."""
+    if not ((probs > 0) & (probs < np.inf)).all():
+        raise ValidationError(f"{source} a zero or non-finite chain probability")
 
 
 _SAMPLE_BLOCK = 4096
@@ -269,8 +274,9 @@ def fit_teacher(stream: np.ndarray, alpha: float, vocab: int) -> TabularLM:
 
     Row c is (count(c, x) + alpha) / (count(c, .) + alpha * V); a large
     alpha gives nearly uniform rows. alpha must be > 0 with alpha * V finite
-    in float64: a NaN or infinite alpha, or one whose alpha * V overflows,
-    would leave rows of NaN or of zeros. The stream must pass _token_ids.
+    in float64, and no probability may underflow to 0: a NaN or infinite
+    alpha, or one whose alpha * V overflows, would leave rows of NaN or of
+    zeros, and 5e-324 -inf logits. The stream must pass _token_ids.
     The model carries the stream's empirical context frequencies.
     """
     v = _check_size("vocab", vocab, 2)
@@ -288,6 +294,7 @@ def fit_teacher(stream: np.ndarray, alpha: float, vocab: int) -> TabularLM:
     probs = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * v)
     weights = np.bincount(prev, minlength=v).astype(np.float64)
     weights /= weights.sum()
+    _check_chain(probs, f"alpha {alpha!r} gives")
     return TabularLM(logits=np.log(probs), context_weights=weights)
 
 
@@ -315,35 +322,39 @@ def _check_size(name: str, value, floor: int) -> int:
     raise ValidationError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
-def _tie_classes(weighted_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The classes of equal target bits within each row of an (R, V) block.
+def _tie_classes(weighted_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The classes of equal target bits within each row of an (R, V) block,
+    or None when they number more than half its entries.
 
     Returns slot, the class of each entry, shaped (R, V); class_row, the row
     of each class; and target, each class's weighted target. Classes are
-    numbered row by row, so no class spans two rows.
+    numbered row by row, in ascending bits within a row, so no class spans
+    two rows. This is the lab's one layout rule: stepping per class adds two
+    gathers a step, which cost what the per-class passes save when classes
+    are half the entries (measured on shards of 32 to 12,800 entries); past
+    that a block steps every entry, with no gather.
     """
-    # Sort each row's target bits; a class starts where the bits change.
-    # Flat positions, and each temporary dropped once used, keep building
-    # the classes to three (R, V) arrays at a time. A stable sort, because
-    # the default quicksort of 64-bit keys pages in numpy's SIMD sort code:
-    # about 0.3 MB of resident memory that the lab uses nowhere else.
+    # Stable: the default quicksort of 64-bit keys pages in numpy's SIMD sort
+    # code, about 0.3 MB of resident memory that the lab uses nowhere else.
     bits = weighted_targets.view(np.uint64)
     order = np.argsort(bits, axis=1, kind="stable")
-    order += np.arange(0, bits.size, bits.shape[1]).reshape(-1, 1)
-    ranked = bits.take(order)
-    starts = np.empty(bits.shape, dtype=bool)
-    np.not_equal(ranked.ravel()[1:], ranked.ravel()[:-1], out=starts.ravel()[1:])
-    starts[:, 0] = True
-    class_row = np.flatnonzero(starts) // bits.shape[1]
+    ranked = np.take_along_axis(bits, order, axis=1)
+    starts = np.ones(bits.shape, dtype=bool)  # a class starts where the bits change
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
     target = ranked[starts].view(np.float64)
-    del ranked
-    ids = starts.astype(np.intp)
-    del starts
-    np.cumsum(ids.ravel(), out=ids.ravel())
-    ids -= 1
+    if 2 * target.size > bits.size:
+        return None
+    # Not np.nonzero(starts)[0]: that is a strided view, and every step's
+    # gather through class_row runs slower on it.
+    class_row = np.flatnonzero(starts) // bits.shape[1]
     slot = np.empty_like(order)
-    slot.put(order, ids)
+    np.put_along_axis(slot, order, np.cumsum(starts).reshape(bits.shape) - 1, axis=1)
     return slot, class_row, target
+
+
+def _full_layout(values: np.ndarray, slot: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """The (R, V) layout of values: gathered into out through slot, unless slot is None."""
+    return values if slot is None else values.take(slot, out=out)
 
 
 def _descend_rows(
@@ -365,11 +376,7 @@ def _descend_rows(
     The row sum is not taken per class: each step gathers the class values
     back into the full (R, V) layout and sums that, so numpy's pairwise sum
     sees the same values in the same order as a step over every entry.
-    That gather and the one of each class's scale cost about what the
-    per-class passes save when classes are half the entries (the break-even
-    measured on shards of 32 to 12,800 entries), so a block with more
-    classes than that steps every entry instead, with no gather. Both ways
-    give the same bits.
+    _tie_classes picks per class or per entry; both give the same bits.
 
     The steps run unchecked and the last step's row sums are tested once;
     if one is not finite, the block runs again from zero, checking every
@@ -382,42 +389,39 @@ def _descend_rows(
       logits += step_w * target >= 0; no logit shrinks and the next
       sum overflows again.
     """
-    slot, class_row, target = _tie_classes(weighted_targets)
-    per_class = 2 * target.size <= weighted_targets.size
-    if not per_class:
-        slot = class_row = None
-        target = weighted_targets
+    classes = _tie_classes(weighted_targets)
+    slot, class_row, target = classes or (None, None, weighted_targets)
     logits = np.empty_like(target)
     # KL gradients sum to zero per row, so logits keep zero row sums and sit
     # tens of nats away from exp overflow: no max-shift needed. Runaway
     # learning rates overflow exp() to inf, which the row-sum check catches.
     q = np.empty_like(target)
-    full_q = np.empty_like(weighted_targets) if per_class else q
+    full_q = np.empty_like(weighted_targets) if classes else q
     acc = np.empty_like(step_w)
     scale = np.empty_like(acc)
-    class_scale = np.empty_like(target) if per_class else scale  # else broadcast per row
+    class_scale = np.empty_like(target) if classes else scale  # else broadcast per row
+    # full_q is free at both exits, so the logits expand into it, not into a new array.
     with np.errstate(over="ignore", invalid="ignore"):
         for check in (False, True):
             logits.fill(0.0)
             for step in range(steps):
                 np.exp(logits, out=q)
-                if per_class:  # mode="clip": with out=, "raise" copies through a buffer.
+                if classes:  # mode="clip": with out=, "raise" copies through a buffer.
                     q.take(slot, out=full_q, mode="clip")
                 np.add.reduce(full_q, axis=1, keepdims=True, out=acc)
                 if check and not np.isfinite(acc).all():
                     fail = (step, int(np.flatnonzero(~np.isfinite(acc))[0]))
-                    return (logits.take(slot, out=full_q) if per_class else logits), fail
+                    return _full_layout(logits, slot, full_q), fail
                 # logits -= lr * w * (q/acc - target)
                 np.divide(step_w, acc, out=scale)
-                if per_class:
+                if classes:
                     scale.take(class_row, out=class_scale, mode="clip")
                 np.multiply(q, class_scale, out=q)
                 np.subtract(q, target, out=q)
                 np.subtract(logits, q, out=logits)
             if np.isfinite(acc).all():
                 break
-    # full_q is free now: the logits expand into it, not into a new array.
-    return (logits.take(slot, out=full_q) if per_class else logits), None
+    return _full_layout(logits, slot, full_q), None
 
 
 def _train_batch(
@@ -439,17 +443,11 @@ def _train_batch(
     module, so a script that trains at import time needs the usual
     ``if __name__ == "__main__":`` guard.
 
-    Within a shard whose classes of tied targets (equal targets of one row)
-    number at most half its entries, each class shares a logit that each
-    step updates once, and the row sum runs on the gathered full row; other
-    shards step every entry. Either way the steps give the bits a step over
-    every entry gives (see _descend_rows).
-
-    Sharding cannot change a bit: a class of tied entries never spans two
-    rows, each row's exp, pairwise sum, divide, multiply and subtract read
-    only that row, and every shard starts on a row boundary. Threads would
-    not help: the loop is per-call overhead on small arrays, which holds
-    the GIL.
+    Sharding cannot change a bit: a class of tied entries, which a shard may
+    step once (see _descend_rows), never spans two rows, each row's exp,
+    pairwise sum, divide, multiply and subtract read only that row, and
+    every shard starts on a row boundary. Threads would not help: the loop
+    is per-call overhead on small arrays, which holds the GIL.
     """
     steps = _check_size("steps", steps, 1)
     if not learning_rate > 0 or not np.isfinite(learning_rate):

@@ -228,6 +228,26 @@ def train_by_lockstep(targets, weights, steps, learning_rate):
     return logits
 
 
+def tie_classes_by_rows(weighted_targets):
+    """(slot, class_row, target) of distill._tie_classes, by a set per row.
+
+    Each row's distinct target bit patterns, in ascending order, are its
+    classes, numbered on from the previous row's; slot gives each entry's
+    class. Python ints and dicts, where the package sorts whole blocks.
+    """
+    bits = weighted_targets.view(np.uint64).tolist()
+    slot, class_row, target = [], [], []
+    for row, patterns in enumerate(bits):
+        distinct = sorted(set(patterns))
+        ids = {pattern: len(target) + i for i, pattern in enumerate(distinct)}
+        slot.append([ids[pattern] for pattern in patterns])
+        class_row += [row] * len(distinct)
+        target += distinct
+    return (np.array(slot, dtype=np.intp).reshape(weighted_targets.shape),
+            np.array(class_row, dtype=np.intp),
+            np.array(target, dtype=np.uint64).view(np.float64))
+
+
 def sketch_query_by_k(sketch, k):
     """QuantileSketch.query for one percentile, re-sorting the whole sketch.
 

@@ -1,11 +1,12 @@
 """The public import surface: ``lossdiag.__all__``, what the demos import
 and what the benchmark's tracer patches.
 
-The demos are parsed, not run (several take seconds and one trains
-students), so a deleted or renamed export fails here rather than only when
-someone next runs the demo. Likewise a function the tracer patches by name
-fails here rather than in every traced benchmark run. Importing the
-package also sets OpenBLAS's thread count, unless the host chose it.
+The demos are parsed here, not run (several take seconds and one trains
+students); CI runs them in a step of its own. So a deleted or renamed
+export fails in tier-1, not only when a demo next runs. Likewise a
+function the tracer patches by name fails here rather than in every
+traced benchmark run. Importing the package also sets OpenBLAS's thread
+count, unless the host chose it.
 """
 
 import ast

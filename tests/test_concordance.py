@@ -204,6 +204,14 @@ class TestKendallTau:
     def test_tied_inf_pair_in_identical_rankings(self):
         assert kendall_tau([np.inf, np.inf, 1.0], [2.0, 2.0, 1.0]) == 1.0
 
+    def test_nan_is_refused_not_tied(self):
+        # _sign_matrix tied NaN with every value: [nan, 1, 2] vs [1, 2, 3]
+        # read -0.333.
+        with pytest.raises(ValidationError, match="^kendall_tau input a contains NaN$"):
+            kendall_tau([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="^kendall_tau input b contains NaN$"):
+            kendall_tau([1.0, 2.0, 3.0], [1.0, 2.0, np.nan])
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             kendall_tau([1.0], [2.0])

@@ -1,6 +1,7 @@
 """Summary/metric correlation, selection rules, crossings, pass@k CI."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -452,6 +453,20 @@ class TestCrossingStep:
         with pytest.raises(ValidationError, match="^crossing reference is NaN$"):
             crossing_step([(1, 0.5), (2, 0.4)], math.nan)
 
+    @pytest.mark.parametrize(
+        "series, message",
+        [([(1, math.nan), (2, 0.5)], "series value at step 1 is NaN"),  # returned 2
+         ([(1.5, 0.3)], "series step must be an integer, got 1.5"),  # returned 1
+         ([(True, 0.3)], "series step must be an integer, got True")],  # returned 1
+        ids=["nan-value", "fractional-step", "bool-step"],
+    )
+    def test_nan_value_and_non_integral_step_are_refused(self, series, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            crossing_step(series, 1.0)
+
+    def test_integral_float_step_and_inf_value_pass(self):
+        assert crossing_step([(2.0, 0.5), (1, math.inf)], 1.0) == 2
+
     def test_frozen_training_trajectory(self):
         series = helpers.load_trajectory_fixture(
             helpers.FIXTURES / "trajectory_median.csv")
@@ -469,6 +484,7 @@ class TestPassKCI:
 
     def test_single_prompt(self):
         mean, half = passk_ci([0.6], 5)
+        assert passk_ci([0.6], 5.0) == (mean, half)
         assert mean == 0.6
         assert half == pytest.approx(0.4294148, abs=1e-6)
 
@@ -483,3 +499,9 @@ class TestPassKCI:
             passk_ci([1.2], 5)
         with pytest.raises(ValidationError):
             passk_ci([-0.1], 5)
+
+    @pytest.mark.parametrize("n_samples", [math.nan, math.inf, True],
+                             ids=["nan", "inf", "bool"])  # ValueError, OverflowError, taken as 1
+    def test_non_integral_n_samples_is_refused(self, n_samples):
+        with pytest.raises(ValidationError, match="^n_samples must be a positive integer$"):
+            passk_ci([0.5], n_samples)

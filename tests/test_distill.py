@@ -363,6 +363,16 @@ class TestFitTeacher:
             with pytest.raises(ValidationError, match="alpha must be"):
                 fit_teacher(stream, alpha, vocab)
 
+    def test_alpha_whose_probabilities_underflow_is_refused(self):
+        # 5e-324 over an unseen transition's count underflowed to probability
+        # 0: a numpy warning, -inf logits and +inf held-out losses.
+        stream = synth_corpus(7, 8, 1.1, 10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^alpha 5e-324 gives a zero"):
+                fit_teacher(stream, 5e-324, 8)
+            assert np.isfinite(fit_teacher(stream, 1e-310, 8).logits).all()
+
 
 @pytest.fixture(scope="module")
 def small_world():
@@ -761,6 +771,41 @@ class TestShardedTraining:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("LOSSDIAG_THREADS", "1")
         _train_batch(stacked_targets, small_world.context_weights, 10, 8.0)
+
+
+@st.composite
+def _target_blocks(draw):
+    """An (R, V) block of weighted targets drawn from a pool of at most 2V
+    values, so ties are forced and classes fall on both sides of half."""
+    r, v = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    values = st.floats(0.0, 1e3) | st.sampled_from([0.0, -0.0, 5e-324])
+    pool = draw(st.lists(values, min_size=1, max_size=2 * v))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=r * v, max_size=r * v))
+    return np.array(picks, dtype=np.float64).reshape(r, v)
+
+
+class TestTieClasses:
+    @settings(max_examples=200, deadline=None)
+    @given(_target_blocks())
+    def test_matches_brute_force(self, block):
+        ref = oracles.tie_classes_by_rows(block)
+        classes = distill._tie_classes(block)
+        if 2 * ref[2].size > block.size:
+            assert classes is None
+            return
+        for ours, expected in zip(classes, ref):
+            assert ours.dtype == expected.dtype
+            # Every step gathers through slot and class_row: a strided view
+            # (np.nonzero's rows) runs each gather slower.
+            assert ours.flags.c_contiguous
+            assert np.array_equal(ours.view(np.uint8), expected.view(np.uint8))
+
+    def test_exactly_half_still_steps_per_class(self):
+        slot, class_row, target = distill._tie_classes(np.array([[1.0, 0.0, 1.0, 0.0]]))
+        assert slot.tolist() == [[1, 0, 1, 0]]
+        assert class_row.tolist() == [0, 0] and target.tolist() == [0.0, 1.0]
+        assert distill._tie_classes(np.array([[1.0, 0.0, 3.0, 0.0]])) is None  # 3 of 4
+        assert distill._tie_classes(np.array([[-0.0, 0.0]])) is None  # bits, not values
 
 
 @st.composite
