@@ -13,8 +13,6 @@ from lossdiag import (
     SelectionRule,
     SummarySet,
     crossing_step,
-    normalize_series,
-    passk_ci,
     percentile_sweep,
     render,
     select,
@@ -59,14 +57,3 @@ trajectory = [(step, 1.4 * np.exp(-step / 60_000) + 0.45) for step in
 step = crossing_step(trajectory, baseline_final)
 print(f"median first beats the baseline's final value ({baseline_final}) "
       f"at step {step}")
-
-# normalize_series puts runs with different loss scales on a shared 0..1
-# axis, for plotting several trajectories in one chart.
-values = [v for _, v in trajectory[:5]]
-print("normalized first five medians:", np.round(normalize_series(values), 3))
-
-# Quality metrics come with sampling error. For pass-rate style metrics
-# estimated from N samples per prompt, passk_ci gives a 95% normal CI.
-p_hats = rng.binomial(8, 0.55, 400) / 8
-center, half = passk_ci(p_hats, 8)
-print(f"pass rate over 400 prompts, 8 samples each: {center:.3f} +- {half:.3f}")

@@ -11,7 +11,6 @@ import numpy as np
 
 from lossdiag import (
     LossVector,
-    band_delta,
     band_masses,
     profile_distance,
     render,
@@ -57,6 +56,6 @@ tables = [band_masses(v) for v in vectors]
 print(render.band_table(tables))
 
 # Deltas between two checkpoints show where the mass moved.
-delta = band_delta(tables[3], tables[0])
+delta = np.subtract(tables[3].mass, tables[0].mass)
 moved = ", ".join(f"{lo:g}..{hi:g}: {d:+.1f}" for (lo, hi), d in zip(tables[0].bands, delta))
 print(f"mass shift {names[0]} -> {names[3]} (percentage points): {moved}")

@@ -29,8 +29,6 @@ from .correlate import (
     SweepRow,
     crossing_step,
     default_rules,
-    normalize_series,
-    passk_ci,
     pearson,
     percentile_sweep,
     select,
@@ -51,9 +49,7 @@ from .errors import (
 from .quantiles import (
     DEFAULT_KS,
     EXACT_PATH_MAX,
-    GroupedMeans,
     SummarySet,
-    grouped_summary,
     summarize_chunks,
     summarize_exact,
     summarize_sorted,
@@ -63,7 +59,6 @@ from .shape import (
     PROFILE_GRID,
     BandTable,
     PercentileProfile,
-    band_delta,
     band_masses,
     family_tail_stats,
     profile_distance,
@@ -113,7 +108,7 @@ __all__ = [
     "dump_manifest",
     # quantiles
     "DEFAULT_KS", "EXACT_PATH_MAX", "SummarySet", "summarize_exact",
-    "summarize_sorted", "summarize_chunks", "GroupedMeans", "grouped_summary",
+    "summarize_sorted", "summarize_chunks",
     # sketch
     "QuantileSketch", "build_sketch",
     # concordance
@@ -121,11 +116,11 @@ __all__ = [
     # shape
     "PROFILE_GRID", "DEFAULT_BAND_BOUNDS", "PercentileProfile",
     "standardize_profile", "profile_distance", "BandTable", "band_masses",
-    "band_delta", "profile_percentiles", "family_tail_stats",
+    "profile_percentiles", "family_tail_stats",
     # correlate
     "MetricSeries", "pearson", "spearman", "SweepRow", "percentile_sweep",
     "SelectionRule", "SelectionTable", "select", "default_rules",
-    "normalize_series", "crossing_step", "passk_ci",
+    "crossing_step",
     # distill
     *_DISTILL_NAMES,
     # errors

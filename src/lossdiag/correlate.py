@@ -1,9 +1,8 @@
 """Relating loss summaries to external quality metrics across checkpoints.
 
 Covers: Pearson/Spearman correlations, the per-percentile correlation sweep,
-best-checkpoint selection under different summaries, min-max normalization
-with first-crossing detection on training trajectories, and the pass@k
-confidence-interval helper for prompt-level success rates.
+best-checkpoint selection under different summaries, and first-crossing
+detection on training trajectories.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .quantiles import SummarySet, _percentile_of
+from .quantiles import SummarySet, _integral, _percentile_of
 
 
 @dataclass(frozen=True)
@@ -194,20 +193,6 @@ def default_rules(names: Sequence[str], metric_names: Sequence[str]) -> list[Sel
     return list(rules.values())
 
 
-def normalize_series(values: Sequence[float]) -> np.ndarray:
-    """Min-max normalize to [0, 1]; constant series is a degenerate error."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise ValidationError("need at least two values to normalize")
-    if not np.isfinite(arr).all():
-        raise ValidationError("series contains non-finite values")
-    lo = float(arr.min())
-    hi = float(arr.max())
-    if hi == lo:
-        raise DegenerateInputError("constant series cannot be min-max normalized")
-    return (arr - lo) / (hi - lo)
-
-
 def _check_steps(steps, family: str = "") -> None:
     """ValidationError for the smallest repeated step, naming a non-empty ``family``."""
     ordered = sorted(steps)
@@ -215,14 +200,6 @@ def _check_steps(steps, family: str = "") -> None:
         if step == following:
             where = f"family {family!r}: " if family else ""
             raise ValidationError(f"{where}duplicate step {step} in series")
-
-
-def _integral(value) -> bool:
-    """Whether value is a number that int() leaves unchanged, and not a bool."""
-    try:
-        return not isinstance(value, (bool, np.bool_)) and int(value) == value
-    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
-        return False
 
 
 def _check_reference(reference: float) -> None:
@@ -255,24 +232,3 @@ def crossing_step(
         if value < reference:
             return step
     return None
-
-
-def passk_ci(p_hats: Sequence[float], n_samples: int) -> tuple[float, float]:
-    """Mean pass@k over prompts with a 95% normal-approximation half-width.
-
-    Each entry is a per-prompt success fraction out of ``n_samples`` tries
-    (conventionally a multiple of 1/n_samples; any value in [0, 1] is
-    accepted). Half-width: 1.96 * sqrt(sum p(1-p)/n_samples) / n_prompts.
-    """
-    arr = np.asarray(p_hats, dtype=np.float64)
-    if arr.size == 0:
-        raise ValidationError("no per-prompt estimates given")
-    if not _integral(n_samples) or n_samples < 1:
-        raise ValidationError("n_samples must be a positive integer")
-    n_samples = int(n_samples)
-    if ((arr < 0) | (arr > 1)).any() or not np.isfinite(arr).all():
-        raise ValidationError("per-prompt estimates must lie in [0, 1]")
-    mean = float(arr.mean())
-    var_sum = float((arr * (1.0 - arr)).sum() / n_samples)
-    half = 1.96 * math.sqrt(var_sum) / arr.size
-    return mean, half

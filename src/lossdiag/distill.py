@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .quantiles import SummarySet, summarize_exact
+from .quantiles import SummarySet, _integral, summarize_exact
 from .store import LossVector
 from .workers import worker_count
 
@@ -307,11 +307,8 @@ def _resolve_k(vocab: int, k) -> int:
     """The lab's one K rule: "full", or an integral number (not a bool) in 1..vocab."""
     if isinstance(k, str) and k == "full":
         return vocab
-    try:
-        if not isinstance(k, (bool, np.bool_)) and int(k) == k and 1 <= k <= vocab:
-            return int(k)
-    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
-        pass
+    if _integral(k) and 1 <= k <= vocab:
+        return int(k)
     raise ValidationError(f"K must be 'full' or an integer in 1..{vocab}, got {k!r}")
 
 

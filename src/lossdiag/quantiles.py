@@ -12,11 +12,11 @@ import copy
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import ValidationError
 from .sketch import build_sketch, float64_sum
 from .store import LossVector
 
@@ -33,15 +33,23 @@ EXACT_PATH_MAX = 1 << 26
 DEFAULT_EPSILON = 1e-3
 
 
+def _integral(value) -> bool:
+    """The package's one integer rule: whether value is a number that int()
+    leaves unchanged, and not a bool."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
+        return False
+
+
 def _check_ks(ks: Sequence[int]) -> tuple[int, ...]:
     if len(ks) == 0:
         raise ValidationError("percentile list must not be empty")
     out = []
     for k in ks:
-        ki = int(k)
-        if ki != k or not 1 <= ki <= 99:
+        if not _integral(k) or not 1 <= k <= 99:
             raise ValidationError(f"percentile {k!r} outside 1..99")
-        out.append(ki)
+        out.append(int(k))
     if len(set(out)) != len(out):
         raise ValidationError("duplicate percentiles requested")
     return tuple(out)
@@ -178,34 +186,6 @@ def summarize_sorted(
     pct = dict(zip(ks, percentiles_of_sorted(ascending, ks).tolist()))
     mean = float(float64_sum(ascending)) / ascending.size
     return SummarySet(checkpoint_id, mean, pct, ascending.size)
-
-
-class GroupedMeans(NamedTuple):
-    mean_true: float
-    mean_false: float
-    ratio: float
-
-
-def grouped_summary(losses: LossVector, labels: Sequence[bool]) -> GroupedMeans:
-    """Mean loss inside/outside a boolean token group, plus their ratio.
-
-    ``labels`` marks the "true" group (e.g. tokens of correctly answered
-    prompts); ratio is mean_false / mean_true.
-    """
-    arr = np.asarray(losses.losses, dtype=np.float64)
-    mask = np.asarray(labels, dtype=bool)
-    if mask.shape != arr.shape:
-        raise ValidationError(
-            f"labels length {mask.size} does not match loss count {arr.size}"
-        )
-    n_true = int(mask.sum())
-    if n_true == 0:
-        raise DegenerateInputError("true group is empty")
-    if n_true == mask.size:
-        raise DegenerateInputError("false group is empty")
-    mean_true = float(arr[mask].mean())
-    mean_false = float(arr[~mask].mean())
-    return GroupedMeans(mean_true, mean_false, mean_false / mean_true)
 
 
 def summarize_chunks(

@@ -10,6 +10,7 @@ percentiles a profile grid needs and each family's tail statistic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -170,7 +171,14 @@ class BandTable:
 
 
 def _check_bounds(bounds: Sequence[float]) -> tuple[float, ...]:
-    out = tuple(float(b) for b in bounds)
+    bounds = tuple(bounds)
+    for b in bounds:
+        if isinstance(b, bool) or not isinstance(b, numbers.Real):
+            raise ValidationError(f"band bound {b!r} is not a number")
+    try:
+        out = tuple(float(b) for b in bounds)
+    except OverflowError:  # an int past the float range
+        raise ValidationError("band bounds must be finite") from None
     if not out:
         raise ValidationError("need at least one band bound")
     if out[0] <= 0:
@@ -248,9 +256,3 @@ def band_masses(
     counter.extend(losses.losses)
     return counter.table()
 
-
-def band_delta(a: BandTable, b: BandTable) -> tuple[float, ...]:
-    """Per-band mass difference a - b in percentage points."""
-    if a.bounds != b.bounds:
-        raise ValidationError(f"band bounds differ: {a.bounds} vs {b.bounds}")
-    return tuple(ma - mb for ma, mb in zip(a.mass, b.mass))

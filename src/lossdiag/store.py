@@ -394,6 +394,17 @@ class Manifest:
         return tuple(c for c in self.checkpoints if c.family in wanted)
 
 
+# The manifest layout's keys, top level and per entry; any other is refused.
+_MANIFEST_KEYS = ("version", "checkpoints")
+_ENTRY_KEYS = ("id", "family", "step", "objective", "loss", "metrics")
+
+
+def _refuse_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ManifestError(f"{where}: unknown key {key!r}")
+
+
 def _require(entry: dict, key: str, kind, where: str):
     if key not in entry:
         raise ManifestError(f"{where}: missing key {key!r}")
@@ -410,11 +421,13 @@ def _checked_entries(doc, origin: str) -> list[tuple[str, dict]]:
 
     Version 1 and a non-empty checkpoint list; in each entry every key of
     the layout with its type, an id used once, a step >= 0 and metrics that
-    map strings to real numbers (numpy's too) that are floats, not NaN. Returns each entry's
-    location and its fields in layout order, metrics as floats.
+    map strings to real numbers (numpy's too) that are floats, not NaN. A key
+    outside the layout, at the top or in an entry, is refused. Returns each
+    entry's location and its fields in layout order, metrics as floats.
     """
     if not isinstance(doc, dict):
         raise ManifestError(f"{origin}: top level must be a mapping")
+    _refuse_unknown_keys(doc, _MANIFEST_KEYS, origin)
     version = _require(doc, "version", int, origin)
     if version != 1:
         raise ManifestError(f"{origin}: unsupported manifest version {version}")
@@ -428,6 +441,7 @@ def _checked_entries(doc, origin: str) -> list[tuple[str, dict]]:
         where = f"{origin}: checkpoints[{i}]"
         if not isinstance(entry, dict):
             raise ManifestError(f"{where}: must be a mapping")
+        _refuse_unknown_keys(entry, _ENTRY_KEYS, where)
         cid = _require(entry, "id", str, where)
         if cid in seen:
             raise ManifestError(f"{where}: duplicate checkpoint id {cid!r}")

@@ -148,6 +148,14 @@ _EXPORTS_READ_BY_TESTS_ONLY = {
     "kl_grad_logits": "release criterion 6 imports it",
 }
 
+# Exports that only a demo reads besides the tests, and why each stays: a
+# demo alone does not make a name surface, so each is listed here.
+_EXPORTS_READ_BY_DEMOS_ONLY = {
+    "kendall_tau": "ranking_agreement shows pi = (1 + tau) / 2 with it",
+    "band_masses": "the band table of one in-memory vector; the CLI counts bands while it scans",
+    "kl": "distillation_lab measures each trained student's row gap to its oracle with it",
+}
+
 
 def _names_read(paths):
     """Every name the files ``paths`` import, read, or read as an attribute."""
@@ -164,12 +172,15 @@ def _names_read(paths):
 
 
 def test_every_export_is_read_outside_the_tests():
-    # The package itself (its __init__ aside), the demos or the benchmark
-    # must read each exported name; a name only tests read is not surface.
+    # The package itself (its __init__ aside) or the benchmark must read each
+    # exported name, unless it is listed with a reason: a name only tests or
+    # demos read is not surface.
     package = [p for p in (ROOT / "src" / "lossdiag").glob("*.py") if p.name != "__init__.py"]
-    read = _names_read([*package, *DEMOS.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    read = _names_read([*package, *(ROOT / "perfbench").glob("*.py")])
+    demos = _names_read(DEMOS.glob("*.py"))
     unread = {n for n in lossdiag.__all__ if not n.startswith("__") and n not in read}
-    assert unread == set(_EXPORTS_READ_BY_TESTS_ONLY)
+    assert {n for n in unread if n not in demos} == set(_EXPORTS_READ_BY_TESTS_ONLY)
+    assert unread & demos == set(_EXPORTS_READ_BY_DEMOS_ONLY)
 
 
 def _load_tracing():

@@ -1,4 +1,4 @@
-"""Summary/metric correlation, selection rules, crossings, pass@k CI."""
+"""Summary/metric correlation, selection rules and crossings."""
 
 import math
 import re
@@ -17,8 +17,6 @@ from lossdiag import (
     ValidationError,
     crossing_step,
     default_rules,
-    normalize_series,
-    passk_ci,
     pearson,
     percentile_sweep,
     select,
@@ -377,29 +375,6 @@ class TestSelection:
         assert rows["best-judge"].value == 2.06
 
 
-class TestNormalizeSeries:
-    def test_endpoints(self):
-        out = normalize_series([3.0, 9.0, 6.0])
-        assert out[0] == 0.0
-        assert out[1] == 1.0
-        assert out[2] == 0.5
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(89)
-        x = rng.normal(size=40)
-        base = normalize_series(x)
-        moved = normalize_series(5.0 * x + 3.0)
-        assert np.max(np.abs(base - moved)) <= 1e-12
-
-    def test_errors(self):
-        with pytest.raises(DegenerateInputError):
-            normalize_series([2.0, 2.0, 2.0])
-        with pytest.raises(ValidationError):
-            normalize_series([1.0])
-        with pytest.raises(ValidationError):
-            normalize_series([1.0, math.nan])
-
-
 class TestCrossingStep:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -472,36 +447,3 @@ class TestCrossingStep:
             helpers.FIXTURES / "trajectory_median.csv")
         assert crossing_step(series, 2.46) == 379_000
 
-
-class TestPassKCI:
-    def test_deterministic_prompts_have_zero_width(self):
-        assert passk_ci([0.0, 0.0, 1.0, 1.0], 8) == (0.5, 0.0)
-
-    def test_large_uniform_panel(self):
-        mean, half = passk_ci([0.5] * 1200, 5)
-        assert mean == 0.5
-        assert half == pytest.approx(0.0126516, abs=1e-6)
-
-    def test_single_prompt(self):
-        mean, half = passk_ci([0.6], 5)
-        assert passk_ci([0.6], 5.0) == (mean, half)
-        assert mean == 0.6
-        assert half == pytest.approx(0.4294148, abs=1e-6)
-
-    def test_errors(self):
-        with pytest.raises(ValidationError):
-            passk_ci([], 5)
-        with pytest.raises(ValidationError):
-            passk_ci([0.5], 0)
-        with pytest.raises(ValidationError):
-            passk_ci([0.5], 2.5)
-        with pytest.raises(ValidationError):
-            passk_ci([1.2], 5)
-        with pytest.raises(ValidationError):
-            passk_ci([-0.1], 5)
-
-    @pytest.mark.parametrize("n_samples", [math.nan, math.inf, True],
-                             ids=["nan", "inf", "bool"])  # ValueError, OverflowError, taken as 1
-    def test_non_integral_n_samples_is_refused(self, n_samples):
-        with pytest.raises(ValidationError, match="^n_samples must be a positive integer$"):
-            passk_ci([0.5], n_samples)

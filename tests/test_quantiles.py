@@ -1,4 +1,6 @@
-"""Exact summaries, grouped means, and the streaming summary path."""
+"""Exact summaries and the streaming summary path."""
+
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +11,10 @@ import helpers
 import oracles
 from lossdiag import (
     DEFAULT_KS,
-    DegenerateInputError,
     LossVector,
     SummarySet,
     ValidationError,
     build_sketch,
-    grouped_summary,
     summarize_chunks,
     summarize_exact,
     summarize_sorted,
@@ -127,6 +127,19 @@ class TestExactPercentiles:
         with pytest.raises(ValidationError):
             summarize_exact(_vector([1.0]), ks=(50, 50))
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, None, True, np.True_, "50", 50.5],
+                             ids=["nan", "inf", "none", "bool", "np-bool", "str", "fraction"])
+    def test_a_percentile_that_is_not_an_integer_is_refused(self, k):
+        # Before one integer rule: ValueError, OverflowError, TypeError, and p1 for a bool.
+        with pytest.raises(ValidationError, match=f"^percentile {re.escape(repr(k))} outside 1..99$"):
+            summarize_exact(_vector([1.0]), ks=[k])
+        with pytest.raises(ValidationError, match="outside 1..99"):
+            SummarySet("a", 1.0, {k: 1.0}, 3)
+
+    def test_integral_floats_and_numpy_integers_are_percentiles(self):
+        want = summarize_exact(_vector([1.0, 2.0]), ks=(5, 50))
+        assert summarize_exact(_vector([1.0, 2.0]), ks=(5.0, np.int64(50))) == want
+
 
 class TestFloat64Sum:
     @settings(max_examples=60, deadline=None)
@@ -205,28 +218,6 @@ class TestSummarySet:
         text = summary_table([s])
         assert text.splitlines()[0] == "checkpoint_id,mean,p50,p95,count"
         assert text.splitlines()[1] == "student-top5,1.708,0.525,7.82,4"
-
-
-class TestGroupedSummary:
-    def test_group_means_and_ratio(self):
-        # 2.49 at two decimals: the correct/incorrect mean-ratio layout.
-        vals = np.array([0.243] * 60 + [0.605] * 40, dtype=np.float32)
-        labels = np.array([True] * 60 + [False] * 40)
-        g = grouped_summary(LossVector("e", vals), labels)
-        np.testing.assert_allclose(g.mean_true, 0.243, rtol=1e-6)
-        np.testing.assert_allclose(g.mean_false, 0.605, rtol=1e-6)
-        assert round(g.ratio, 2) == 2.49
-
-    def test_empty_group_is_degenerate(self):
-        v = _vector([1.0, 2.0])
-        with pytest.raises(DegenerateInputError):
-            grouped_summary(v, [True, True])
-        with pytest.raises(DegenerateInputError):
-            grouped_summary(v, [False, False])
-
-    def test_label_length_mismatch(self):
-        with pytest.raises(ValidationError, match="length"):
-            grouped_summary(_vector([1.0, 2.0]), [True])
 
 
 class TestStreamingSummary:

@@ -1,6 +1,7 @@
 """Standardized percentile profiles and loss-band mass tables."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from lossdiag import (
     LossVector,
     SummarySet,
     ValidationError,
-    band_delta,
     band_masses,
     family_tail_stats,
     profile_distance,
@@ -317,14 +317,18 @@ class TestBandMasses:
             with pytest.raises(ValidationError):
                 band_masses(losses, bounds=bad)
 
-    def test_band_delta(self):
-        a = band_masses(LossVector("a", [0.05, 0.3, 0.3, 2.0]))
-        b = band_masses(LossVector("b", [0.05, 0.05, 0.3, 2.0]))
-        delta = band_delta(a, b)
-        assert delta == (-25.0, 25.0, 0.0, 0.0, 0.0, 0.0)
-        narrower = band_masses(LossVector("c", [0.3]), bounds=(1.0,))
-        with pytest.raises(ValidationError, match="bounds differ"):
-            band_delta(a, narrower)
+    @pytest.mark.parametrize("bound", [None, True, np.True_, "0.5"],
+                             ids=["none", "bool", "np-bool", "str"])
+    def test_a_bound_that_is_not_a_number_is_refused(self, bound):
+        # Before: TypeError for None, and a bool or a numeric string taken as a bound.
+        with pytest.raises(ValidationError, match=f"^band bound {re.escape(repr(bound))} is not a number$"):
+            band_masses(LossVector("v", [1.0]), bounds=(bound,))
+        with pytest.raises(ValidationError, match="is not a number"):
+            BandCounter("v", (0.1, bound))
+
+    def test_a_bound_past_the_float_range_is_not_finite(self):
+        with pytest.raises(ValidationError, match="^band bounds must be finite$"):
+            band_masses(LossVector("v", [1.0]), bounds=(1, 10**400))
 
 
 # Two checkpoint families with a deliberately different tail shape. Both

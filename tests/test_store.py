@@ -571,6 +571,22 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"checkpoints\[0\].*objective"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("  - {id: a, family: f, step: 0, objective: o, loss: dumps/a.bin, metric: {judge: 1}}\n",
+         "checkpoints[0]: unknown key 'metric'"),
+        ("  - {id: a, family: f, step: 0, stpe: 1, objective: o, loss: dumps/a.bin}\n",
+         "checkpoints[0]: unknown key 'stpe'"),
+        ("  - {id: a, family: f, step: 0, objective: o, loss: dumps/a.bin}\nsource: lab\n",
+         "unknown key 'source'"),
+    ], ids=["metric-for-metrics", "misspelt-step", "top-level"])
+    def test_unknown_key_names_entry_and_key(self, tmp_path, body, message):
+        # Each loaded with exit 0 while the manifest's key set was open.
+        _seed_dump(tmp_path, "a")
+        path = _write_manifest(tmp_path, "version: 1\ncheckpoints:\n" + body)
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_negative_step(self, tmp_path):
         path = _write_manifest(
             tmp_path,
@@ -851,6 +867,35 @@ class TestManifestDataNeverInternalError:
                 except (KeyError, TypeError, ValueError, RuntimeError):
                     pass  # the entry's own error names it
             assert any(name in message for name in names), message
+
+
+_EXTRA_KEYS = (st.sampled_from(("metric", "stpe", "source", "Step", "id", "version", "metrics"))
+               | st.text("ab:#- é\n", max_size=3) | st.integers(-2, 2) | st.booleans() | st.none())
+
+
+class TestManifestKeySet:
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.integers(1, 3), data=st.data())
+    def test_a_key_outside_the_layout_is_refused_by_reader_and_writer(self, dump_dir, entries, data):
+        at = data.draw(st.integers(-1, entries - 1), label="at")  # -1 is the top level
+        known = store._MANIFEST_KEYS if at < 0 else store._ENTRY_KEYS
+        key = data.draw(_EXTRA_KEYS.filter(lambda k: k not in known), label="key")
+        path = dump_dir / "keys.yaml"
+        dump_manifest(Manifest(1, tuple(
+            CheckpointMeta(f"c{i}", "f", i, "o", dump_dir / "good.bin", {"judge": 1.0} if i else {})
+            for i in range(entries))), path)
+        # The writer keeps to the layout, so the reader takes what it wrote.
+        assert len(load_manifest(path).checkpoints) == entries
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        (doc if at < 0 else doc["checkpoints"][at])[key] = 1
+        path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        where = str(path) if at < 0 else f"{path}: checkpoints[{at}]"
+        with pytest.raises(ManifestError) as read:
+            load_manifest(path)
+        # The writer holds its document to the same rule before it writes.
+        with pytest.raises(ManifestError) as written:
+            store._checked_entries(doc, str(path))
+        assert str(read.value) == str(written.value) == f"{where}: unknown key {key!r}"
 
 
 # Strings PyYAML's two emitters disagree on: libyaml wraps long
