@@ -52,20 +52,20 @@ def main() -> None:
     # floor as the exactly solved one. Compare their rows in KL.
     print()
     for k in (2, "full"):
-        student = result.students[k]
-        oracle = result.oracles[k]
-        gaps = [kl(oracle.row_dist(i), student.row_dist(i)) for i in range(config.vocab)]
+        student = result.students[k].probs()
+        oracle = result.oracles[k].probs()
+        gaps = [kl(oracle[i], student[i]) for i in range(config.vocab)]
         print(f"K={k}: worst row KL(converged || trained) = {max(gaps):.2e} nats")
 
     # The converged student is just the teacher's rows through
     # topk_renormalize (with a tiny floor epsilon on the zeros), so the whole
     # effect is attributable to the truncation itself.
     oracle2 = converged_student(result.teacher, 2, config.epsilon_q)
-    row = result.teacher.row_dist(0)
+    row = result.teacher.probs()[0]
     print()
     print("teacher row 0, top 5:", np.round(np.sort(row)[::-1][:5], 4))
     print("top-2 renormalized:  ", np.round(np.sort(topk_renormalize(row, 2))[::-1][:5], 4))
-    print("converged student:   ", np.round(np.sort(oracle2.row_dist(0))[::-1][:5], 4))
+    print("converged student:   ", np.round(np.sort(oracle2.probs()[0])[::-1][:5], 4))
 
 
 # dose_response trains in spawned worker processes, which import this

@@ -85,7 +85,7 @@ __version__ = "0.1.0"
 _DISTILL_NAMES = (
     "TabularLM", "LabConfig", "DoseResponseRow", "DoseResult",
     "synth_corpus", "true_chain", "zipf_weights", "fit_teacher", "softmax",
-    "log_softmax", "topk_renormalize", "kl", "kl_grad_logits",
+    "log_softmax", "topk_renormalize", "kl",
     "distill_student", "converged_student",
     "per_token_ce", "next_token_accuracy", "chain_fidelity", "dose_response",
     "lab_checkpoints",

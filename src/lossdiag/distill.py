@@ -9,8 +9,7 @@ student has a closed form and claims can be checked exactly.
 
 Pieces:
 
-* distribution helpers: top-K renormalization, KL, and the KL gradient with
-  respect to student logits (softmax(logits) - target);
+* distribution helpers: top-K renormalization and KL;
 * a synthetic corpus with Zipfian marginals and much more concentrated
   conditionals (as in natural text), sampled from a fixed ground-truth
   bigram chain;
@@ -103,17 +102,6 @@ def kl(p, q) -> float:
     return max(s, 0.0)
 
 
-def kl_grad_logits(p_target, logits) -> np.ndarray:
-    """Gradient of KL(p_target || softmax(logits)) with respect to logits."""
-    p_arr = check_distribution(p_target)
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape != p_arr.shape:
-        raise ValidationError("logits and target have different shapes")
-    if not np.isfinite(z).all():
-        raise ValidationError("logits must be finite")
-    return softmax(z) - p_arr
-
-
 @dataclass(frozen=True)
 class TabularLM:
     """A full conditional table: logits[c, x] scores token x after context c.
@@ -150,9 +138,6 @@ class TabularLM:
     @property
     def vocab_size(self) -> int:
         return int(self.logits.shape[0])
-
-    def row_dist(self, context: int) -> np.ndarray:
-        return softmax(self.logits[context])
 
     def probs(self) -> np.ndarray:
         return softmax(self.logits)
@@ -427,9 +412,10 @@ def _train_batch(
     """Full-batch GD on sum_c w_c * KL(target_c || softmax(logits_c)).
 
     targets has shape (B, V, V): B students trained at once, bitwise as if
-    one at a time. Students start at zero logits. Raises DivergenceError
-    after the last step, naming the step and context row of the first
-    non-finite update as the every-step check does (see _descend_rows).
+    one at a time, from zero logits; release criterion 6 checks their steps
+    against the finite-difference KL gradient. Raises DivergenceError after
+    the last step, naming the step and context row of the first non-finite
+    update as the every-step check does (see _descend_rows).
 
     Every context row of every student descends on its own, so the B*V rows
     are cut into contiguous shards, one per worker (workers.worker_count),

@@ -42,14 +42,16 @@ def _integral(value) -> bool:
         return False
 
 
-def _check_ks(ks: Sequence[int]) -> tuple[int, ...]:
-    if len(ks) == 0:
-        raise ValidationError("percentile list must not be empty")
+def _check_ks(ks: Iterable[int]) -> tuple[int, ...]:
+    if isinstance(ks, (str, bytes)) or not isinstance(ks, Iterable):  # "50" reads as p5, p0
+        raise ValidationError(f"percentiles must be an iterable of integers, got {type(ks).__name__}")
     out = []
-    for k in ks:
+    for k in ks:  # read once, so a generator serves
         if not _integral(k) or not 1 <= k <= 99:
             raise ValidationError(f"percentile {k!r} outside 1..99")
         out.append(int(k))
+    if not out:
+        raise ValidationError("percentile list must not be empty")
     if len(set(out)) != len(out):
         raise ValidationError("duplicate percentiles requested")
     return tuple(out)
@@ -116,7 +118,7 @@ class SummarySet:
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError(f"{self.checkpoint_id}: count must be >= 1")
-        ks = _check_ks(tuple(self.percentiles))
+        ks = _check_ks(self.percentiles)
         pct = {k: float(self.percentiles[k]) for k in sorted(ks)}
         for k, v in pct.items():
             if math.isnan(v):

@@ -419,9 +419,9 @@ def _require(entry: dict, key: str, kind, where: str):
 def _checked_entries(doc, origin: str) -> list[tuple[str, dict]]:
     """The manifest document rules, which the reader and the writer share.
 
-    Version 1 and a non-empty checkpoint list; in each entry every key of
-    the layout with its type, an id used once, a step >= 0 and metrics that
-    map strings to real numbers (numpy's too) that are floats, not NaN. A key
+    Version 1 and a non-empty checkpoint list; in each entry every key of the
+    layout with its type, an id used once, a step >= 0 and metrics, None or a
+    map of strings to real numbers (numpy's too) that are not NaN. A key
     outside the layout, at the top or in an entry, is refused. Returns each
     entry's location and its fields in layout order, metrics as floats.
     """
@@ -452,11 +452,11 @@ def _checked_entries(doc, origin: str) -> list[tuple[str, dict]]:
             raise ManifestError(f"{where}: step must be >= 0")
         objective = _require(entry, "objective", str, where)
         loss = _require(entry, "loss", str, where)
-        metrics_raw = entry.get("metrics") or {}
-        if not isinstance(metrics_raw, dict):
+        metrics_raw = entry.get("metrics")  # None is YAML's empty "metrics:"
+        if not isinstance(metrics_raw, (Mapping, type(None))):
             raise ManifestError(f"{where}: metrics must be a mapping")
         metrics: dict[str, float] = {}
-        for name, value in metrics_raw.items():
+        for name, value in (metrics_raw or {}).items():
             if not isinstance(name, str) or isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ManifestError(f"{where}: metric {name!r} must map a string to a number")
             try:
@@ -535,7 +535,7 @@ def dump_manifest(manifest: Manifest, path: str | Path) -> None:
         except ValueError:
             rel = c.loss_path
         entries.append({"id": c.checkpoint_id, "family": c.family, "step": c.step,
-                        "objective": c.objective, "loss": str(rel), "metrics": dict(c.metrics)})
+                        "objective": c.objective, "loss": str(rel), "metrics": c.metrics})
     checked = _checked_entries({"version": manifest.version, "checkpoints": entries}, str(path))
     # An entry without metrics is written without the key.
     entries = [{k: v for k, v in e.items() if k != "metrics" or v} for _, e in checked]

@@ -15,24 +15,27 @@ from lossdiag import (
     LossVector,
     SelectionRule,
     SummarySet,
+    TabularLM,
     band_masses,
     build_sketch,
     concordance,
     crossing_step,
+    distill_student,
     dose_response,
     kendall_tau,
     kl,
-    kl_grad_logits,
     read_loss_dump,
     select,
     softmax,
     standardize_profile,
     summarize_exact,
+    topk_renormalize,
     write_loss_dump,
     percentile_sweep,
 )
 from lossdiag import render
 from lossdiag.cli import main
+from lossdiag.distill import _tie_classes
 from lossdiag.shape import PROFILE_GRID
 
 import helpers
@@ -216,22 +219,39 @@ def test_criterion_5_correlation_and_selection_fixtures():
         assert picks["best-judge"].value == 2.06
 
 
-def test_criterion_6_kl_gradient_matches_finite_differences():
+def test_criterion_6_kl_gradient_matches_finite_differences(monkeypatch):
+    # The step the lab trains with, read off two runs of distill_student k
+    # and k + 1 steps long, against the finite-difference gradient of the KL
+    # it descends. K alternates so both layouts of _descend_rows step.
+    monkeypatch.setenv("LOSSDIAG_THREADS", "1")  # no worker pool
     with Budget(10):
         rng = np.random.default_rng(1006)
-        for _ in range(100):
-            v = int(rng.integers(2, 65))
-            raw = rng.gamma(0.7, 1.0, v)
-            target = raw / raw.sum()
-            z = rng.normal(size=v)
+        per_class = set()
+        for trial in range(100):
+            v = int(rng.integers(2, 17))
+            teacher = TabularLM(np.log(rng.gamma(0.7, 1.0, (v, v))), rng.dirichlet(np.ones(v)))
+            top = 2 if trial % 2 == 0 else "full"
+            lr = float(rng.uniform(0.5, 8.0))
+            k = int(rng.integers(1, 6))
+            targets = np.stack([topk_renormalize(row, top) for row in teacher.probs()])
+            row_w = lr * teacher.context_weights
+            per_class.add(_tie_classes(row_w[:, None] * targets) is not None)
+            before = distill_student(teacher, top, k, lr).logits
+            after = distill_student(teacher, top, k + 1, lr).logits
+            for c in range(v):
+                applied = (before[c] - after[c]) / row_w[c]
 
-            def objective(logits):
-                return kl(target, softmax(np.asarray(logits)))
+                def objective(logits, target=targets[c]):
+                    return kl(target, softmax(np.asarray(logits)))
 
-            numeric = np.array(oracles.central_difference(objective, z, h=1e-5))
-            analytic = kl_grad_logits(target, z)
-            rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
-            assert rel <= 1e-6
+                numeric = np.array(oracles.central_difference(objective, before[c], h=1e-5))
+                rel = np.linalg.norm(applied - numeric) / np.linalg.norm(numeric)
+                assert rel <= 1e-6, (trial, c)
+            # KL gradients sum to zero per row, which lets the loop skip the
+            # max-shift before exp.
+            bound = 1e-9 * (1 + np.abs(after).max(axis=1))
+            assert (np.abs(after.sum(axis=1)) <= bound).all(), trial
+        assert per_class == {True, False}
 
 
 def test_criterion_7_dose_response_signature_on_default_config():

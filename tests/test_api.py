@@ -145,7 +145,6 @@ def test_every_demo_import_resolves():
 # Exports that no code outside the tests reads, and why each stays.
 _EXPORTS_READ_BY_TESTS_ONLY = {
     "distill_student": "the equality tests of _train_batch compare against it",
-    "kl_grad_logits": "release criterion 6 imports it",
 }
 
 # Exports that only a demo reads besides the tests, and why each stays: a

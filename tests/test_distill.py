@@ -23,7 +23,6 @@ from lossdiag import (
     dose_response,
     fit_teacher,
     kl,
-    kl_grad_logits,
     log_softmax,
     next_token_accuracy,
     per_token_ce,
@@ -161,40 +160,6 @@ class TestKL:
             kl([0.5, 0.5], [0.4, 0.3, 0.3])
 
 
-class TestKLGradient:
-    def test_zero_at_minimum(self):
-        p = _random_dist(np.random.default_rng(31), 7)
-        grad = kl_grad_logits(p, np.log(p))
-        assert np.max(np.abs(grad)) <= 1e-12
-
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            v = int(rng.integers(2, 16))
-            p = _random_dist(rng, v)
-            z = rng.normal(size=v)
-
-            def objective(logits):
-                return kl(p, softmax(np.asarray(logits)))
-
-            numeric = np.array(oracles.central_difference(objective, z, h=1e-5))
-            analytic = kl_grad_logits(p, z)
-            rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
-            assert rel <= 1e-6
-
-    def test_rows_sum_to_zero(self):
-        rng = np.random.default_rng(41)
-        p = _random_dist(rng, 9)
-        z = rng.normal(size=9)
-        assert kl_grad_logits(p, z).sum() == pytest.approx(0.0, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            kl_grad_logits([0.5, 0.5], [0.0, 0.0, 0.0])
-        with pytest.raises(ValidationError):
-            kl_grad_logits([0.5, 0.5], [0.0, math.inf])
-
-
 class TestTabularLM:
     def test_requires_square_logits(self):
         with pytest.raises(ValidationError):
@@ -208,7 +173,7 @@ class TestTabularLM:
         with pytest.raises(ValidationError):
             TabularLM(logits=np.array([[0.0, math.inf], [0.0, 0.0]]))
         model = TabularLM(logits=np.array([[0.0, -math.inf], [0.0, 0.0]]))
-        assert model.row_dist(0).tolist() == [1.0, 0.0]
+        assert model.probs()[0].tolist() == [1.0, 0.0]
 
     def test_row_without_a_finite_logit_rejected(self):
         with pytest.raises(ValidationError, match="logits row 1 has no finite entry"):
@@ -241,7 +206,6 @@ class TestTabularLM:
         model = TabularLM(logits=rng.normal(size=(5, 5)))
         assert model.vocab_size == 5
         assert np.allclose(model.probs(), np.exp(model.log_probs()), atol=1e-14)
-        assert np.allclose(model.probs()[2], model.row_dist(2), atol=1e-15)
         assert np.allclose(model.probs().sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -919,3 +883,12 @@ class TestExactDivergence:
             _train_batch(targets, w, steps, lr)
         assert (ours.value.step, ours.value.row) == expected
         assert str(ours.value) == str(ref.value)
+
+    def test_a_non_finite_logit_after_the_last_step_is_refused(self, monkeypatch):
+        # An inf target leaves every row sum finite but a logit +inf: only
+        # the end-of-run logits check sees it.
+        monkeypatch.setenv("LOSSDIAG_THREADS", "1")
+        targets = np.array([[[math.inf, 0.0], [0.5, 0.5]]])
+        with pytest.raises(DivergenceError) as exc:
+            _train_batch(targets, np.array([0.5, 0.5]), 1, 1.0)
+        assert (exc.value.step, exc.value.row) == (0, 0)

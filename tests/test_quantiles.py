@@ -140,6 +140,21 @@ class TestExactPercentiles:
         want = summarize_exact(_vector([1.0, 2.0]), ks=(5, 50))
         assert summarize_exact(_vector([1.0, 2.0]), ks=(5.0, np.int64(50))) == want
 
+    @pytest.mark.parametrize("ks, kind", [(50, "int"), (None, "NoneType"), ("50", "str"),
+                                          (b"\x05\x32", "bytes")],
+                             ids=["int", "none", "str", "bytes"])
+    def test_a_percentile_list_that_is_not_one_is_refused_by_name(self, ks, kind):
+        # Before: a bare TypeError for a non-iterable, "50" read as p5 and p0,
+        # and b"\x05\x32" as p5 and p50.
+        with pytest.raises(ValidationError, match=f"^percentiles must be an iterable of integers, got {kind}$"):
+            summarize_exact(_vector([1.0]), ks)
+
+    def test_a_generator_of_percentiles_is_read_once(self):
+        want = summarize_exact(_vector([1.0, 2.0]), ks=(5, 50))
+        assert summarize_exact(_vector([1.0, 2.0]), ks=(k for k in (5, 50))) == want
+        s = SummarySet("c", mean=1.0, percentiles={5: 0.5, 50: 1.0, 75: 2.0}, count=4)
+        assert s.restrict(k for k in (5, 50)).ks == (5, 50)
+
 
 class TestFloat64Sum:
     @settings(max_examples=60, deadline=None)

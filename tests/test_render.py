@@ -242,6 +242,12 @@ class TestProfileTables:
         with pytest.raises(ValidationError):
             distance_table([])
 
+    def test_profiles_on_two_grids_are_refused(self):
+        other = standardize_profile(SummarySet("b", 1.0, {25: 0.5, 50: 1.0, 75: 1.5}, 10),
+                                    grid=(25, 50, 75))
+        with pytest.raises(ValidationError, match="^profiles use different percentile grids$"):
+            profile_table([_profile("a"), other])
+
 
 class TestBandTable:
     def test_header_band_names(self):
@@ -262,6 +268,10 @@ class TestBandTable:
         b = band_masses(LossVector("b", [0.3]), bounds=(1.0,))
         with pytest.raises(ValidationError):
             band_table([a, b])
+
+    def test_empty(self):
+        with pytest.raises(ValidationError, match="^no band tables to render$"):
+            band_table([])
 
 
 class TestSmallTables:

@@ -406,6 +406,17 @@ class TestChunkedReads:
         assert all(c.size <= 7 for c in chunks)
         np.testing.assert_array_equal(np.concatenate(chunks), vals)
 
+    def test_a_dump_that_shrinks_while_streamed_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        write_loss_dump(LossVector("c", np.arange(10, dtype=np.float32)), path)
+        monkeypatch.setattr(store, "DEFAULT_CHUNK", 4)
+        chunks = iter_loss_chunks(path)
+        assert next(chunks).tolist() == [0.0, 1.0, 2.0, 3.0]
+        with open(path, "r+b") as fh:
+            fh.truncate(store.HEADER_BYTES + 5 * store.VALUE_BYTES)
+        with pytest.raises(TruncatedDumpError, match="payload ends after 5 of 10 values$"):
+            list(chunks)
+
     def test_text_chunks(self, tmp_path, monkeypatch):
         path = tmp_path / "c.txt"
         path.write_text("".join(f"{i}.5\n" for i in range(25)), encoding="utf-8")
@@ -781,6 +792,31 @@ class TestManifest:
         assert not out.exists()
         dump_manifest(good, out)
         assert load_manifest(out).checkpoints == (replace(meta, count=2),)
+
+    @pytest.mark.parametrize("metrics", [[], 0, False, ""], ids=["list", "zero", "false", "empty-str"])
+    def test_a_falsy_non_mapping_metrics_is_refused_by_reader_and_writer(self, tmp_path, metrics):
+        _seed_dump(tmp_path, "a")
+        meta = CheckpointMeta("a", "f", 0, "o", (tmp_path / "dumps" / "a.bin").resolve(), metrics)
+        out = tmp_path / "manifest.yaml"
+        with pytest.raises(ManifestError) as written:
+            dump_manifest(Manifest(version=1, checkpoints=(meta,)), out)
+        assert not out.exists()
+        entry = {"id": "a", "family": "f", "step": 0, "objective": "o", "loss": "dumps/a.bin"}
+        out.write_text(yaml.safe_dump({"version": 1, "checkpoints": [entry | {"metrics": metrics}]}),
+                       encoding="utf-8")
+        with pytest.raises(ManifestError) as read:
+            load_manifest(out)
+        assert str(read.value) == str(written.value) == f"{out}: checkpoints[0]: metrics must be a mapping"
+
+    def test_a_missing_or_empty_metrics_is_no_metrics(self, tmp_path):
+        _seed_dump(tmp_path, "a")
+        meta = CheckpointMeta("a", "f", 0, "o", (tmp_path / "dumps" / "a.bin").resolve(), None)
+        out = tmp_path / "manifest.yaml"
+        dump_manifest(Manifest(version=1, checkpoints=(meta,)), out)
+        assert "metrics" not in out.read_text(encoding="utf-8")
+        assert load_manifest(out).checkpoints[0].metrics == {}
+        out.write_text(out.read_text(encoding="utf-8") + "  metrics:\n", encoding="utf-8")
+        assert load_manifest(out).checkpoints[0].metrics == {}
 
 
 # Dumps a generated manifest entry can point at: two good ones and every
