@@ -31,37 +31,40 @@ def main() -> None:
     )
     result = dose_response(config)
 
-    teacher = result.teacher_summary
+    # One record per model: the teacher (K None), then per K its trained
+    # student and its exactly solved oracle.
+    records = {(c.k, c.family): c for c in result.checkpoints}
+    teacher = records[None, "teacher"].summary
     print(f"teacher held-out CE: mean={teacher.mean:.4f} "
           f"median={teacher.value('median'):.4f} p95={teacher.value('p95'):.4f}")
     print()
-    print(render.dose_table(result.rows))
+    print(render.dose_table(result.checkpoints))
 
     # The dose-response signature: as K shrinks, the median drops below the
     # teacher's while the mean climbs above it. A selection rule that watches
     # the median would prefer the most truncated student here.
-    trained = {row.k: row for row in result.rows if row.source == "trained"}
     for k in config.ks:
-        row = trained[k]
+        s = records[k, "trained"].summary
         marker = "<- median better, mean worse" if (
-            row.median < teacher.value("median") and row.mean > teacher.mean) else ""
-        print(f"K={k!s:>4}: mean {row.mean / teacher.mean:5.2f}x teacher, "
-              f"median {row.median / teacher.value('median'):5.2f}x {marker}")
+            s.value("median") < teacher.value("median") and s.mean > teacher.mean) else ""
+        print(f"K={k!s:>4}: mean {s.mean / teacher.mean:5.2f}x teacher, "
+              f"median {s.value('median') / teacher.value('median'):5.2f}x {marker}")
 
     # Training is not the bottleneck: the trained student sits on the same
     # floor as the exactly solved one. Compare their rows in KL.
     print()
     for k in (2, "full"):
-        student = result.students[k].probs()
-        oracle = result.oracles[k].probs()
+        student = records[k, "trained"].model.probs()
+        oracle = records[k, "oracle"].model.probs()
         gaps = [kl(oracle[i], student[i]) for i in range(config.vocab)]
         print(f"K={k}: worst row KL(converged || trained) = {max(gaps):.2e} nats")
 
     # The converged student is just the teacher's rows through
     # topk_renormalize (with a tiny floor epsilon on the zeros), so the whole
     # effect is attributable to the truncation itself.
-    oracle2 = converged_student(result.teacher, 2, config.epsilon_q)
-    row = result.teacher.probs()[0]
+    teacher_model = records[None, "teacher"].model
+    oracle2 = converged_student(teacher_model, 2, config.epsilon_q)
+    row = teacher_model.probs()[0]
     print()
     print("teacher row 0, top 5:", np.round(np.sort(row)[::-1][:5], 4))
     print("top-2 renormalized:  ", np.round(np.sort(topk_renormalize(row, 2))[::-1][:5], 4))

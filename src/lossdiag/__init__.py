@@ -83,7 +83,7 @@ __version__ = "0.1.0"
 # The distillation lab is imported on first use (PEP 562): only distill-demo
 # and the lab's own callers need it, and it is the slowest module to import.
 _DISTILL_NAMES = (
-    "TabularLM", "LabConfig", "DoseResponseRow", "DoseResult",
+    "TabularLM", "LabConfig", "LabCheckpoint", "DoseResult",
     "synth_corpus", "true_chain", "zipf_weights", "fit_teacher", "softmax",
     "log_softmax", "topk_renormalize", "kl",
     "distill_student", "converged_student",

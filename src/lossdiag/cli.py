@@ -390,7 +390,7 @@ def _cmd_distill_demo(args) -> None:
     given = {f: getattr(args, f) for f in _LAB_FLAGS if getattr(args, f) is not None}
     result = distill.dose_response(distill.LabConfig(ks=_parse_k_list(args.k), **given))
     out = Path(args.out)
-    _write_text(out, render.dose_table(result.rows, args.precision))
+    _write_text(out, render.dose_table(result.checkpoints, args.precision))
     print(out)
 
     # One dump per lab model plus a manifest, so the other subcommands can
@@ -398,10 +398,10 @@ def _cmd_distill_demo(args) -> None:
     dump_dir = out.parent / "dumps"
     dump_dir.mkdir(parents=True, exist_ok=True)
     checkpoints = []
-    for cid, family, step, objective, losses, metrics in distill.lab_checkpoints(result):
-        path = (dump_dir / f"{cid}.bin").resolve()
+    for c, losses in distill.lab_checkpoints(result):
+        path = (dump_dir / f"{c.id}.bin").resolve()
         write_loss_dump(losses, path)
-        checkpoints.append(CheckpointMeta(cid, family, step, objective, path, metrics))
+        checkpoints.append(CheckpointMeta(c.id, c.family, c.step, c.objective, path, c.metrics))
 
     manifest_path = out.parent / "manifest.yaml"
     dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), manifest_path)

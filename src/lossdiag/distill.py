@@ -25,9 +25,9 @@ Pieces:
 * the converged-student oracle: top-K renormalized teacher rows with zeros
   replaced by a small floor epsilon_q (a literal zero would make mean CE
   +inf; the floor models the mass a finite training run leaves behind);
-* dose_response: the K sweep producing trained and oracle summary rows;
-  lab_checkpoints: the same models as checkpoints, with their held-out CE
-  and metrics.
+* dose_response: the K sweep, one LabCheckpoint per lab model holding the
+  summary of its held-out CE and its metrics; lab_checkpoints: each record
+  with that CE again, one vector at a time.
 """
 
 from __future__ import annotations
@@ -582,55 +582,59 @@ class LabConfig:
             _check_size(name, getattr(self, name), floor)
         if not self.ks:
             raise ValidationError("ks must not be empty")
+        # K = vocab is "full"; an integral K is stored as an int, so 2.0 prints as 2.
         seen = set()
         for k in self.ks:
-            _resolve_k(self.vocab, k)
-            if k in seen:
+            k_eff = _resolve_k(self.vocab, k)
+            if k_eff in seen:
                 raise ValidationError(f"duplicate K {k!r}")
-            seen.add(k)
-        # The teacher's own row ("full", or K = vocab) anchors the trained-vs-oracle table.
-        if not any(k == "full" or k == self.vocab for k in self.ks):
+            seen.add(k_eff)
+        object.__setattr__(self, "ks", tuple(k if isinstance(k, str) else int(k) for k in self.ks))
+        # The teacher's own row anchors the trained-vs-oracle table.
+        if self.vocab not in seen:
             raise ValidationError('ks must include "full"')
 
 
 @dataclass(frozen=True)
-class DoseResponseRow:
-    k: object  # int or "full"
-    source: str  # "trained" | "oracle"
-    mean: float
-    median: float
-    p95: float
+class LabCheckpoint:
+    """One lab model as a checkpoint, with the summary of its float32
+    held-out CE and its metrics; K is None for the teacher.
+
+    Families: "teacher", "trained" (at the config's steps) and "oracle"
+    (step 0). A student family shares one step, so `correlate --crossing`
+    refuses it. Metrics: accuracy (equal across the students of one teacher,
+    by construction) and fidelity to the generating chain (varies with K),
+    the lab's external-judge analogue.
+    """
+
+    k: int | str | None
+    id: str
+    family: str
+    step: int
+    objective: str
+    model: TabularLM = field(repr=False)
+    summary: SummarySet
+    metrics: Mapping[str, float]
 
 
 @dataclass(frozen=True)
 class DoseResult:
     config: LabConfig
-    rows: tuple[DoseResponseRow, ...]
-    teacher: TabularLM
-    teacher_summary: SummarySet
-    students: Mapping[object, TabularLM]
-    oracles: Mapping[object, TabularLM]
+    checkpoints: tuple[LabCheckpoint, ...]
     eval_stream: np.ndarray = field(repr=False)
 
 
-def _lab_models(config: LabConfig, teacher, students, oracles):
-    """(K, checkpoint id, family, step, objective, model) of every lab model
-    in manifest order: the teacher (K None), then per K its trained student
-    and its converged oracle."""
-    yield None, "teacher", "teacher", 0, "token-ce", teacher
-    for k in config.ks:
-        label = "full" if k == "full" else str(int(k))
-        objective = f"topk-kl:{label}"
-        yield k, f"student-k{label}-trained", "trained", config.steps, objective, students[k]
-        yield k, f"student-k{label}-oracle", "oracle", 0, objective, oracles[k]
+def _held_out_ce(cid: str, model: TabularLM, stream: np.ndarray) -> LossVector:
+    return LossVector(cid, per_token_ce(model, stream).astype(np.float32))
 
 
 def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
     """Train and oracle-solve a student per K; summarize held-out CE.
 
     Students for every K train in one batched loop (bitwise identical to
-    separate runs). Rows come in config order, trained before oracle, and
-    one K ("full" or the vocab) is the teacher's row, as LabConfig requires.
+    separate runs). Records come in manifest order: the teacher, then per K
+    its trained student and its oracle; one K ("full" or the vocab) is the
+    teacher's row, as LabConfig requires.
     """
     # The training stream, the run's largest array, lives only as long as
     # fitting the teacher takes.
@@ -647,49 +651,32 @@ def dose_response(config: LabConfig = LabConfig()) -> DoseResult:
 
     k_effs = [_resolve_k(teacher.vocab_size, k) for k in config.ks]
     # Oracles first: they own the epsilon_q rule, refused before any training.
-    oracles = {
-        k: converged_student(teacher, k_eff, config.epsilon_q)
-        for k, k_eff in zip(config.ks, k_effs)
-    }
+    oracles = [converged_student(teacher, k_eff, config.epsilon_q) for k_eff in k_effs]
     targets = np.stack([_teacher_targets(teacher, k_eff) for k_eff in k_effs])
-    logits = _train_batch(
-        targets, teacher.context_weights, config.steps, config.learning_rate
-    )
-
     weights = teacher.context_weights
-    students = {k: TabularLM(logits[i], weights) for i, k in enumerate(config.ks)}
-    summaries = [
-        (k, family, summarize_exact(
-            LossVector(cid, per_token_ce(model, held_out).astype(np.float32))))
-        for k, cid, family, _, _, model in _lab_models(config, teacher, students, oracles)
-    ]
-    rows = tuple(
-        DoseResponseRow(k, family, s.mean, s.value("median"), s.value("p95"))
-        for k, family, s in summaries[1:]
+    logits = _train_batch(targets, weights, config.steps, config.learning_rate)
+
+    models = [(None, "teacher", "teacher", 0, "token-ce", teacher)]
+    for k, oracle, student in zip(config.ks, oracles, logits):
+        models.append((k, f"student-k{k}-trained", "trained", config.steps,
+                       f"topk-kl:{k}", TabularLM(student, weights)))
+        models.append((k, f"student-k{k}-oracle", "oracle", 0, f"topk-kl:{k}", oracle))
+    _, truth = true_chain(config.seed, config.vocab, config.zipf_exponent, config.concentration)
+    checkpoints = tuple(
+        LabCheckpoint(
+            k, cid, family, step, objective, model,
+            summarize_exact(_held_out_ce(cid, model, held_out)),
+            {"accuracy": next_token_accuracy(model, held_out),
+             "fidelity": chain_fidelity(model, truth)},
+        )
+        for k, cid, family, step, objective, model in models
     )
-    return DoseResult(config, rows, teacher, summaries[0][2], students, oracles, held_out)
+    return DoseResult(config, checkpoints, held_out)
 
 
 def lab_checkpoints(result: DoseResult):
-    """Each lab model as a checkpoint, in manifest order: (id, family, step,
-    objective, held-out CE as a float32 LossVector, metrics).
-
-    The teacher is family "teacher", trained students "trained", converged
-    floors "oracle". Every student of a family shares one step (the config's
-    steps, or 0 for the oracles), so `correlate --crossing`, which needs a
-    step series, refuses those families; the teacher alone is a one-step
-    series. Metrics: accuracy (constant across students of one teacher, by
-    construction) and fidelity against the generating chain (varies with K),
-    the lab's external-judge analogue. Each CE vector is computed when its
-    item is pulled, so one is alive at a time.
-    """
-    config, stream = result.config, result.eval_stream
-    _, truth = true_chain(config.seed, config.vocab, config.zipf_exponent, config.concentration)
-    models = _lab_models(config, result.teacher, result.students, result.oracles)
-    for _, cid, family, step, objective, model in models:
-        ce = per_token_ce(model, stream).astype(np.float32)
-        metrics = {
-            "accuracy": next_token_accuracy(model, stream),
-            "fidelity": chain_fidelity(model, truth),
-        }
-        yield cid, family, step, objective, LossVector(cid, ce), metrics
+    """Each record with the float32 held-out CE its summary was made from,
+    in manifest order. Each CE vector is computed when its item is pulled,
+    so one is alive at a time."""
+    for checkpoint in result.checkpoints:
+        yield checkpoint, _held_out_ce(checkpoint.id, checkpoint.model, result.eval_stream)

@@ -20,7 +20,7 @@ from .quantiles import SummarySet
 from .shape import BandTable, PercentileProfile, profile_distance
 
 if TYPE_CHECKING:  # the distillation lab is imported only when distill-demo runs
-    from .distill import DoseResponseRow
+    from .distill import LabCheckpoint
 
 DEFAULT_PRECISION = 6
 
@@ -231,17 +231,17 @@ def selection_table(
 
 
 def dose_table(
-    rows: Sequence[DoseResponseRow], precision: int = DEFAULT_PRECISION
+    checkpoints: Sequence[LabCheckpoint], precision: int = DEFAULT_PRECISION
 ) -> str:
-    """Dose-response rows: truncation level, trained/oracle, CE summaries."""
+    """Dose-response rows, one per lab record with a K (the teacher has
+    none): truncation level, trained/oracle, CE summaries."""
+    rows = [
+        [str(c.k), c.family, c.summary.mean, c.summary.value("median"), c.summary.value("p95")]
+        for c in checkpoints if c.k is not None
+    ]
     if not rows:
         raise ValidationError("no dose-response rows to render")
-    header = ["k", "source", "mean", "median", "p95"]
-    return csv_table(
-        header,
-        [[str(r.k), r.source, r.mean, r.median, r.p95] for r in rows],
-        precision,
-    )
+    return csv_table(["k", "source", "mean", "median", "p95"], rows, precision)
 
 
 def crossing_table(

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior on a shared tiny distill-demo workspace."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -620,6 +622,37 @@ class TestDistillDemo:
             "error": "ValidationError", "message": 'ks must include "full"', "exit_code": 2}
         assert runs == []
         assert not any(tmp_path.iterdir())
+
+    def test_the_vocab_as_a_k_duplicates_full(self, capsys, tmp_path):
+        # K = vocab is the teacher's own row, as "full" is.
+        rc, _, err = run(capsys, "distill-demo", "--out", str(tmp_path / "d.csv"),
+                         "--vocab", "8", "--k", "2,8,full", "--steps", "300",
+                         "--length", "10000", "--eval-length", "10000")
+        assert rc == 2
+        assert stderr_payload(err) == {
+            "error": "ValidationError", "message": "duplicate K 'full'", "exit_code": 2}
+        assert not any(tmp_path.iterdir())
+
+    def test_dose_rows_match_summarize_on_the_manifest(self, capsys, tmp_path):
+        # The two outputs of one run: dose.csv from the lab's records, and
+        # summarize reading the dumps the manifest lists.
+        out = tmp_path / "dose.csv"
+        rc, _, err = run(capsys, "distill-demo", "--vocab", "8", "--k", "2,full", "--steps", "300",
+                         "--length", "10000", "--eval-length", "10000", "--out", str(out))
+        assert rc == 0, err
+        rc, text, err = run(capsys, "summarize", "--manifest", str(tmp_path / "manifest.yaml"),
+                            "--family", "trained,oracle", "--ks", "50,95")
+        assert rc == 0, err
+        dose = {
+            f"student-k{row['k']}-{row['source']}": [row["mean"], row["median"], row["p95"]]
+            for row in csv.DictReader(io.StringIO(out.read_text(encoding="utf-8")))
+        }
+        summarized = {
+            row["checkpoint_id"]: [row["mean"], row["p50"], row["p95"]]
+            for row in csv.DictReader(io.StringIO(text))
+        }
+        assert len(dose) == 4
+        assert dose == summarized
 
     def test_size_below_its_floor_is_refused_before_training(self, capsys, tmp_path):
         rc, _, err = run(capsys, "distill-demo", "--out", str(tmp_path / "d.csv"),

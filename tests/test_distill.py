@@ -4,7 +4,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -385,7 +385,7 @@ class TestSizeRule:
                 _train_batch(targets, small_world.context_weights, steps, 1.0)
 
     def test_numpy_integers_are_sizes(self):
-        assert LabConfig(vocab=np.int64(16), steps=np.int32(5)).vocab == 16
+        assert LabConfig(vocab=np.int64(32), steps=np.int32(5)).vocab == 32
         assert np.array_equal(zipf_weights(np.int64(3), 1.0), zipf_weights(3, 1.0))
         stream = synth_corpus(9, np.int64(8), 1.1, np.uint32(10_000))
         assert np.array_equal(stream, synth_corpus(9, 8, 1.1, 10_000))
@@ -578,6 +578,18 @@ class TestLabConfig:
         assert LabConfig(vocab=16, ks=(2, 16)).ks == (2, 16)
         assert LabConfig(vocab=16, ks=(np.int64(16),)).ks == (16,)
 
+    def test_the_vocab_and_full_are_one_k(self):
+        # Both are the teacher's own row: accepted together, it trained twice.
+        with pytest.raises(ValidationError, match="^duplicate K 'full'$"):
+            LabConfig(vocab=8, ks=(2, 8, "full"))
+        with pytest.raises(ValidationError, match="^duplicate K 8$"):
+            LabConfig(vocab=8, ks=("full", 8))
+
+    def test_each_integral_k_is_stored_as_an_int(self):
+        # dose.csv prints str(k), and the checkpoint ids say "k2", not "k2.0".
+        ks = LabConfig(ks=(2.0, np.int64(4), "full")).ks
+        assert [(type(k), str(k)) for k in ks] == [(int, "2"), (int, "4"), (str, "full")]
+
     def test_defaults_are_frozen(self):
         config = LabConfig()
         assert (config.vocab, config.seed) == (64, 7)
@@ -632,18 +644,20 @@ class TestDoseResponse:
 
     def test_structure(self):
         result = dose_response(TINY)
-        assert [(r.k, r.source) for r in result.rows] == [
+        assert [f.name for f in fields(result)] == ["config", "checkpoints", "eval_stream"]
+        teacher, *students = result.checkpoints
+        assert [(c.k, c.family) for c in result.checkpoints] == [
+            (None, "teacher"),
             (2, "trained"), (2, "oracle"), ("full", "trained"), ("full", "oracle")]
-        assert set(result.students) == {2, "full"}
-        assert set(result.oracles) == {2, "full"}
+        assert all(isinstance(c.model, TabularLM) for c in result.checkpoints)
         assert result.eval_stream.size == TINY.eval_length
-        assert result.teacher_summary.count == TINY.eval_length - 1
-        for row in result.rows:
-            assert math.isfinite(row.median) and row.median > 0
-            assert row.mean > 0
-        oracle_by_k = {r.k: r for r in result.rows if r.source == "oracle"}
+        assert teacher.summary.count == TINY.eval_length - 1
+        for c in students:
+            assert math.isfinite(c.summary.value("median")) and c.summary.value("median") > 0
+            assert c.summary.mean > 0
+        oracle_by_k = {c.k: c.summary for c in students if c.family == "oracle"}
         # The signature effect survives even at this tiny scale.
-        assert oracle_by_k[2].median < oracle_by_k["full"].median
+        assert oracle_by_k[2].value("median") < oracle_by_k["full"].value("median")
         assert oracle_by_k[2].mean > oracle_by_k["full"].mean
 
 
@@ -659,24 +673,26 @@ class TestLabCheckpoints:
         monkeypatch.setattr(distill, "per_token_ce", counted)
         items = lab_checkpoints(result)
         assert calls == []
-        cid, family, step, objective, losses, metrics = next(items)
-        assert len(calls) == 1 and calls[0] is result.teacher
-        assert (cid, family, step, objective) == ("teacher", "teacher", 0, "token-ce")
-        assert losses.checkpoint_id == cid and losses.losses.dtype == np.float32
-        assert summarize_exact(losses) == result.teacher_summary
-        assert set(metrics) == {"accuracy", "fidelity"}
+        record, losses = next(items)
+        assert len(calls) == 1 and calls[0] is record.model
+        assert record is result.checkpoints[0]
+        assert (record.id, record.family, record.step, record.objective) == (
+            "teacher", "teacher", 0, "token-ce")
+        assert losses.checkpoint_id == record.id and losses.losses.dtype == np.float32
+        assert summarize_exact(losses) == record.summary
+        assert set(record.metrics) == {"accuracy", "fidelity"}
         rest = list(items)
         assert len(calls) == 1 + len(rest) == 1 + 2 * len(TINY.ks)
-        # The dumps carry the CE the dose-response rows summarize.
-        assert [(r[0], r[1], r[2], r[3]) for r in rest] == [
+        assert [c for c, _ in rest] == list(result.checkpoints[1:])
+        # The dumps carry the CE the records summarize.
+        assert [(c.id, c.family, c.step, c.objective) for c, _ in rest] == [
             ("student-k2-trained", "trained", TINY.steps, "topk-kl:2"),
             ("student-k2-oracle", "oracle", 0, "topk-kl:2"),
             ("student-kfull-trained", "trained", TINY.steps, "topk-kl:full"),
             ("student-kfull-oracle", "oracle", 0, "topk-kl:full"),
         ]
-        for row, item in zip(result.rows, rest):
-            s = summarize_exact(item[4])
-            assert (row.mean, row.median, row.p95) == (s.mean, s.value("median"), s.value("p95"))
+        for c, losses in rest:
+            assert summarize_exact(losses) == c.summary
 
 
 class TestSamplerMatchesSearchsorted:

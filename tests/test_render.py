@@ -24,7 +24,7 @@ from lossdiag import (
     standardize_profile,
 )
 from lossdiag.correlate import SweepRow
-from lossdiag.distill import DoseResponseRow
+from lossdiag.distill import LabCheckpoint
 from lossdiag.render import (
     band_table,
     concordance_table,
@@ -306,14 +306,22 @@ class TestSmallTables:
         )
 
     def test_dose(self):
-        rows = [DoseResponseRow(2, "trained", 1.7, 0.5, 7.8),
-                DoseResponseRow("full", "oracle", 1.5, 0.6, 5.7)]
-        lines = dose_table(rows).splitlines()
-        assert lines[0] == "k,source,mean,median,p95"
-        assert lines[1] == "2,trained,1.7,0.5,7.8"
-        assert lines[2] == "full,oracle,1.5,0.6,5.7"
+        def record(k, family, mean, median, p95):
+            summary = SummarySet(family, mean, {50: median, 95: p95}, 10)
+            return LabCheckpoint(k, family, family, 0, "token-ce", None, summary, {})
+
+        records = [record(None, "teacher", 1.0, 0.4, 3.0),
+                   record(2, "trained", 1.7, 0.5, 7.8),
+                   record("full", "oracle", 1.5, 0.6, 5.7)]
+        lines = dose_table(records).splitlines()
+        # The teacher has no K, so no dose row.
+        assert lines == ["k,source,mean,median,p95",
+                         "2,trained,1.7,0.5,7.8",
+                         "full,oracle,1.5,0.6,5.7"]
         with pytest.raises(ValidationError):
             dose_table([])
+        with pytest.raises(ValidationError):
+            dose_table(records[:1])
 
     def test_crossing_none_case(self):
         lines = crossing_table(
