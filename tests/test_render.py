@@ -274,6 +274,44 @@ class TestBandTable:
             band_table([])
 
 
+def _two_grids():
+    return [SummarySet("a", 1.0, {50: 0.5}, 10), SummarySet("b", 1.0, {50: 0.5, 95: 1.0}, 10)]
+
+
+def _two_summary_sets():
+    table = {cid: SummarySet(cid, v, {50: v, 95: v + 1}, 10) for cid, v in (("a", 1.0), ("b", 2.0))}
+    return [_report({"a": 1.0, "b": 2.0}), concordance(table, ("mean", "p95"))]
+
+
+def _two_profile_grids():
+    other = SummarySet("b", 1.0, {25: 0.5, 50: 1.0, 75: 1.5}, 10)
+    return [_profile("a"), standardize_profile(other, grid=(25, 50, 75))]
+
+
+def _two_band_bounds():
+    return [band_masses(LossVector("a", [0.3])), band_masses(LossVector("b", [0.3]), bounds=(1.0,))]
+
+
+class TestTableShapeRefusals:
+    # Each table refuses an empty input and items whose columns differ from
+    # the first item's, each with its own message.
+    @pytest.mark.parametrize("table, items, message", [
+        (summary_table, list, "no summaries to render"),
+        (summary_table, _two_grids, "summary 'b' has a different percentile grid"),
+        (concordance_table, list, "no concordance reports to render"),
+        (concordance_table, _two_summary_sets, "concordance reports use different summary sets"),
+        (profile_table, list, "no profiles to render"),
+        (profile_table, _two_profile_grids, "profiles use different percentile grids"),
+        (band_table, list, "no band tables to render"),
+        (band_table, _two_band_bounds, "band tables use different bounds"),
+    ], ids=["summary-empty", "summary-grid", "concordance-empty", "concordance-pairs",
+            "profile-empty", "profile-grid", "band-empty", "band-bounds"])
+    def test_each_refusal_names_its_table(self, table, items, message):
+        with pytest.raises(ValidationError) as exc:
+            table(items())
+        assert str(exc.value) == message
+
+
 class TestSmallTables:
     def test_family_stats(self):
         text = family_stats_table([("scratch", 3, 2.24, 0.14)])
