@@ -377,8 +377,8 @@ def _parse_k_list(text: str) -> tuple:
     return tuple(ks)
 
 
-# The LabConfig sizes distill-demo sets, each by the flag of its name; an
-# unset flag keeps the field's default. The other fields are LabConfig's own.
+# The LabConfig sizes distill-demo sets, each by the flag of its name, and ks
+# by --k; an unset flag keeps LabConfig's default. The other fields are its own.
 _LAB_FLAGS = ("vocab", "length", "steps", "eval_length")
 
 
@@ -387,8 +387,8 @@ def _cmd_distill_demo(args) -> None:
     # needs the lab, and a tracer may have replaced them.
     from . import distill
 
-    given = {f: getattr(args, f) for f in _LAB_FLAGS if getattr(args, f) is not None}
-    result = distill.dose_response(distill.LabConfig(ks=_parse_k_list(args.k), **given))
+    given = {f: getattr(args, f) for f in (*_LAB_FLAGS, "ks") if getattr(args, f) is not None}
+    result = distill.dose_response(distill.LabConfig(**given))
     out = Path(args.out)
     _write_text(out, render.dose_table(result.checkpoints, args.precision))
     print(out)
@@ -399,7 +399,7 @@ def _cmd_distill_demo(args) -> None:
     dump_dir.mkdir(parents=True, exist_ok=True)
     checkpoints = []
     for c, losses in distill.lab_checkpoints(result):
-        path = (dump_dir / f"{c.id}.bin").resolve()
+        path = dump_dir / f"{c.id}.bin"
         write_loss_dump(losses, path)
         checkpoints.append(CheckpointMeta(c.id, c.family, c.step, c.objective, path, c.metrics))
 
@@ -558,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     for field in _LAB_FLAGS:
         p.add_argument("--" + field.replace("_", "-"), dest=field, type=int,
                        help=f"default: LabConfig.{field}")
-    p.add_argument("--k", default="2,4,8,16,full",
-                   help="comma-separated truncation levels; include full")
+    p.add_argument("--k", dest="ks", metavar="K", type=_parse_k_list, help="comma-separated "
+                   "truncation levels; include full (default: each of 2,4,8,16 below --vocab, then full)")
     p.add_argument("--out", required=True, help="dose-response CSV path")
     p.add_argument("--precision", type=int, default=render.DEFAULT_PRECISION)
     p.set_defaults(func=_cmd_distill_demo)

@@ -561,14 +561,15 @@ class LabConfig:
     rows leakier than the oracle floor epsilon_q and too many push them
     below it. The budget below lands every default K within a few percent
     of its oracle on mean and median held-out CE for the default seed.
-    Every K-list rule is checked when the config is built.
+    Sizes and the seed are stored as ints. ks defaults (None) to each of 2, 4,
+    8 and 16 below the vocab, then "full"; a given K list is checked when built.
     """
 
     vocab: int = 64
     zipf_exponent: float = 1.1
     length: int = 200_000
     alpha: float = 0.1
-    ks: tuple = (2, 4, 8, 16, "full")
+    ks: tuple | None = None
     steps: int = 85_000
     learning_rate: float = 16.0
     concentration: float = DEFAULT_CONCENTRATION
@@ -579,7 +580,9 @@ class LabConfig:
     def __post_init__(self):
         for name, floor in (("vocab", 8), ("length", 10_000), ("eval_length", 10_000),
                             ("steps", 1), ("seed", 0)):
-            _check_size(name, getattr(self, name), floor)
+            object.__setattr__(self, name, _check_size(name, getattr(self, name), floor))
+        if self.ks is None:
+            object.__setattr__(self, "ks", (*(k for k in (2, 4, 8, 16) if k < self.vocab), "full"))
         if not self.ks:
             raise ValidationError("ks must not be empty")
         # K = vocab is "full"; an integral K is stored as an int, so 2.0 prints as 2.

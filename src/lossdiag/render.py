@@ -92,18 +92,25 @@ def _pct_name(k: int) -> str:
     return f"p{k:02d}"
 
 
+def _shared_columns(items: Sequence, what: str, columns, differs: str):
+    """The columns, read by ``columns``, that every item shares: the tables'
+    one shape rule. No items, or an item whose columns differ from the first
+    item's, is refused; ``differs`` is formatted with that item."""
+    if not items:
+        raise ValidationError(f"no {what} to render")
+    first = columns(items[0])
+    for item in items:
+        if columns(item) != first:
+            raise ValidationError(differs.format(item))
+    return first
+
+
 def summary_table(
     summaries: Sequence[SummarySet], precision: int = DEFAULT_PRECISION
 ) -> str:
     """One row per checkpoint: id, mean, the percentile grid, count."""
-    if not summaries:
-        raise ValidationError("no summaries to render")
-    ks = summaries[0].ks
-    for s in summaries:
-        if s.ks != ks:
-            raise ValidationError(
-                f"summary {s.checkpoint_id!r} has a different percentile grid"
-            )
+    ks = _shared_columns(summaries, "summaries", lambda s: s.ks,
+                         "summary {0.checkpoint_id!r} has a different percentile grid")
     header = ["checkpoint_id", "mean", *(_pct_name(k) for k in ks), "count"]
     rows = [
         [s.checkpoint_id, s.mean, *(s.percentiles[k] for k in ks), s.count]
@@ -116,12 +123,8 @@ def concordance_table(
     reports: Sequence[ConcordanceReport], precision: int = DEFAULT_PRECISION
 ) -> str:
     """Per-family concordance: pi(S) plus one column per summary pair."""
-    if not reports:
-        raise ValidationError("no concordance reports to render")
-    pair_keys = list(reports[0].pairwise)
-    for r in reports:
-        if list(r.pairwise) != pair_keys:
-            raise ValidationError("concordance reports use different summary sets")
+    pair_keys = _shared_columns(reports, "concordance reports", lambda r: list(r.pairwise),
+                                "concordance reports use different summary sets")
     header = [
         "family",
         "summaries",
@@ -152,12 +155,8 @@ def profile_table(
     profiles: Sequence[PercentileProfile], precision: int = DEFAULT_PRECISION
 ) -> str:
     """Standardized percentile profiles, one checkpoint per row."""
-    if not profiles:
-        raise ValidationError("no profiles to render")
-    grid = profiles[0].grid
-    for p in profiles:
-        if p.grid != grid:
-            raise ValidationError("profiles use different percentile grids")
+    grid = _shared_columns(profiles, "profiles", lambda p: p.grid,
+                           "profiles use different percentile grids")
     header = ["checkpoint_id", *(_pct_name(k) for k in grid), "iqr"]
     rows = [[p.checkpoint_id, *(p.values[k] for k in grid), p.iqr] for p in profiles]
     return csv_table(header, rows, precision)
@@ -188,12 +187,7 @@ def band_table(tables: Sequence[BandTable]) -> str:
     exactly 21% reads "21.0", not "21") and band bounds in the header with 6
     significant digits, so no precision applies.
     """
-    if not tables:
-        raise ValidationError("no band tables to render")
-    bounds = tables[0].bounds
-    for t in tables:
-        if t.bounds != bounds:
-            raise ValidationError("band tables use different bounds")
+    _shared_columns(tables, "band tables", lambda t: t.bounds, "band tables use different bounds")
     header = ["checkpoint_id", *(_band_name(lo, hi) for lo, hi in tables[0].bands)]
     rows = [[t.checkpoint_id, *(f"{m:.1f}" for m in t.mass)] for t in tables]
     return csv_table(header, rows)

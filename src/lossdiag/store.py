@@ -355,7 +355,8 @@ def peek_dump_count(path: str | Path) -> int:
 
 @dataclass(frozen=True)
 class CheckpointMeta:
-    """One manifest entry: a checkpoint and where its losses live."""
+    """One manifest entry: a checkpoint and where its losses live. A relative
+    ``loss_path`` is read from the CWD, and ``dump_manifest`` writes it so."""
 
     checkpoint_id: str
     family: str
@@ -372,11 +373,7 @@ class Manifest:
     checkpoints: tuple[CheckpointMeta, ...]
 
     def families(self) -> list[str]:
-        seen: list[str] = []
-        for c in self.checkpoints:
-            if c.family not in seen:
-                seen.append(c.family)
-        return seen
+        return list(dict.fromkeys(c.family for c in self.checkpoints))
 
     def select(self, families: Iterable[str] | None = None) -> tuple[CheckpointMeta, ...]:
         """Checkpoints whose family tag is in ``families`` (None = all).
@@ -521,21 +518,27 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def dump_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Write a manifest as YAML, loss paths relative to ``path``.
+    """Write a manifest as YAML; ``load_manifest`` opens the dumps it names.
 
-    The document is held to ``load_manifest``'s rules (``_checked_entries``)
-    before the file is opened, so a manifest the reader would refuse is
-    refused here and nothing is written.
+    Each loss path, a ``Path`` or ``str``, is resolved from the CWD as every
+    reader of a ``CheckpointMeta`` opens it (a NUL byte or a symlink loop is
+    refused), and written relative to the manifest's directory, or absolute
+    outside it. The document is held to ``load_manifest``'s rules
+    (``_checked_entries``) before the file is opened, so a manifest the
+    reader would refuse is refused here and nothing is written.
     """
     path = Path(path)
+    root = path.parent.resolve()
     entries = []
-    for c in manifest.checkpoints:
+    for i, c in enumerate(manifest.checkpoints):
         try:
-            rel = c.loss_path.relative_to(path.parent.resolve())
-        except ValueError:
-            rel = c.loss_path
+            loss = Path(c.loss_path).resolve()
+        except (OSError, ValueError, RuntimeError, TypeError) as exc:
+            raise ManifestError(f"{path}: checkpoints[{i}]: bad loss path {c.loss_path!r}: {exc}") from exc
+        if loss.is_relative_to(root):
+            loss = loss.relative_to(root)
         entries.append({"id": c.checkpoint_id, "family": c.family, "step": c.step,
-                        "objective": c.objective, "loss": str(rel), "metrics": c.metrics})
+                        "objective": c.objective, "loss": str(loss), "metrics": c.metrics})
     checked = _checked_entries({"version": manifest.version, "checkpoints": entries}, str(path))
     # An entry without metrics is written without the key.
     entries = [{k: v for k, v in e.items() if k != "metrics" or v} for _, e in checked]

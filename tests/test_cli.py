@@ -633,6 +633,21 @@ class TestDistillDemo:
             "error": "ValidationError", "message": "duplicate K 'full'", "exit_code": 2}
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("vocab, ks", [("8", ["2", "4", "full"]), ("16", ["2", "4", "8", "full"])])
+    def test_a_small_vocab_trains_with_no_k(self, capsys, tmp_path, monkeypatch, vocab, ks):
+        # LabConfig fits its default K list to the vocab. The run's paths
+        # are relative to the CWD, and its manifest names the dumps it wrote.
+        monkeypatch.chdir(tmp_path)
+        rc, _, err = run(capsys, "distill-demo", "--vocab", vocab, "--steps", "50",
+                         "--length", "10000", "--eval-length", "10000", "--out", "lab/dose.csv")
+        assert rc == 0, err
+        rows = list(csv.DictReader(io.StringIO(Path("lab/dose.csv").read_text(encoding="utf-8"))))
+        assert list(dict.fromkeys(row["k"] for row in rows)) == ks
+        manifest = load_manifest("lab/manifest.yaml")
+        assert [c.loss_path for c in manifest.checkpoints] == [
+            (tmp_path / "lab" / "dumps" / f"{c.checkpoint_id}.bin").resolve() for c in manifest.checkpoints]
+        assert len(manifest.checkpoints) == 1 + 2 * len(ks)
+
     def test_dose_rows_match_summarize_on_the_manifest(self, capsys, tmp_path):
         # The two outputs of one run: dose.csv from the lab's records, and
         # summarize reading the dumps the manifest lists.

@@ -35,7 +35,14 @@ from lossdiag import (
 )
 from lossdiag import distill
 from lossdiag.distill import _teacher_targets, _train_batch, check_distribution, lab_checkpoints
-from lossdiag.store import LossVector
+from lossdiag.store import (
+    CheckpointMeta,
+    LossVector,
+    Manifest,
+    dump_manifest,
+    load_manifest,
+    write_loss_dump,
+)
 
 import oracles
 
@@ -384,6 +391,21 @@ class TestSizeRule:
             with pytest.raises(ValidationError, match="^steps must be an integer >= 1, got "):
                 _train_batch(targets, small_world.context_weights, steps, 1.0)
 
+    def test_numpy_sizes_are_stored_as_ints(self, tmp_path):
+        config = LabConfig(vocab=np.int64(8), ks=(2, "full"), steps=np.int32(20),
+                           length=np.uint32(10_000), eval_length=np.int16(10_000), seed=np.uint8(3))
+        sizes = ("vocab", "steps", "length", "eval_length", "seed")
+        assert [type(getattr(config, name)) for name in sizes] == [int] * 5
+        # The lab's manifest, written as distill-demo writes it, takes the steps.
+        checkpoints = []
+        for c, losses in lab_checkpoints(dose_response(config)):
+            write_loss_dump(losses, tmp_path / f"{c.id}.bin")
+            checkpoints.append(CheckpointMeta(c.id, c.family, c.step, c.objective,
+                                              tmp_path / f"{c.id}.bin", c.metrics))
+        dump_manifest(Manifest(version=1, checkpoints=tuple(checkpoints)), tmp_path / "m.yaml")
+        steps = [c.step for c in load_manifest(tmp_path / "m.yaml").checkpoints]
+        assert steps == [0, 20, 0, 20, 0]
+
     def test_numpy_integers_are_sizes(self):
         assert LabConfig(vocab=np.int64(32), steps=np.int32(5)).vocab == 32
         assert np.array_equal(zipf_weights(np.int64(3), 1.0), zipf_weights(3, 1.0))
@@ -596,6 +618,20 @@ class TestLabConfig:
         assert config.ks == (2, 4, 8, 16, "full")
         with pytest.raises(AttributeError):
             config.vocab = 32
+
+    @pytest.mark.parametrize("vocab, ks", [
+        (8, (2, 4, "full")), (9, (2, 4, 8, "full")), (16, (2, 4, 8, "full")),
+        (17, (2, 4, 8, 16, "full")),
+    ])
+    def test_the_default_k_list_is_each_of_2_4_8_16_below_the_vocab(self, vocab, ks):
+        assert LabConfig(vocab=vocab).ks == ks
+        assert LabConfig(vocab=vocab, ks=None).ks == ks
+
+    def test_a_given_k_list_is_checked_as_given(self):
+        with pytest.raises(ValidationError, match=r"^K must be 'full' or an integer in 1\.\.8, got 16$"):
+            LabConfig(vocab=8, ks=(2, 4, 8, 16, "full"))
+        with pytest.raises(ValidationError, match="^duplicate K 'full'$"):
+            LabConfig(vocab=16, ks=(2, 4, 8, 16, "full"))
 
 
 TINY = LabConfig(

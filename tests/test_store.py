@@ -771,6 +771,41 @@ class TestManifest:
         assert entry["loss"] == str(dump)
         assert load_manifest(out).checkpoints[0].loss_path == dump
 
+    @pytest.mark.parametrize("given, written", [
+        (lambda tmp: (tmp / "out" / "dumps" / "a.bin").resolve(), "dumps/a.bin"),
+        (lambda tmp: Path("out/dumps/a.bin"), "dumps/a.bin"),
+        (lambda tmp: "out/dumps/a.bin", "dumps/a.bin"),
+        (lambda tmp: Path("dumps/a.bin"), None),
+    ], ids=["absolute", "cwd-relative", "str", "outside"])
+    def test_the_reader_opens_the_dump_the_writer_was_given(
+        self, tmp_path, monkeypatch, given, written
+    ):
+        # A loss path is read from the CWD, as every reader of a
+        # CheckpointMeta opens it; one outside the manifest's directory is
+        # written absolute.
+        monkeypatch.chdir(tmp_path)
+        _seed_dump(tmp_path, "a")
+        (tmp_path / "out").mkdir()
+        _seed_dump(tmp_path / "out", "a", values=(0.5, 1.0, 1.5))
+        loss = given(tmp_path)
+        out = Path("out") / "manifest.yaml"
+        dump_manifest(Manifest(1, (CheckpointMeta("a", "f", 0, "o", loss),)), out)
+        dump = (tmp_path / loss).resolve()
+        entry = yaml.safe_load(out.read_text(encoding="utf-8"))["checkpoints"][0]
+        assert entry["loss"] == (written or str(dump))
+        (back,) = load_manifest(out).checkpoints
+        assert (back.loss_path, back.count) == (dump, peek_dump_count(loss))
+
+    @pytest.mark.parametrize("loss", ["nul\0.bin", "loop.bin"], ids=["nul", "loop"])
+    def test_a_loss_path_that_cannot_be_resolved_is_refused_by_the_writer(self, tmp_path, loss):
+        (tmp_path / "loop.bin").symlink_to("loop.bin")
+        out = tmp_path / "manifest.yaml"
+        meta = CheckpointMeta("a", "f", 0, "o", tmp_path / loss)
+        with pytest.raises(ManifestError, match=r": checkpoints\[0\]: bad loss path ") as exc:
+            dump_manifest(Manifest(1, (meta,)), out)
+        assert str(exc.value).startswith(f"{out}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("change,message", [
         (lambda m, c: replace(m, version=2), "unsupported manifest version 2"),
         (lambda m, c: replace(m, checkpoints=()), "checkpoints list is empty"),
